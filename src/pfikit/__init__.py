@@ -6,30 +6,28 @@ overlap-resolution pipeline.
 """
 
 from .calibrate import FitReport, ScanPoint, fit_ie, fit_z_offset, sensitivity_scan
-from .constants import CONSTANTS, PhysConstants, load_constants
+from .constants import CONSTANTS, PhysConstants
 from .curves import (CrossoverResult, FieldEstimate, FieldGrid, KinghamCurve,
                      csr_from_fractions, csr_to_field, evaluate_csr, find_f50,
                      generate_curve, read_curve_csv, write_curve_csv)
 from .errors import (AmbiguityError, BracketError, ConfigError,
                      DegenerateMatrixError, DomainError, FitRangeError,
                      NonphysicalKinematicsError, NumericalError, PfiKitError)
-from .geometry import (CrossingGeometry, Environment, critical_distance,
-                       hump_position, system_potential)
-from .kinematics import ion_velocity, kinetic_energy
+from .geometry import CrossingGeometry, Environment, critical_distance, hump_position
+from .kinematics import kinetic_energy
 from .pipeline import (FLAG_KINDS, ConsistencyFlag, OverlapCase, OverlapResolution,
                        ResolutionReport, audit_consistency, composition_by_element,
-                       estimate_field, fraction_at, kellogg_field,
-                       load_pipeline_config, primary_counts, resolve_overlap,
-                       run_pipeline)
+                       fraction_at, kellogg_field, load_pipeline_config,
+                       resolve_overlap, run_pipeline)
 from .species import SpeciesParams, builtin_species, load_species_file, resolve_species
 from .spectrum import (Assignment, CsrEstimate, DeconvolutionResult, Isotope,
                        IsotopeTable, OverlapMatrix, Peak, RangedPeakSet,
                        build_overlap_matrix, compute_csr, deconvolve,
                        isotopologue_distribution, load_isotopes,
-                       parse_composition, range_spectrum, raw_csr,
+                       parse_composition, primary_counts, range_spectrum, raw_csr,
                        read_histogram_csv, read_peaks_csv, write_peaks_csv)
-from .tunneling import (PfiOptions, PfiStepResult, charge_fractions,
-                        pfi_step_probability, rate_constant)
+from .tunneling import (PfiStepResult, charge_fractions, pfi_step_probability,
+                        rate_constant)
 from .zmodel import KINGHAM_Z, ZModel, load_zmodel
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .curves import find_f50
 from .errors import BracketError, DomainError, FitRangeError, NumericalError
 from .geometry import Environment
 from .species import SpeciesParams
-from .tunneling import DEFAULT_PFI_OPTIONS, PfiOptions
 from .zmodel import ZModel
 
 FIT_RESIDUAL_VNM = 0.05  # required |F50(fit) - target|
@@ -58,11 +57,6 @@ class ScanPoint:
     parameter: str
     value: float
     f50_vnm: float
-
-
-def _f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
-         search: tuple[float, float], options: PfiOptions) -> float:
-    return find_f50(species, env, zmodel, search, options=options).f50_vnm
 
 
 def _usable_bound(f50_of, x_good: float, x_bound: float,
@@ -129,7 +123,6 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
 def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float,
                  c1: float = 1.0, c0_bounds: tuple[float, float] = C0_BOUNDS,
                  search_vnm: tuple[float, float] = (5.0, 45.0),
-                 options: PfiOptions = DEFAULT_PFI_OPTIONS,
                  note: str = "") -> FitReport:
     """Find c0 in ``c0_bounds`` so the species' F50 meets the target.
 
@@ -142,7 +135,7 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     nominal_c0 = min(max(1.0, c_lo), c_hi)
 
     def f50_of(c0: float) -> float:
-        return _f50(species, env, ZModel(c0, c1), search_vnm, options)
+        return find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm
 
     c0 = _fit_1d(f50_of, f"{species.name} z-offset fit", nominal_c0,
                  (c_lo, c_hi), target_f50_vnm, xtol=1e-4)
@@ -160,7 +153,6 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
 def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
            target_f50_vnm: float, ie_index: int = 2,
            search_vnm: tuple[float, float] = (5.0, 45.0),
-           options: PfiOptions = DEFAULT_PFI_OPTIONS,
            note: str = "") -> FitReport:
     """Vary one ladder entry (1-based ``ie_index``) to meet the target F50.
 
@@ -184,7 +176,7 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
             "strictly increasing")
 
     def f50_of(ie: float) -> float:
-        return _f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm, options)
+        return find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm
 
     fitted = _fit_1d(f50_of, f"{species.name} I{ie_index} fit", nominal,
                      (lo, hi), target_f50_vnm, xtol=1e-4)
@@ -202,8 +194,7 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
                      parameter: str, values,
-                     search_vnm: tuple[float, float] = (5.0, 45.0),
-                     options: PfiOptions = DEFAULT_PFI_OPTIONS) -> tuple[ScanPoint, ...]:
+                     search_vnm: tuple[float, float] = (5.0, 45.0)) -> tuple[ScanPoint, ...]:
     """F50 per parameter value; ``parameter`` is ``m_q`` or ``phi``."""
     points = []
     for value in values:
@@ -219,7 +210,6 @@ def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
             varied_env = dataclasses.replace(env, work_function_ev=value)
         else:
             raise DomainError(f"unknown scan parameter {parameter!r} (m_q or phi)")
-        points.append(ScanPoint(parameter, float(value),
-                                _f50(varied_species, varied_env, zmodel,
-                                     search_vnm, options)))
+        f50 = find_f50(varied_species, varied_env, zmodel, search_vnm).f50_vnm
+        points.append(ScanPoint(parameter, float(value), f50))
     return tuple(points)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -24,8 +23,7 @@ from . import calibrate, curves, pipeline, spectrum
 from .errors import ConfigError, PfiKitError
 from .geometry import Environment
 from .species import SpeciesParams, asset_path, resolve_species
-from .tunneling import DEFAULT_PFI_OPTIONS, PfiOptions
-from .zmodel import KINGHAM_Z, ZModel, load_zmodel
+from .zmodel import ZModel, load_zmodel
 
 NAMED_ZMODELS = {"kingham": "z_kingham.json", "si3": "z_si3_fit.json",
                  "si4": "z_si4_fit.json"}
@@ -38,19 +36,15 @@ class RunConfig:
     species: tuple[SpeciesParams, ...]
     zmodel: ZModel
     env: Environment
-    options: PfiOptions
     grid: curves.FieldGrid
     out: str | None
     fmt: str
     verbose: bool
-    dry_run: bool
 
     def __post_init__(self):
         phi = self.env.work_function_ev
         if not 0.0 < phi <= 10.0:
             raise ConfigError(f"work function {phi} eV outside (0, 10]")
-        if not 50.0 <= self.options.z_max_au <= 1000.0:
-            raise ConfigError(f"z_max {self.options.z_max_au} a.u. outside [50, 1000]")
 
 
 def _parse_grid(text: str) -> curves.FieldGrid:
@@ -83,8 +77,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="work function in eV (default per material, 4.9)")
     parser.add_argument("--lambda", dest="screening", type=float, default=0.0,
                         help="screening length in nm (default 0)")
-    parser.add_argument("--zmax", type=float, default=DEFAULT_PFI_OPTIONS.z_max_au,
-                        help="launch-integral truncation in a.u.")
     parser.add_argument("--grid", type=str, default="5:45:0.1",
                         help="field grid lo:hi:step in V/nm")
     parser.add_argument("--out", default=None, help="output file (or directory "
@@ -96,18 +88,19 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="validate the configuration and exit")
 
 
-def _build_config(args: argparse.Namespace, need_species: bool) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Resolve the common flags; ``args.species_count`` is "none", "one" or "some"."""
     species: list[SpeciesParams] = []
     for ref in args.species:
         species.extend(resolve_species(ref))
-    if need_species and not species:
+    if args.species_count != "none" and not species:
         raise ConfigError("no species given (use --species)")
+    if args.species_count == "one" and len(species) != 1:
+        raise ConfigError("this command takes exactly one --species")
     phi = args.phi if args.phi is not None else 4.9
     env = Environment(work_function_ev=phi, screening_length_nm=args.screening)
-    options = dataclasses.replace(DEFAULT_PFI_OPTIONS, z_max_au=args.zmax)
-    return RunConfig(tuple(species), _resolve_zmodel(args.zmodel), env, options,
-                     _parse_grid(args.grid), args.out, args.fmt, args.verbose,
-                     args.dry_run)
+    return RunConfig(tuple(species), _resolve_zmodel(args.zmodel), env,
+                     _parse_grid(args.grid), args.out, args.fmt, args.verbose)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -127,16 +120,11 @@ def _note(config: RunConfig, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _dry_run_exit(config: RunConfig, what: str) -> int:
-    names = ", ".join(sp.name for sp in config.species) or "(none)"
-    print(f"dry run: would {what} for {names}", file=sys.stderr)
-    return 0
+def _search(config: RunConfig) -> tuple[float, float]:
+    return config.grid.low_vnm, config.grid.high_vnm
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=True)
-    if config.dry_run:
-        return _dry_run_exit(config, "generate CSR curves")
+def cmd_curves(config: RunConfig, args: argparse.Namespace) -> int:
     multiple = len(config.species) > 1
     if multiple and config.out is None:
         raise ConfigError("several species need --out pointing at a directory")
@@ -145,18 +133,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
     for sp in config.species:
         _note(config, f"curve {sp.name} on {config.grid.low_vnm}:"
               f"{config.grid.high_vnm}:{config.grid.step_vnm}")
-        curve = curves.generate_curve(sp, config.env, config.zmodel, config.grid,
-                                      options=config.options)
+        curve = curves.generate_curve(sp, config.env, config.zmodel, config.grid)
         if config.out is None:
-            buf = io.StringIO()
-            buf.write(f"# species: {curve.species_name}\n")
-            buf.write(",".join(curves.CSV_HEADER) + "\n")
-            for f_vnm, row, ratio in zip(curve.field_grid_vnm, curve.fractions,
-                                         curve.csr):
-                padded = tuple(row) + (0.0,) * (3 - len(row))
-                buf.write(",".join([f"{f_vnm:.9g}"] + [f"{v:.9g}" for v in padded]
-                                   + [f"{ratio:.9g}"]) + "\n")
-            sys.stdout.write(buf.getvalue())
+            curves.dump_curve_csv(curve, sys.stdout)
         else:
             target = config.out
             if os.path.isdir(target):
@@ -166,16 +145,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_f50(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=True)
-    if config.dry_run:
-        return _dry_run_exit(config, "find the 50 % crossover")
-    rows = []
-    for sp in config.species:
-        result = curves.find_f50(sp, config.env, config.zmodel,
-                                 (config.grid.low_vnm, config.grid.high_vnm),
-                                 options=config.options)
-        rows.append((sp.name, result))
+def cmd_f50(config: RunConfig, args: argparse.Namespace) -> int:
+    rows = [(sp.name, curves.find_f50(sp, config.env, config.zmodel, _search(config)))
+            for sp in config.species]
     if config.fmt == "json":
         payload = {name: {"f50_vnm": r.f50_vnm, "bracket_vnm": list(r.bracket_vnm)}
                    for name, r in rows}
@@ -187,12 +159,6 @@ def cmd_f50(args: argparse.Namespace) -> int:
         _emit("".join(f"{name}: F50 = {r.f50_vnm:.9g} V/nm\n" for name, r in rows),
               config.out)
     return 0
-
-
-def _single_species(config: RunConfig) -> SpeciesParams:
-    if len(config.species) != 1:
-        raise ConfigError("this command takes exactly one --species")
-    return config.species[0]
 
 
 def _fit_payload(report: calibrate.FitReport) -> dict:
@@ -213,38 +179,21 @@ def _fit_payload(report: calibrate.FitReport) -> dict:
     return payload
 
 
-def cmd_fit_z(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=True)
-    sp = _single_species(config)
-    if config.dry_run:
-        return _dry_run_exit(config, f"fit c0 to F50 {args.target} V/nm")
-    report = calibrate.fit_z_offset(sp, config.env, args.target, c1=args.c1,
-                                    search_vnm=(config.grid.low_vnm,
-                                                config.grid.high_vnm),
-                                    options=config.options)
+def cmd_fit_z(config: RunConfig, args: argparse.Namespace) -> int:
+    report = calibrate.fit_z_offset(config.species[0], config.env, args.target,
+                                    c1=args.c1, search_vnm=_search(config))
     _emit(_json_dumps(_fit_payload(report)), config.out)
     return 0
 
 
-def cmd_fit_ie(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=True)
-    sp = _single_species(config)
-    if config.dry_run:
-        return _dry_run_exit(config, f"fit I{args.ie_index} to F50 {args.target} V/nm")
-    report = calibrate.fit_ie(sp, config.env, config.zmodel, args.target,
-                              ie_index=args.ie_index,
-                              search_vnm=(config.grid.low_vnm,
-                                          config.grid.high_vnm),
-                              options=config.options)
+def cmd_fit_ie(config: RunConfig, args: argparse.Namespace) -> int:
+    report = calibrate.fit_ie(config.species[0], config.env, config.zmodel, args.target,
+                              ie_index=args.ie_index, search_vnm=_search(config))
     _emit(_json_dumps(_fit_payload(report)), config.out)
     return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=True)
-    sp = _single_species(config)
-    if config.dry_run:
-        return _dry_run_exit(config, f"scan {args.parameter}")
+def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -253,11 +202,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigError("no scan values given")
     if args.parameter == "m_q":
         values = [int(v) for v in values]
-    points = calibrate.sensitivity_scan(sp, config.env, config.zmodel,
+    points = calibrate.sensitivity_scan(config.species[0], config.env, config.zmodel,
                                         args.parameter, values,
-                                        search_vnm=(config.grid.low_vnm,
-                                                    config.grid.high_vnm),
-                                        options=config.options)
+                                        search_vnm=_search(config))
     if config.fmt == "json":
         payload = [{"parameter": p.parameter, "value": p.value,
                     "f50_vnm": p.f50_vnm} for p in points]
@@ -269,17 +216,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_isotopes(args: argparse.Namespace) -> spectrum.IsotopeTable:
-    return spectrum.load_isotopes(getattr(args, "isotopes", None))
-
-
-def cmd_deconv(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=False)
-    if config.dry_run:
-        print(f"dry run: would deconvolve {args.peaks}", file=sys.stderr)
-        return 0
+def cmd_deconv(config: RunConfig, args: argparse.Namespace) -> int:
     peak_set = spectrum.read_peaks_csv(args.peaks)
-    matrix = spectrum.build_overlap_matrix(peak_set, _load_isotopes(args))
+    matrix = spectrum.build_overlap_matrix(peak_set, spectrum.load_isotopes(args.isotopes))
     result = spectrum.deconvolve(peak_set, matrix)
     payload = {
         "totals": {f"{s}:{q}+": v for (s, q), v in result.totals.items()},
@@ -296,41 +235,28 @@ def cmd_deconv(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_csr(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=False)
-    if config.dry_run:
-        print(f"dry run: would extract the {args.name} CSR from {args.peaks}",
-              file=sys.stderr)
-        return 0
+def cmd_csr(config: RunConfig, args: argparse.Namespace) -> int:
     peak_set = spectrum.read_peaks_csv(args.peaks)
     pair = (args.charge_low, args.charge_high)
     if args.raw:
         estimate = spectrum.raw_csr(peak_set, args.name, pair)
     else:
-        matrix = spectrum.build_overlap_matrix(peak_set, _load_isotopes(args))
+        matrix = spectrum.build_overlap_matrix(peak_set,
+                                               spectrum.load_isotopes(args.isotopes))
         estimate = spectrum.compute_csr(spectrum.deconvolve(peak_set, matrix),
                                         args.name, pair)
     _emit(_json_dumps(dataclasses.asdict(estimate)), config.out)
     return 0
 
 
-def cmd_field(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=False)
-    if config.dry_run:
-        print(f"dry run: would invert {args.curve} at CSR {args.csr}",
-              file=sys.stderr)
-        return 0
+def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     curve = curves.read_curve_csv(args.curve)
     estimate = curves.csr_to_field(curve, args.csr, args.two_sigma)
     _emit(_json_dumps(dataclasses.asdict(estimate)), config.out)
     return 0
 
 
-def cmd_resolve(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=False)
-    if config.dry_run:
-        print(f"dry run: would resolve {args.config}", file=sys.stderr)
-        return 0
+def cmd_resolve(config: RunConfig, args: argparse.Namespace) -> int:
     base_dir = args.base_dir if args.base_dir is not None else os.path.dirname(
         os.path.abspath(args.config))
     report = pipeline.run_pipeline(pipeline.load_pipeline_config(args.config),
@@ -342,11 +268,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kellogg(args: argparse.Namespace) -> int:
-    config = _build_config(args, need_species=False)
-    if config.dry_run:
-        print("dry run: would rescale the field", file=sys.stderr)
-        return 0
+def cmd_kellogg(config: RunConfig, args: argparse.Namespace) -> int:
     value = pipeline.kellogg_field(args.voltage, args.f0, args.v0)
     if config.fmt == "json":
         _emit(_json_dumps({"field_vnm": value}), config.out)
@@ -362,25 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "fields, calibration fits, and overlap-resolved spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, handler, help_text: str,
+                species_count: str = "none") -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, species_count=species_count)
         return p
 
-    command("curves", cmd_curves, "write CSR-vs-field curves as CSV")
-    command("f50", cmd_f50, "field where the CSR crosses 0.5")
+    command("curves", cmd_curves, "write CSR-vs-field curves as CSV", "some")
+    command("f50", cmd_f50, "field where the CSR crosses 0.5", "some")
 
-    p = command("fit-z", cmd_fit_z, "fit the Z-model offset c0 to a target F50")
+    p = command("fit-z", cmd_fit_z, "fit the Z-model offset c0 to a target F50", "one")
     p.add_argument("--target", type=float, required=True, help="target F50 in V/nm")
     p.add_argument("--c1", type=float, default=1.0, help="fixed c1 coefficient")
 
-    p = command("fit-ie", cmd_fit_ie, "fit one ionization energy to a target F50")
+    p = command("fit-ie", cmd_fit_ie, "fit one ionization energy to a target F50", "one")
     p.add_argument("--target", type=float, required=True, help="target F50 in V/nm")
     p.add_argument("--ie-index", type=int, default=2,
                    help="1-based ladder index to vary (default 2)")
 
-    p = command("scan", cmd_scan, "F50 sensitivity scan over m_q or phi")
+    p = command("scan", cmd_scan, "F50 sensitivity scan over m_q or phi", "one")
     p.add_argument("--parameter", choices=("m_q", "phi"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
 
@@ -420,7 +343,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        config = _build_config(args)
+        if args.dry_run:
+            names = ", ".join(sp.name for sp in config.species) or "(none)"
+            print(f"dry run: {args.command} configuration is valid; species: {names}",
+                  file=sys.stderr)
+            return 0
+        return args.handler(config, args)
     except PfiKitError as exc:
         print(f"pfikit: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)

@@ -1,45 +1,24 @@
-"""Pinned physical constants and the constants asset loader.
+"""Pinned physical constants.
 
-All physics modules read from a single :class:`PhysConstants` instance so the
-unit chain has one source of truth. The shipped ``constants.json`` asset holds
-the same values with unit strings and source tags; code defaults apply if the
-asset is absent.
+All physics modules read from the single :data:`CONSTANTS` instance so the
+unit chain has one source of truth.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-
-from .errors import ConfigError
-
-# Default values, duplicated in assets/constants.json.
-_HARTREE_EV = 27.211386245988        # eV per Hartree
-_BOHR_NM = 0.0529177210903           # nm per Bohr radius
-_FIELD_AU_VNM = 514.220674763        # V/nm per atomic field unit
-_AMU_ME = 1822.888486209             # electron masses per amu
-_W_IMAGE_EVNM = 1.4399645355         # e^2/(4 pi eps0), eV nm
-_INV_SECOND_AU = 2.418884326509e-17  # a.u. time per 1/s
 
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Physical constants with explicit unit tags."""
+    """Physical constants (CODATA 2018) with their units in the names."""
 
-    hartree_in_ev: float = _HARTREE_EV
-    bohr_in_nm: float = _BOHR_NM
-    field_au_in_vnm: float = _FIELD_AU_VNM
-    amu_in_me: float = _AMU_ME
-    w_image_evnm: float = _W_IMAGE_EVNM
-    inv_second_in_au: float = _INV_SECOND_AU
-
-    def __post_init__(self) -> None:
-        for name in ("hartree_in_ev", "bohr_in_nm", "field_au_in_vnm",
-                     "amu_in_me", "w_image_evnm", "inv_second_in_au"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"constant {name} must be strictly positive")
+    hartree_in_ev: float = 27.211386245988   # eV per Hartree
+    bohr_in_nm: float = 0.0529177210903      # nm per Bohr radius
+    field_au_in_vnm: float = 514.220674763   # V/nm per atomic field unit
+    amu_in_me: float = 1822.888486209        # electron masses per amu
+    w_image_evnm: float = 1.4399645355       # e^2/(4 pi eps0), eV nm
 
     @property
     def c_image_evnm(self) -> float:
@@ -52,31 +31,4 @@ class PhysConstants:
         return math.sqrt(self.w_image_evnm)
 
 
-def load_constants(path: str | Path | None = None) -> PhysConstants:
-    """Load constants from a JSON asset; fall back to code defaults.
-
-    The file maps constant names to {"value": float, "unit": str, "source": str}.
-    """
-    if path is None:
-        path = Path(__file__).parent / "assets" / "constants.json"
-    path = Path(path)
-    if not path.exists():
-        return PhysConstants()
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse constants file {path}: {exc}") from exc
-    try:
-        return PhysConstants(
-            hartree_in_ev=float(raw["hartree_in_ev"]["value"]),
-            bohr_in_nm=float(raw["bohr_in_nm"]["value"]),
-            field_au_in_vnm=float(raw["field_au_in_vnm"]["value"]),
-            amu_in_me=float(raw["amu_in_me"]["value"]),
-            w_image_evnm=float(raw["w_image_evnm"]["value"]),
-            inv_second_in_au=float(raw["inv_second_in_au"]["value"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed constants file {path}: {exc}") from exc
-
-
-CONSTANTS = load_constants()
+CONSTANTS = PhysConstants()

@@ -12,14 +12,16 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .errors import AmbiguityError, BracketError, DomainError, NumericalError
+from .errors import (AmbiguityError, BracketError, ConfigError, DomainError,
+                     NumericalError)
 from .geometry import Environment
 from .species import SpeciesParams
-from .tunneling import DEFAULT_PFI_OPTIONS, PfiOptions, charge_fractions
+from .tunneling import charge_fractions
 from .zmodel import ZModel
 
 CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
@@ -37,8 +39,8 @@ class FieldGrid:
         if not (0.0 < self.low_vnm <= self.high_vnm <= 60.0):
             raise DomainError(
                 f"field grid [{self.low_vnm}, {self.high_vnm}] V/nm must lie in (0, 60]")
-        if self.step_vnm <= 0.0:
-            raise DomainError(f"grid step {self.step_vnm} V/nm must be positive")
+        if not 0.0 < self.step_vnm < math.inf:
+            raise DomainError(f"grid step {self.step_vnm} V/nm must be positive and finite")
 
     def points(self) -> tuple[float, ...]:
         n = int(round((self.high_vnm - self.low_vnm) / self.step_vnm))
@@ -123,23 +125,21 @@ class FieldEstimate:
 
 
 def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                 field_vnm: float, charge_pair: tuple[int, int] = (1, 2),
-                 options: PfiOptions = DEFAULT_PFI_OPTIONS) -> float:
+                 field_vnm: float, charge_pair: tuple[int, int] = (1, 2)) -> float:
     """CSR of the charge pair at a single field point."""
-    fr = charge_fractions(species, env, zmodel, field_vnm, options=options)
+    fr = charge_fractions(species, env, zmodel, field_vnm)
     return csr_from_fractions(fr, charge_pair)
 
 
 def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
                    grid: FieldGrid = DEFAULT_GRID,
-                   charge_pair: tuple[int, int] = (1, 2),
-                   options: PfiOptions = DEFAULT_PFI_OPTIONS) -> KinghamCurve:
+                   charge_pair: tuple[int, int] = (1, 2)) -> KinghamCurve:
     """Evaluate charge fractions and CSR on every grid point."""
     rows = []
     ratios = []
     for f_vnm in grid.points():
         try:
-            fr = charge_fractions(species, env, zmodel, f_vnm, options=options)
+            fr = charge_fractions(species, env, zmodel, f_vnm)
         except NumericalError as exc:
             raise NumericalError(f"{species.name} at {f_vnm:g} V/nm: {exc}") from exc
         rows.append(fr)
@@ -150,15 +150,14 @@ def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
              search_vnm: tuple[float, float] = (5.0, 45.0),
-             charge_pair: tuple[int, int] = (1, 2),
-             options: PfiOptions = DEFAULT_PFI_OPTIONS) -> CrossoverResult:
+             charge_pair: tuple[int, int] = (1, 2)) -> CrossoverResult:
     """Locate the field where the CSR crosses 0.5 inside ``search_vnm``."""
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
 
     def g(f_vnm: float) -> float:
-        return evaluate_csr(species, env, zmodel, f_vnm, charge_pair, options) - 0.5
+        return evaluate_csr(species, env, zmodel, f_vnm, charge_pair) - 0.5
 
     g_lo, g_hi = g(lo), g(hi)
     if not g_lo < 0.0 < g_hi:
@@ -248,16 +247,21 @@ def csr_to_field(curve: KinghamCurve, csr: float,
     return FieldEstimate(center, interval, csr, two_sigma)
 
 
+def dump_curve_csv(curve: KinghamCurve, fh: TextIO) -> None:
+    """Write the curve as CSV to an open text stream; two-state species pad f3 with zero."""
+    fh.write(f"# species: {curve.species_name}\n")
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for f_vnm, row, ratio in zip(curve.field_grid_vnm, curve.fractions, curve.csr):
+        padded = tuple(row) + (0.0,) * (3 - len(row))
+        writer.writerow([f"{f_vnm:.9g}"] + [f"{v:.9g}" for v in padded]
+                        + [f"{ratio:.9g}"])
+
+
 def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:
-    """Write the curve as CSV; two-state species pad f3 with zero."""
+    """Write the curve as a CSV file (see :func:`dump_curve_csv`)."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# species: {curve.species_name}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for f_vnm, row, ratio in zip(curve.field_grid_vnm, curve.fractions, curve.csr):
-            padded = tuple(row) + (0.0,) * (3 - len(row))
-            writer.writerow([f"{f_vnm:.9g}"] + [f"{v:.9g}" for v in padded]
-                            + [f"{ratio:.9g}"])
+        dump_curve_csv(curve, fh)
 
 
 def read_curve_csv(path: str | os.PathLike,
@@ -265,27 +269,36 @@ def read_curve_csv(path: str | os.PathLike,
     """Read a curve CSV written by :func:`write_curve_csv` (or compatible)."""
     species_name = os.path.splitext(os.path.basename(path))[0]
     grid, rows, ratios = [], [], []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("# species:"):
-            species_name = first.split(":", 1)[1].strip()
-        else:
-            fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DomainError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for line in reader:
-            if not line:
-                continue
-            f_vnm, f1, f2, f3, ratio = (float(v) for v in line)
-            row = [f1, f2, f3]
-            # 9-digit CSV rounding breaks the exact row sum; the largest
-            # fraction absorbs the residue (well below the stored precision).
-            row[row.index(max(row))] += 1.0 - sum(row)
-            grid.append(f_vnm)
-            rows.append(tuple(row))
-            ratios.append(ratio)
+    try:
+        with open(path, newline="") as fh:
+            first = fh.readline()
+            comment_lines = 1
+            if first.startswith("# species:"):
+                species_name = first.split(":", 1)[1].strip()
+            else:
+                fh.seek(0)
+                comment_lines = 0
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise DomainError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            for line in reader:
+                if not line:
+                    continue
+                try:
+                    f_vnm, f1, f2, f3, ratio = (float(v) for v in line)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num + comment_lines}: "
+                                      f"bad row {line!r} ({exc})") from exc
+                row = [f1, f2, f3]
+                # 9-digit CSV rounding breaks the exact row sum; the largest
+                # fraction absorbs the residue (well below the stored precision).
+                row[row.index(max(row))] += 1.0 - sum(row)
+                grid.append(f_vnm)
+                rows.append(tuple(row))
+                ratios.append(ratio)
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
     if not grid:
         raise DomainError(f"{path}: no data rows")
     return KinghamCurve(species_name, tuple(grid), tuple(rows), tuple(ratios),

@@ -1,4 +1,4 @@
-"""System potentials, critical distances, and the Schottky-hump escape point.
+"""Emitter environment, critical distances, and the Schottky-hump escape point.
 
 Energies in eV, lengths in nm, fields in V/nm throughout this module.
 """
@@ -42,18 +42,6 @@ class CrossingGeometry:
     l_i_nm: float
     discriminant_ev2: float
     barrier_vanished: bool
-
-
-def system_potential(species: SpeciesParams, env: Environment, n: int,
-                     field_vnm: float, l_nm: float) -> float:
-    """U_n(L) = sum_{i<=n} I_i - n*phi - n*F*L - n^2*C/L in eV."""
-    if not 1 <= n <= species.max_charge:
-        raise ConfigError(f"charge state {n} outside ladder of {species.name}")
-    if not (isinstance(l_nm, complex) or l_nm > 0.0):
-        raise DomainError(f"L must be > 0 nm, got {l_nm}")
-    c = CONSTANTS.c_image_evnm
-    ie_sum = sum(species.ie_ladder_ev[:n])
-    return ie_sum - n * env.work_function_ev - n * field_vnm * l_nm - n * n * c / l_nm
 
 
 def hump_position(field_vnm: float) -> float:

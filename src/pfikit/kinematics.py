@@ -1,4 +1,4 @@
-"""Ion kinematics along the flight axis: kinetic energy and velocity.
+"""Ion kinematics along the flight axis: kinetic energy.
 
 The ion field-evaporates as 1+ over the Schottky hump with zero kinetic
 energy; each completed PFI step r -> r+1 at distance z_r changes the charge
@@ -14,7 +14,6 @@ from .constants import CONSTANTS
 from .errors import DomainError, NonphysicalKinematicsError
 from .geometry import Environment
 from .species import SpeciesParams
-from .units import mass_amu_to_me, to_hartree
 
 
 def kinetic_energy_unchecked(env: Environment, field_vnm: float, n: int,
@@ -48,11 +47,3 @@ def kinetic_energy(species: SpeciesParams, env: Environment, field_vnm: float, n
         raise NonphysicalKinematicsError(
             f"{species.name}: k({l_nm:.6g} nm) = {k:.6g} eV < 0 in charge state {n}")
     return k
-
-
-def ion_velocity(species: SpeciesParams, k_ev: float) -> float:
-    """Velocity u = sqrt(2k/m) in a.u. from a kinetic energy in eV."""
-    if k_ev < 0.0:
-        raise DomainError(f"kinetic energy must be >= 0 eV, got {k_ev}")
-    m_me = mass_amu_to_me(species.mass_amu)
-    return math.sqrt(2.0 * to_hartree(k_ev) / m_me)

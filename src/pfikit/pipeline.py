@@ -21,7 +21,7 @@ import numpy as np
 from .curves import FieldEstimate, KinghamCurve, csr_to_field, read_curve_csv
 from .errors import ConfigError, DomainError
 from .spectrum import (CsrEstimate, Peak, RangedPeakSet, parse_composition,
-                       raw_csr, read_peaks_csv)
+                       primary_counts, raw_csr, read_peaks_csv)
 
 UNEXPECTED_FRACTION_THRESHOLD = 1e-4
 CSR_MISMATCH_TOLERANCE = 0.05
@@ -42,11 +42,6 @@ def kellogg_field(voltage_v: float, f0_vnm: float, v0_v: float) -> float:
     if f0_vnm <= 0.0:
         raise DomainError(f"reference field {f0_vnm} V/nm must be positive")
     return f0_vnm * voltage_v / v0_v
-
-
-def estimate_field(csr_estimate: CsrEstimate, curve: KinghamCurve) -> FieldEstimate:
-    """Invert a reference curve at a measured CSR, with its 2-sigma interval."""
-    return csr_to_field(curve, csr_estimate.value, csr_estimate.two_sigma)
 
 
 def fraction_at(curve: KinghamCurve, field_vnm: float, charge: int) -> float:
@@ -160,18 +155,6 @@ class ConsistencyFlag:
 
 def _state_label(species: str, charge: int) -> str:
     return f"{species}:{charge}+"
-
-
-def primary_counts(peak_set: RangedPeakSet) -> dict[tuple[str, int], float]:
-    """Counts per (species, charge) with every peak on its primary assignment."""
-    counts: dict[tuple[str, int], float] = {}
-    for peak in peak_set.peaks:
-        if not peak.assignments:
-            continue
-        a = peak.assignments[0]
-        key = (a.species, a.charge)
-        counts[key] = counts.get(key, 0.0) + peak.counts
-    return counts
 
 
 def composition_by_element(counts: dict[tuple[str, int], float],
@@ -414,7 +397,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
               for species, path in config["curves"].items()}
     if ref_species not in curves:
         raise ConfigError(f"reference species {ref_species!r} has no curve")
-    estimate = estimate_field(ref_csr, curves[ref_species])
+    estimate = csr_to_field(curves[ref_species], ref_csr.value, ref_csr.two_sigma)
 
     fractions = {}
     for species, curve in curves.items():

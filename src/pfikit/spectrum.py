@@ -69,12 +69,17 @@ def load_isotopes(path: str | os.PathLike | None = None) -> IsotopeTable:
     """Read the isotope asset (or a compatible JSON file)."""
     if path is None:
         path = asset_path("isotopes.json")
-    with open(path) as fh:
-        raw = json.load(fh)
-    elements = {}
-    for name, rows in raw["elements"].items():
-        elements[name] = tuple(Isotope(int(r["mass_number"]), float(r["mass_da"]),
-                                       float(r["abundance"])) for r in rows)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot parse isotope file {path}: {exc}") from exc
+    try:
+        elements = {name: tuple(Isotope(int(r["mass_number"]), float(r["mass_da"]),
+                                        float(r["abundance"])) for r in rows)
+                    for name, rows in raw["elements"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed isotope file {path}: {exc}") from exc
     return IsotopeTable(elements)
 
 
@@ -333,6 +338,8 @@ class CsrEstimate:
 
 def _csr_from_counts(species: str, n_lo: float, n_hi: float,
                      charge_pair: tuple[int, int]) -> CsrEstimate:
+    if charge_pair[0] == charge_pair[1]:
+        raise DomainError(f"charge pair {charge_pair} names one charge state twice")
     total = n_lo + n_hi
     if total <= 0.0:
         raise DomainError(
@@ -354,30 +361,30 @@ def compute_csr(result: DeconvolutionResult, species: str,
                             result.totals[(species, hi)], charge_pair)
 
 
-def raw_csr(peak_set: RangedPeakSet, species: str,
-            charge_pair: tuple[int, int] = (1, 2)) -> CsrEstimate:
-    """CSR before deconvolution: every peak counts toward its primary
-    (first-listed) assignment only."""
-    lo, hi = charge_pair
-    n_lo = n_hi = 0.0
-    seen = False
+def primary_counts(peak_set: RangedPeakSet) -> dict[tuple[str, int], float]:
+    """Counts per (species, charge) with every peak on its primary
+    (first-listed) assignment."""
+    counts: dict[tuple[str, int], float] = {}
     for peak in peak_set.peaks:
         if not peak.assignments:
             continue
-        primary = peak.assignments[0]
-        if primary.species != species:
-            continue
-        if primary.charge == lo:
-            n_lo += peak.counts
-            seen = True
-        elif primary.charge == hi:
-            n_hi += peak.counts
-            seen = True
-    if not seen:
+        a = peak.assignments[0]
+        key = (a.species, a.charge)
+        counts[key] = counts.get(key, 0.0) + peak.counts
+    return counts
+
+
+def raw_csr(peak_set: RangedPeakSet, species: str,
+            charge_pair: tuple[int, int] = (1, 2)) -> CsrEstimate:
+    """CSR before deconvolution, from :func:`primary_counts`."""
+    lo, hi = charge_pair
+    counts = primary_counts(peak_set)
+    if (species, lo) not in counts and (species, hi) not in counts:
         raise ConfigError(
             f"{species}: no peaks have a primary assignment in charge states "
             f"{charge_pair}")
-    return _csr_from_counts(species, n_lo, n_hi, charge_pair)
+    return _csr_from_counts(species, counts.get((species, lo), 0.0),
+                            counts.get((species, hi), 0.0), charge_pair)
 
 
 PEAKS_CSV_HEADER = ("mz_Da", "counts", "assignments")
@@ -395,20 +402,27 @@ def write_peaks_csv(peak_set: RangedPeakSet, path: str | os.PathLike) -> None:
 def read_peaks_csv(path: str | os.PathLike,
                    tolerance_da: float = RANGING_TOLERANCE_DA) -> RangedPeakSet:
     peaks = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != PEAKS_CSV_HEADER:
-            raise ConfigError(f"{path}: expected header {','.join(PEAKS_CSV_HEADER)}")
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != 3:
-                raise ConfigError(f"{path}: bad row {line!r}")
-            mz, counts, assignments = line
-            parsed = tuple(Assignment.parse(token)
-                           for token in assignments.split(";") if token.strip())
-            peaks.append(Peak(float(mz), float(counts), parsed))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != PEAKS_CSV_HEADER:
+                raise ConfigError(f"{path}: expected header {','.join(PEAKS_CSV_HEADER)}")
+            for line in reader:
+                if not line:
+                    continue
+                if len(line) != 3:
+                    raise ConfigError(f"{path}:{reader.line_num}: bad row {line!r}")
+                mz, counts, assignments = line
+                try:
+                    mz_da, n = float(mz), float(counts)
+                    parsed = tuple(Assignment.parse(token)
+                                   for token in assignments.split(";") if token.strip())
+                except (ValueError, ConfigError) as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+                peaks.append(Peak(mz_da, n, parsed))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read peaks file {path}: {exc}") from exc
     if not peaks:
         raise ConfigError(f"{path}: no data rows")
     return RangedPeakSet(tuple(peaks), tolerance_da)

@@ -28,42 +28,14 @@ from .zmodel import ZModel
 TWO52 = 2.0 ** 2.5
 E23 = math.exp(2.0 / 3.0)
 
-
-@dataclass(frozen=True)
-class RateOptions:
-    """Rate-constant model knobs (defaults are the calibrated values)."""
-
-    near_zone_weight: float = 3.0  # constant multiplier inside the barrier zone
-    z_arg_cap_au: float = 100.0    # Z(n, z0) evaluated at min(z0, cap)
-    z_floor_au: float = 0.05       # lower floor for critical distances
-
-    def __post_init__(self) -> None:
-        if not self.near_zone_weight > 0.0:
-            raise ConfigError("near_zone_weight must be > 0")
-        if not self.z_arg_cap_au > 0.0:
-            raise ConfigError("z_arg_cap_au must be > 0")
-        if not self.z_floor_au > 0.0:
-            raise ConfigError("z_floor_au must be > 0")
-
-
-@dataclass(frozen=True)
-class PfiOptions:
-    """PFI probability integral controls."""
-
-    z_max_au: float = 200.0  # truncation of the z0 integral
-    rel_tol: float = 1e-8    # quadrature relative tolerance
-    abs_floor: float = 1e-300
-    quad_limit: int = 400
-    rate: RateOptions = RateOptions()
-
-    def __post_init__(self) -> None:
-        if not self.z_max_au > self.rate.z_floor_au:
-            raise ConfigError("z_max_au must exceed the z floor")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ConfigError("rel_tol must be in (0, 1)")
-
-
-DEFAULT_PFI_OPTIONS = PfiOptions()
+# Numerical constants of the step integral and the rate model.
+Z_MAX_AU = 200.0          # truncation of the z0 integral
+REL_TOL = 1e-8            # quadrature relative tolerance
+ABS_FLOOR = 1e-300        # quadrature absolute tolerance
+QUAD_LIMIT = 400          # QUADPACK subinterval limit
+NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
+Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
+Z_FLOOR_AU = 0.05         # lower floor for critical distances
 
 
 @dataclass(frozen=True)
@@ -88,17 +60,16 @@ def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
 
 
 def _critical_z_au(species: SpeciesParams, env: Environment, n: int,
-                   field_vnm: float, floor_au: float) -> float:
+                   field_vnm: float) -> float:
     """Floored critical distance in a.u. for step n -> n+1."""
     geo = critical_distance(species, env, n, field_vnm)
     if geo.barrier_vanished:
-        return floor_au
-    return max(length_to_au(max(geo.z_c_nm, 0.0)), floor_au)
+        return Z_FLOOR_AU
+    return max(length_to_au(max(geo.z_c_nm, 0.0)), Z_FLOOR_AU)
 
 
 def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                  field_vnm: float, z0_au: float,
-                  options: RateOptions = RateOptions(), *,
+                  field_vnm: float, z0_au: float, *,
                   _z_c_au: float | None = None) -> float:
     """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1.
 
@@ -111,10 +82,9 @@ def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: i
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     i_ha = to_hartree(species.ie_ev(n + 1))
     f_au = field_to_au(field_vnm)
-    z_c = _z_c_au if _z_c_au is not None else _critical_z_au(
-        species, env, n, field_vnm, options.z_floor_au)
+    z_c = _z_c_au if _z_c_au is not None else _critical_z_au(species, env, n, field_vnm)
     z_b = max(z0_au, z_c)
-    z_eff = zmodel.z(n, min(z_b, options.z_arg_cap_au))
+    z_eff = zmodel.z(n, min(z_b, Z_ARG_CAP_AU))
     b_raw = i_ha - z_eff * f_au / i_ha - f_au * z_b
     b = max(b_raw, 0.0)
     i32 = i_ha ** 1.5
@@ -127,21 +97,19 @@ def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: i
         denom = TWO52 * (i32 - b32)
         if denom <= 0.0:
             raise NumericalError("barrier denominator <= 0; clamp invariant violated")
-        return options.near_zone_weight * pre * math.exp(arg) / denom
+        return NEAR_ZONE_WEIGHT * pre * math.exp(arg) / denom
     return pre * math.exp(arg) / (TWO52 * i32)
 
 
 def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                      field_vnm: float, options: PfiOptions = DEFAULT_PFI_OPTIONS) -> float:
+                      field_vnm: float) -> float:
     """Distance z* where the barrier residual b(z0) reaches zero (>= z_c)."""
-    floor = options.rate.z_floor_au
-    z_c = _critical_z_au(species, env, n, field_vnm, floor)
+    z_c = _critical_z_au(species, env, n, field_vnm)
     i_ha = to_hartree(species.ie_ev(n + 1))
     f_au = field_to_au(field_vnm)
-    cap = options.rate.z_arg_cap_au
 
     def b_raw(z: float) -> float:
-        return i_ha - zmodel.z(n, min(z, cap)) * f_au / i_ha - f_au * z
+        return i_ha - zmodel.z(n, min(z, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z
 
     if b_raw(z_c) <= 0.0:
         return z_c
@@ -152,16 +120,14 @@ def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, 
 
 
 def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                         field_vnm: float,
-                         options: PfiOptions = DEFAULT_PFI_OPTIONS) -> PfiStepResult:
+                         field_vnm: float) -> PfiStepResult:
     """P_t = 1 - exp(-integral of R/u over [z_c, z_max]) for step n -> n+1."""
     if not field_vnm > 0.0:
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    floor = options.rate.z_floor_au
-    z_c = _critical_z_au(species, env, n, field_vnm, floor)
-    if z_c >= options.z_max_au:
+    z_c = _critical_z_au(species, env, n, field_vnm)
+    if z_c >= Z_MAX_AU:
         return PfiStepResult(0.0, 0.0, z_c, (), 0.0, 0,
                              note="integration window empty (z_c >= z_max)")
     if n == 1:
@@ -169,31 +135,26 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
         # position, so a launch at or below it stalls the ion there and the
         # dwell-time integral diverges: ionization is certain.
         z_hump = length_to_au(hump_position(field_vnm))
-        if z_c <= z_hump < options.z_max_au:
+        if z_c <= z_hump < Z_MAX_AU:
             return PfiStepResult(1.0, math.inf, z_c, (), 0.0, 0,
                                  note="launch at or below the hump; dwell diverges")
     bohr = CONSTANTS.bohr_in_nm
     hartree = CONSTANTS.hartree_in_ev
-    history_nm = [_critical_z_au(species, env, r, field_vnm, floor) * bohr
-                  for r in range(1, n)]
+    history_nm = [_critical_z_au(species, env, r, field_vnm) * bohr for r in range(1, n)]
     m_me = mass_amu_to_me(species.mass_amu)
-    z_star = clamp_distance_au(species, env, zmodel, n, field_vnm, options)
+    z_star = clamp_distance_au(species, env, zmodel, n, field_vnm)
 
     def integrand(z_au: float) -> float:
         k_ev = kinetic_energy_unchecked(env, field_vnm, n, history_nm, z_au * bohr)
         if k_ev <= 0.0:  # classically forbidden: the ion has not yet reached z
             return 0.0
         u_au = math.sqrt(2.0 * (k_ev / hartree) / m_me)
-        r_au = rate_constant(species, env, zmodel, n, field_vnm, z_au,
-                             options.rate, _z_c_au=z_c)
+        r_au = rate_constant(species, env, zmodel, n, field_vnm, z_au, _z_c_au=z_c)
         return r_au / u_au
 
-    breakpoints = tuple(p for p in (z_star, options.rate.z_arg_cap_au)
-                        if z_c < p < options.z_max_au)
-    result = quad(integrand, z_c, options.z_max_au,
-                  epsabs=options.abs_floor, epsrel=options.rel_tol,
-                  limit=options.quad_limit,
-                  points=list(breakpoints) or None, full_output=1)
+    breakpoints = tuple(p for p in (z_star, Z_ARG_CAP_AU) if z_c < p < Z_MAX_AU)
+    result = quad(integrand, z_c, Z_MAX_AU, epsabs=ABS_FLOOR, epsrel=REL_TOL,
+                  limit=QUAD_LIMIT, points=list(breakpoints) or None, full_output=1)
     value, est_error, info = float(result[0]), float(result[1]), result[2]
     note = ""
     if len(result) >= 4:
@@ -202,7 +163,7 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
         # long before the reported error matters) or the error is tiny.
         note = str(result[3]).strip().replace("\n", " ")
         saturated = value > 50.0
-        converged = est_error <= 1e-6 * abs(value) + 10.0 * options.abs_floor
+        converged = est_error <= 1e-6 * abs(value) + 10.0 * ABS_FLOOR
         if not (math.isfinite(value) and (saturated or converged)):
             raise NumericalError(
                 f"{species.name} step {n}->{n + 1} at {field_vnm} V/nm: quadrature "
@@ -218,8 +179,7 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                     field_vnm: float, max_charge: int | None = None,
-                     options: PfiOptions = DEFAULT_PFI_OPTIONS) -> tuple[float, ...]:
+                     field_vnm: float, max_charge: int | None = None) -> tuple[float, ...]:
     """Sequential charge-state fractions (f_1 .. f_max); the last state absorbs the tail."""
     if max_charge is None:
         max_charge = min(species.max_charge, 3)
@@ -229,7 +189,7 @@ def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
     fractions: list[float] = []
     survive = 1.0
     for n in range(1, max_charge):
-        step = pfi_step_probability(species, env, zmodel, n, field_vnm, options)
+        step = pfi_step_probability(species, env, zmodel, n, field_vnm)
         fractions.append(survive * (1.0 - step.p_t))
         survive *= step.p_t
     fractions.append(survive)

@@ -1,10 +1,10 @@
-"""Exact conversions between SI-flavored units (eV, nm, V/nm, 1/s) and Hartree atomic units."""
+"""Exact conversions from SI-flavored units (eV, nm, V/nm, amu) to Hartree atomic units."""
 
 from __future__ import annotations
 
 import math
 
-from .constants import CONSTANTS, PhysConstants
+from .constants import CONSTANTS
 from .errors import DomainError
 
 
@@ -13,69 +13,31 @@ def _require_finite(value: float, what: str) -> None:
         raise DomainError(f"{what} must be finite, got {value!r}")
 
 
-def to_hartree(energy_ev: float, constants: PhysConstants = CONSTANTS) -> float:
+def to_hartree(energy_ev: float) -> float:
     """eV -> Hartree."""
     _require_finite(energy_ev, "energy")
-    return energy_ev / constants.hartree_in_ev
+    return energy_ev / CONSTANTS.hartree_in_ev
 
 
-def from_hartree(energy_ha: float, constants: PhysConstants = CONSTANTS) -> float:
-    """Hartree -> eV."""
-    _require_finite(energy_ha, "energy")
-    return energy_ha * constants.hartree_in_ev
-
-
-def field_to_au(field_vnm: float, constants: PhysConstants = CONSTANTS) -> float:
+def field_to_au(field_vnm: float) -> float:
     """V/nm -> atomic field units. Negative fields are rejected."""
     _require_finite(field_vnm, "field")
     if field_vnm < 0.0:
         raise DomainError(f"field must be >= 0 V/nm, got {field_vnm}")
-    return field_vnm / constants.field_au_in_vnm
+    return field_vnm / CONSTANTS.field_au_in_vnm
 
 
-def field_from_au(field_au: float, constants: PhysConstants = CONSTANTS) -> float:
-    """Atomic field units -> V/nm. Negative fields are rejected."""
-    _require_finite(field_au, "field")
-    if field_au < 0.0:
-        raise DomainError(f"field must be >= 0 a.u., got {field_au}")
-    return field_au * constants.field_au_in_vnm
-
-
-def length_to_au(length_nm: float, constants: PhysConstants = CONSTANTS) -> float:
+def length_to_au(length_nm: float) -> float:
     """nm -> Bohr radii. Negative lengths are rejected."""
     _require_finite(length_nm, "length")
     if length_nm < 0.0:
         raise DomainError(f"length must be >= 0 nm, got {length_nm}")
-    return length_nm / constants.bohr_in_nm
+    return length_nm / CONSTANTS.bohr_in_nm
 
 
-def length_from_au(length_au: float, constants: PhysConstants = CONSTANTS) -> float:
-    """Bohr radii -> nm. Negative lengths are rejected."""
-    _require_finite(length_au, "length")
-    if length_au < 0.0:
-        raise DomainError(f"length must be >= 0 a.u., got {length_au}")
-    return length_au * constants.bohr_in_nm
-
-
-def rate_si_to_au(rate_per_s: float, constants: PhysConstants = CONSTANTS) -> float:
-    """1/s -> atomic rate units. Negative rates are rejected."""
-    _require_finite(rate_per_s, "rate")
-    if rate_per_s < 0.0:
-        raise DomainError(f"rate must be >= 0 /s, got {rate_per_s}")
-    return rate_per_s * constants.inv_second_in_au
-
-
-def rate_au_to_si(rate_au: float, constants: PhysConstants = CONSTANTS) -> float:
-    """Atomic rate units -> 1/s. Negative rates are rejected."""
-    _require_finite(rate_au, "rate")
-    if rate_au < 0.0:
-        raise DomainError(f"rate must be >= 0 a.u., got {rate_au}")
-    return rate_au / constants.inv_second_in_au
-
-
-def mass_amu_to_me(mass_amu: float, constants: PhysConstants = CONSTANTS) -> float:
+def mass_amu_to_me(mass_amu: float) -> float:
     """amu -> electron masses."""
     _require_finite(mass_amu, "mass")
     if mass_amu <= 0.0:
         raise DomainError(f"mass must be > 0 amu, got {mass_amu}")
-    return mass_amu * constants.amu_in_me
+    return mass_amu * CONSTANTS.amu_in_me

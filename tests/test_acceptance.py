@@ -38,7 +38,6 @@ from pfikit import (
 )
 from pfikit.cli import main as cli_main
 from pfikit.kinematics import kinetic_energy_unchecked
-from pfikit.units import from_hartree, to_hartree
 
 
 def test_c01_si_crossover_with_defaults(species_table, si_env, f50):
@@ -100,10 +99,6 @@ def test_c08_model_invariants(species_table, si_env, rh_env):
         curve = generate_curve(species_table[name], env, KINGHAM_Z,
                                FieldGrid(5.0, 45.0, 2.0))
         assert all(b - a >= -1e-12 for a, b in zip(curve.csr, curve.csr[1:]))
-
-    # unit conversions invert to near machine precision
-    for value in (0.03, 1.0, 16.35, 4500.0):
-        assert from_hartree(to_hartree(value)) == pytest.approx(value, rel=1e-13)
 
     # the critical distance satisfies its defining quadratic
     from pfikit import CONSTANTS

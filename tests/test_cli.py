@@ -32,9 +32,25 @@ def test_missing_required_arguments_exit_2():
 
 def test_config_validation_exits_2(capsys):
     assert main(["f50", "--species", "si", "--phi", "0.0"]) == 2
-    assert main(["f50", "--species", "si", "--zmax", "20"]) == 2
     assert main(["f50", "--species", "si", "--grid", "abc"]) == 2
-    assert capsys.readouterr().err.count("pfikit: error") == 3
+    assert main(["f50", "--species", "si", "--grid", "5:45:nan"]) == 2
+    assert main(["f50", "--species", "si", "--grid", "5:45:inf"]) == 2
+    assert capsys.readouterr().err.count("pfikit: error") == 4
+
+
+@pytest.mark.parametrize("text,argv", [
+    (None, ["deconv", "--peaks", "{path}"]),
+    ("mz_Da,counts,assignments\nabc,100,Si:1:28\n", ["deconv", "--peaks", "{path}"]),
+    ("field_Vnm,f1,f2,f3,csr\n10,0.5,0.5\n", ["field", "--csr", "0.5", "--curve", "{path}"]),
+    ("mz_Da,counts,assignments\n28,100,Si:1:28\n",
+     ["deconv", "--peaks", "{path}", "--isotopes", "{path}.json"]),
+], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes"])
+def test_unreadable_inputs_exit_2(text, argv, tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert "pfikit: error:" in capsys.readouterr().err
 
 
 def test_curves_stdout(capsys):
@@ -44,6 +60,15 @@ def test_curves_stdout(capsys):
     assert lines[0] == "# species: Si"
     assert lines[1] == "field_Vnm,f1,f2,f3,csr"
     assert len(lines) == 5
+
+
+def test_curves_stdout_matches_out_file(tmp_path, capsysbinary):
+    args = ["curves", "--species", "si", "--grid", "19:20:0.5"]
+    assert main(args) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "si.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert stdout == out.read_bytes()
 
 
 def test_curves_to_directory_and_determinism(tmp_path, capsys):
@@ -73,6 +98,10 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
                  "--dry-run"]) == 0
     assert not out.exists()
     assert "dry run" in capsys.readouterr().err
+    # the species count is still checked without running anything
+    assert main(["fit-z", "--species", "si", "--species", "si3", "--target", "17.7",
+                 "--dry-run"]) == 2
+    assert main(["curves", "--dry-run"]) == 2
 
 
 def test_fit_z_json(capsys):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pfikit import CONSTANTS, critical_distance, hump_position, ion_velocity, kinetic_energy
+from pfikit import CONSTANTS, critical_distance, hump_position, kinetic_energy
 from pfikit.errors import DomainError, NonphysicalKinematicsError
 from pfikit.kinematics import kinetic_energy_unchecked
 
@@ -53,14 +53,6 @@ def test_two_route_agreement(species_table, si_env):
         package = kinetic_energy_unchecked(si_env, field, n, history, l_nm)
         oracle = telescoped_energy(field, history, l_nm)
         assert package == pytest.approx(oracle, abs=1e-9)
-
-
-def test_speed_scales_with_energy_and_mass(species_table):
-    si, si4 = species_table["si"], species_table["si4"]
-    assert ion_velocity(si, 4.0) == pytest.approx(2.0 * ion_velocity(si, 1.0),
-                                                  rel=1e-12)
-    assert ion_velocity(si, 5.0) == pytest.approx(
-        2.0 * ion_velocity(si4, 5.0), rel=1e-12)
 
 
 def test_forbidden_region_raises(species_table, si_env):

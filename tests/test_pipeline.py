@@ -15,7 +15,7 @@ from pfikit import (
     Peak,
     RangedPeakSet,
     audit_consistency,
-    estimate_field,
+    csr_to_field,
     fraction_at,
     kellogg_field,
     load_pipeline_config,
@@ -48,7 +48,7 @@ def test_field_estimate_from_reference_species(fixtures_dir):
     reference = raw_csr(peak_set, "In")
     assert reference.value == pytest.approx(392.0 / 70000.0, rel=1e-12)
     curve = read_curve_csv(os.path.join(fixtures_dir, "in_curve.csv"))
-    estimate = estimate_field(reference, curve)
+    estimate = csr_to_field(curve, reference.value, reference.two_sigma)
     assert estimate.field_vnm == pytest.approx(21.3, abs=0.05)
     lo, hi = estimate.interval_vnm
     assert lo < estimate.field_vnm < hi

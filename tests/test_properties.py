@@ -28,32 +28,10 @@ from pfikit import (
     resolve_overlap,
 )
 from pfikit.kinematics import kinetic_energy_unchecked
-from pfikit.units import (
-    field_from_au,
-    field_to_au,
-    from_hartree,
-    length_from_au,
-    length_to_au,
-    rate_au_to_si,
-    rate_si_to_au,
-    to_hartree,
-)
 
 SPECIES = builtin_species()
 SI_ENV = Environment(work_function_ev=4.9)
 ISOTOPES = load_isotopes()
-
-positive = st.floats(min_value=1e-6, max_value=1e6,
-                     allow_nan=False, allow_infinity=False)
-
-
-@given(positive)
-def test_unit_round_trips(value):
-    assert from_hartree(to_hartree(value)) == pytest.approx(value, rel=1e-13)
-    assert field_from_au(field_to_au(value)) == pytest.approx(value, rel=1e-13)
-    assert length_from_au(length_to_au(value)) == pytest.approx(value, rel=1e-13)
-    assert rate_au_to_si(rate_si_to_au(value)) == pytest.approx(value, rel=1e-13)
-
 
 @given(st.floats(min_value=100.0, max_value=20000.0),
        st.floats(min_value=1.0, max_value=100.0),

@@ -292,6 +292,8 @@ def test_csr_error_paths():
         compute_csr(_two_state_result(0.0, 0.0), "As")
     with pytest.raises(ConfigError):
         compute_csr(_two_state_result(10.0, 10.0), "Si")
+    with pytest.raises(DomainError):
+        compute_csr(_two_state_result(10.0, 10.0), "As", (2, 2))
 
 
 def test_si2_fixture_deconvolution(fixtures_dir, isotopes):
@@ -310,6 +312,8 @@ def test_raw_csr_requires_a_primary_assignment(fixtures_dir):
     peak_set = read_peaks_csv(os.path.join(fixtures_dir, "si2_overlap_peaks.csv"))
     with pytest.raises(ConfigError):
         raw_csr(peak_set, "Kr")
+    with pytest.raises(DomainError):
+        raw_csr(peak_set, "Si2", (2, 2))
 
 
 def test_peaks_csv_round_trip(tmp_path, fixtures_dir):

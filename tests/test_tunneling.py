@@ -10,12 +10,12 @@ from pfikit import (
     KINGHAM_Z,
     ConfigError,
     DomainError,
-    PfiOptions,
     charge_fractions,
     pfi_step_probability,
     rate_constant,
 )
-from pfikit.tunneling import RateOptions, prefactor_a2nu
+from pfikit import tunneling
+from pfikit.tunneling import prefactor_a2nu
 from pfikit.units import to_hartree
 
 
@@ -98,12 +98,12 @@ def test_step_probability_monotone_in_field(species_table, si_env):
     assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
-def test_window_is_wide_enough(species_table, si_env):
+def test_window_is_wide_enough(species_table, si_env, monkeypatch):
     # doubling z_max must not change the answer: the tail is negligible
     si = species_table["si"]
     base = pfi_step_probability(si, si_env, KINGHAM_Z, 1, 19.6)
-    wide = pfi_step_probability(si, si_env, KINGHAM_Z, 1, 19.6,
-                                PfiOptions(z_max_au=400.0))
+    monkeypatch.setattr(tunneling, "Z_MAX_AU", 2.0 * tunneling.Z_MAX_AU)
+    wide = pfi_step_probability(si, si_env, KINGHAM_Z, 1, 19.6)
     assert wide.p_t == pytest.approx(base.p_t, abs=1e-6)
 
 
@@ -149,12 +149,3 @@ def test_si_csr_at_nominal_crossover(species_table, si_env):
     csr = fr[1] / (fr[0] + fr[1])
     assert csr == pytest.approx(0.5, abs=0.02)
 
-
-def test_options_floor_reaches_rate(species_table, si_env):
-    # a higher distance floor weakens the near-zone rate but not the plateau
-    si = species_table["si4"]
-    tight = rate_constant(si, si_env, KINGHAM_Z, 1, 30.0, 0.05,
-                          RateOptions(z_floor_au=0.05))
-    loose = rate_constant(si, si_env, KINGHAM_Z, 1, 30.0, 0.05,
-                          RateOptions(z_floor_au=2.0))
-    assert tight != loose

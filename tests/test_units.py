@@ -1,4 +1,4 @@
-"""Unit conversions: exactness of round trips and the pinned constants."""
+"""Unit conversions and the pinned constants."""
 
 import math
 
@@ -6,22 +6,7 @@ import pytest
 
 from pfikit import CONSTANTS
 from pfikit.errors import DomainError
-from pfikit.units import (field_from_au, field_to_au, from_hartree, length_from_au,
-                          length_to_au, mass_amu_to_me, rate_au_to_si,
-                          rate_si_to_au, to_hartree)
-
-ROUND_TRIPS = [
-    (to_hartree, from_hartree, 16.35),
-    (field_to_au, field_from_au, 25.0),
-    (length_to_au, length_from_au, 0.431),
-    (rate_si_to_au, rate_au_to_si, 3.2e12),
-]
-
-
-@pytest.mark.parametrize("forward,backward,value", ROUND_TRIPS)
-def test_round_trips_to_1e13(forward, backward, value):
-    assert backward(forward(value)) == pytest.approx(value, rel=1e-13, abs=0.0)
-    assert forward(backward(value)) == pytest.approx(value, rel=1e-13, abs=0.0)
+from pfikit.units import field_to_au, length_to_au, mass_amu_to_me, to_hartree
 
 
 def test_image_coefficients():
@@ -40,8 +25,7 @@ def test_known_conversion_values():
     assert mass_amu_to_me(1.0) == CONSTANTS.amu_in_me
 
 
-@pytest.mark.parametrize("fn", [field_to_au, field_from_au, length_to_au,
-                                length_from_au, rate_si_to_au, rate_au_to_si])
+@pytest.mark.parametrize("fn", [field_to_au, length_to_au])
 def test_negative_rejected(fn):
     with pytest.raises(DomainError):
         fn(-1.0)
