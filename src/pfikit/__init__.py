@@ -24,8 +24,8 @@ from .spectrum import (Assignment, CsrEstimate, DeconvolutionResult, Isotope,
                        IsotopeTable, OverlapMatrix, Peak, RangedPeakSet,
                        build_overlap_matrix, compute_csr, deconvolve,
                        isotopologue_distribution, load_isotopes,
-                       parse_composition, primary_counts, range_spectrum, raw_csr,
-                       read_histogram_csv, read_peaks_csv, write_peaks_csv)
+                       parse_composition, primary_counts, raw_csr, read_peaks_csv,
+                       write_peaks_csv)
 from .tunneling import (PfiStepResult, charge_fractions, pfi_step_probability,
                         rate_constant)
 from .zmodel import KINGHAM_Z, ZModel, load_zmodel

@@ -83,12 +83,13 @@ def _usable_bound(f50_of, x_good: float, x_bound: float,
 
 
 def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
-            target: float, xtol: float) -> float:
-    """Solve f50_of(x) == target for x inside ``bounds``.
+            target: float, xtol: float) -> tuple[float, float]:
+    """Solve f50_of(x) == target for x inside ``bounds``; returns (x, F50 at x).
 
     The nominal point must evaluate; unevaluable bounds retreat toward it.
     Raises FitRangeError with the achievable F50 interval when the target
-    falls outside what the usable bracket can reach.
+    falls outside what the usable bracket can reach, and NumericalError when
+    the F50 at the root misses the target by FIT_RESIDUAL_VNM or more.
     """
     cache: dict[float, float] = {}
 
@@ -113,7 +114,12 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
     points.sort()
     for (xa, fa), (xb, fb) in zip(points, points[1:]):
         if (fa - target) * (fb - target) <= 0.0:
-            return float(brentq(lambda x: f(x) - target, xa, xb, xtol=xtol))
+            x = float(brentq(lambda x: f(x) - target, xa, xb, xtol=xtol))
+            achieved = f(x)
+            if abs(achieved - target) >= FIT_RESIDUAL_VNM:
+                raise NumericalError(f"{label}: residual {achieved - target:.4f} V/nm "
+                                     f"exceeds {FIT_RESIDUAL_VNM}")
+            return x, achieved
     raise FitRangeError(
         f"{label}: no bracket around target F50 {target:g} V/nm despite it "
         f"lying inside [{achievable[0]:.3f}, {achievable[1]:.3f}] V/nm",
@@ -137,16 +143,10 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     def f50_of(c0: float) -> float:
         return find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm
 
-    c0 = _fit_1d(f50_of, f"{species.name} z-offset fit", nominal_c0,
-                 (c_lo, c_hi), target_f50_vnm, xtol=1e-4)
-    achieved = f50_of(c0)
-    residual = achieved - target_f50_vnm
-    if abs(residual) >= FIT_RESIDUAL_VNM:
-        raise NumericalError(
-            f"{species.name}: z-offset fit residual {residual:.4f} V/nm exceeds "
-            f"{FIT_RESIDUAL_VNM}")
+    c0, achieved = _fit_1d(f50_of, f"{species.name} z-offset fit", nominal_c0,
+                           (c_lo, c_hi), target_f50_vnm, xtol=1e-4)
     return FitReport("z_offset", species.name, "c0", target_f50_vnm, achieved,
-                     residual, c0, 1.0, c0 - 1.0, c0 - 1.0,
+                     achieved - target_f50_vnm, c0, 1.0, c0 - 1.0, c0 - 1.0,
                      zmodel=ZModel(c0, c1), note=note)
 
 
@@ -178,16 +178,10 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
     def f50_of(ie: float) -> float:
         return find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm
 
-    fitted = _fit_1d(f50_of, f"{species.name} I{ie_index} fit", nominal,
-                     (lo, hi), target_f50_vnm, xtol=1e-4)
-    achieved = f50_of(fitted)
-    residual = achieved - target_f50_vnm
-    if abs(residual) >= FIT_RESIDUAL_VNM:
-        raise NumericalError(
-            f"{species.name}: IE fit residual {residual:.4f} V/nm exceeds "
-            f"{FIT_RESIDUAL_VNM}")
+    fitted, achieved = _fit_1d(f50_of, f"{species.name} I{ie_index} fit", nominal,
+                               (lo, hi), target_f50_vnm, xtol=1e-4)
     return FitReport("ie", species.name, f"I{ie_index}", target_f50_vnm, achieved,
-                     residual, fitted, nominal, fitted - nominal,
+                     achieved - target_f50_vnm, fitted, nominal, fitted - nominal,
                      (fitted - nominal) / nominal,
                      species=species.with_ie(ie_index, fitted), note=note)
 
@@ -199,9 +193,9 @@ def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
     points = []
     for value in values:
         if parameter == "m_q":
-            if value < 1:
-                raise DomainError(f"m_q {value} must be >= 1")
-            varied_species = dataclasses.replace(species, m_q=value)
+            if not (value >= 1 and float(value).is_integer()):
+                raise DomainError(f"m_q {value} must be a finite integer >= 1")
+            varied_species = dataclasses.replace(species, m_q=int(value))
             varied_env = env
         elif parameter == "phi":
             if value <= 0.0:

@@ -200,8 +200,6 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("no scan values given")
-    if args.parameter == "m_q":
-        values = [int(v) for v in values]
     points = calibrate.sensitivity_scan(config.species[0], config.env, config.zmodel,
                                         args.parameter, values,
                                         search_vnm=_search(config))

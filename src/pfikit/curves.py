@@ -2,8 +2,8 @@
 
 A Kingham curve tabulates the post-field-ionization charge-state fractions of
 one species on an ascending field grid and derives the charge-state ratio
-(CSR) for a chosen charge pair, by default 2+ against 1+.  The 50 % crossover
-of that ratio (F50) is the model's headline observable.
+(CSR) 2+/(1+ + 2+).  The 50 % crossover of that ratio (F50) is the model's
+headline observable.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 from scipy.interpolate import PchipInterpolator
@@ -55,16 +55,13 @@ class FieldGrid:
 DEFAULT_GRID = FieldGrid()
 
 
-def csr_from_fractions(fractions, charge_pair: tuple[int, int] = (1, 2)) -> float:
-    """Ratio f_hi / (f_lo + f_hi) for the given charge pair; empty pair -> 1.
+def csr_from_fractions(fractions) -> float:
+    """Ratio f_2 / (f_1 + f_2) of charge-ordered fractions; empty pair -> 1.
 
     The 0/0 case means every ion has been promoted past both states of the
     pair, so the higher state wins by convention.
     """
-    lo, hi = charge_pair
-    if not 1 <= lo < hi <= len(fractions):
-        raise DomainError(f"charge pair {charge_pair} outside 1..{len(fractions)}")
-    f_lo, f_hi = fractions[lo - 1], fractions[hi - 1]
+    f_lo, f_hi = fractions[0], fractions[1]
     total = f_lo + f_hi
     if total == 0.0:
         return 1.0
@@ -79,7 +76,6 @@ class KinghamCurve:
     field_grid_vnm: tuple[float, ...]
     fractions: tuple[tuple[float, ...], ...]
     csr: tuple[float, ...]
-    charge_pair: tuple[int, int] = (1, 2)
 
     def __post_init__(self):
         g = self.field_grid_vnm
@@ -125,15 +121,13 @@ class FieldEstimate:
 
 
 def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                 field_vnm: float, charge_pair: tuple[int, int] = (1, 2)) -> float:
-    """CSR of the charge pair at a single field point."""
-    fr = charge_fractions(species, env, zmodel, field_vnm)
-    return csr_from_fractions(fr, charge_pair)
+                 field_vnm: float) -> float:
+    """CSR at a single field point."""
+    return csr_from_fractions(charge_fractions(species, env, zmodel, field_vnm))
 
 
 def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                   grid: FieldGrid = DEFAULT_GRID,
-                   charge_pair: tuple[int, int] = (1, 2)) -> KinghamCurve:
+                   grid: FieldGrid = DEFAULT_GRID) -> KinghamCurve:
     """Evaluate charge fractions and CSR on every grid point."""
     rows = []
     ratios = []
@@ -143,21 +137,19 @@ def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
         except NumericalError as exc:
             raise NumericalError(f"{species.name} at {f_vnm:g} V/nm: {exc}") from exc
         rows.append(fr)
-        ratios.append(csr_from_fractions(fr, charge_pair))
-    return KinghamCurve(species.name, grid.points(), tuple(rows), tuple(ratios),
-                        charge_pair)
+        ratios.append(csr_from_fractions(fr))
+    return KinghamCurve(species.name, grid.points(), tuple(rows), tuple(ratios))
 
 
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
-             search_vnm: tuple[float, float] = (5.0, 45.0),
-             charge_pair: tuple[int, int] = (1, 2)) -> CrossoverResult:
+             search_vnm: tuple[float, float] = (5.0, 45.0)) -> CrossoverResult:
     """Locate the field where the CSR crosses 0.5 inside ``search_vnm``."""
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
 
     def g(f_vnm: float) -> float:
-        return evaluate_csr(species, env, zmodel, f_vnm, charge_pair) - 0.5
+        return evaluate_csr(species, env, zmodel, f_vnm) - 0.5
 
     g_lo, g_hi = g(lo), g(hi)
     if not g_lo < 0.0 < g_hi:
@@ -264,8 +256,7 @@ def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:
         dump_curve_csv(curve, fh)
 
 
-def read_curve_csv(path: str | os.PathLike,
-                   charge_pair: tuple[int, int] = (1, 2)) -> KinghamCurve:
+def read_curve_csv(path: str | os.PathLike) -> KinghamCurve:
     """Read a curve CSV written by :func:`write_curve_csv` (or compatible)."""
     species_name = os.path.splitext(os.path.basename(path))[0]
     grid, rows, ratios = [], [], []
@@ -301,5 +292,4 @@ def read_curve_csv(path: str | os.PathLike,
         raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
     if not grid:
         raise DomainError(f"{path}: no data rows")
-    return KinghamCurve(species_name, tuple(grid), tuple(rows), tuple(ratios),
-                        charge_pair)
+    return KinghamCurve(species_name, tuple(grid), tuple(rows), tuple(ratios))

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import FieldEstimate, KinghamCurve, csr_to_field, read_curve_csv
+from .curves import (FieldEstimate, KinghamCurve, csr_from_fractions, csr_to_field,
+                     read_curve_csv)
 from .errors import ConfigError, DomainError
 from .spectrum import (CsrEstimate, Peak, RangedPeakSet, parse_composition,
                        primary_counts, raw_csr, read_peaks_csv)
@@ -37,10 +38,12 @@ def kellogg_field(voltage_v: float, f0_vnm: float, v0_v: float) -> float:
     A reference pair (f0, v0) anchors the proportionality; the field at
     voltage V is f0 * V / v0.
     """
-    if v0_v <= 0.0:
-        raise DomainError(f"reference voltage {v0_v} V must be positive")
-    if f0_vnm <= 0.0:
-        raise DomainError(f"reference field {f0_vnm} V/nm must be positive")
+    if not math.isfinite(voltage_v):
+        raise DomainError(f"voltage {voltage_v} V must be finite")
+    if not 0.0 < v0_v < math.inf:
+        raise DomainError(f"reference voltage {v0_v} V must be positive and finite")
+    if not 0.0 < f0_vnm < math.inf:
+        raise DomainError(f"reference field {f0_vnm} V/nm must be positive and finite")
     return f0_vnm * voltage_v / v0_v
 
 
@@ -177,9 +180,7 @@ def audit_consistency(peak_set: RangedPeakSet,
                       fractions: dict[str, dict[int, float]],
                       resolutions: tuple[OverlapResolution, ...] = (),
                       nominal_fraction: dict[str, float] | None = None,
-                      compositions: dict[str, tuple[str, int]] | None = None,
-                      unexpected_threshold: float = UNEXPECTED_FRACTION_THRESHOLD,
-                      csr_tolerance: float = CSR_MISMATCH_TOLERANCE
+                      compositions: dict[str, tuple[str, int]] | None = None
                       ) -> tuple[ConsistencyFlag, ...]:
     """Advisory checks of the resolved spectrum against model and nominals.
 
@@ -218,7 +219,7 @@ def audit_consistency(peak_set: RangedPeakSet,
         if species not in fractions or value <= 0.0:
             continue
         predicted = fractions[species].get(charge, 0.0)
-        if predicted < unexpected_threshold:
+        if predicted < UNEXPECTED_FRACTION_THRESHOLD:
             flags.append(ConsistencyFlag(
                 "unexpected_charge_state_present", _state_label(species, charge),
                 f"{_state_label(species, charge)} carries {value:.0f} counts but "
@@ -229,7 +230,8 @@ def audit_consistency(peak_set: RangedPeakSet,
                      for peak in peak_set.peaks for a in peak.assignments}
     for species in fractions:
         for charge, predicted in sorted(fractions[species].items()):
-            if predicted >= unexpected_threshold and (species, charge) not in ranged_states:
+            if (predicted >= UNEXPECTED_FRACTION_THRESHOLD
+                    and (species, charge) not in ranged_states):
                 flags.append(ConsistencyFlag(
                     "missing_expected_peak", _state_label(species, charge),
                     f"the model expects fraction {predicted:.4f} of "
@@ -244,17 +246,14 @@ def audit_consistency(peak_set: RangedPeakSet,
     for species in fractions:
         if species in overlap_species:
             continue
-        f_lo = fractions[species].get(1, 0.0)
-        f_hi = fractions[species].get(2, 0.0)
-        if f_lo + f_hi <= 0.0:
-            continue
-        predicted_csr = f_hi / (f_lo + f_hi)
         n_lo = resolved.get((species, 1), 0.0)
         n_hi = resolved.get((species, 2), 0.0)
         if n_lo + n_hi <= 0.0:
             continue
-        observed_csr = n_hi / (n_lo + n_hi)
-        if abs(observed_csr - predicted_csr) > csr_tolerance:
+        table = fractions[species]
+        predicted_csr = csr_from_fractions((table.get(1, 0.0), table.get(2, 0.0)))
+        observed_csr = csr_from_fractions((n_lo, n_hi))
+        if abs(observed_csr - predicted_csr) > CSR_MISMATCH_TOLERANCE:
             flags.append(ConsistencyFlag(
                 "csr_prediction_mismatch", species,
                 f"{species}: model CSR {predicted_csr:.4f} at the estimated field "
@@ -341,8 +340,7 @@ class ResolutionReport:
         lines.append("model fractions at the estimated field:")
         for species in self.fractions:
             table = self.fractions[species]
-            f_lo, f_hi = table.get(1, 0.0), table.get(2, 0.0)
-            csr = f_hi / (f_lo + f_hi) if f_lo + f_hi > 0.0 else float("nan")
+            csr = csr_from_fractions((table.get(1, 0.0), table.get(2, 0.0)))
             lines.append(f"  {species}: " + "  ".join(
                 f"{q}+ {v:.4f}" for q, v in sorted(table.items())) +
                 f"  csr {csr:.4f}")
@@ -370,8 +368,9 @@ def _find_peak(peak_set: RangedPeakSet, mz_da: float) -> Peak:
 def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionReport:
     """Execute the overlap-resolution recipe described by a config mapping.
 
-    Keys: ``peaks`` (ranged-peak CSV), ``reference`` (species, charge_pair,
-    curve), ``curves`` (species -> curve CSV evaluated at the estimated
+    Keys: ``peaks`` (ranged-peak CSV), ``reference`` (species, optional
+    charge_pair, which must be [1, 2]: the curves tabulate 2+/(1+ + 2+)),
+    ``curves`` (species -> curve CSV evaluated at the estimated
     field), ``overlaps`` (ordered list of shared_mz, anchor [species, charge],
     partner_charge, claimant [species, charge]), optional ``nominal_fraction``
     (element -> atomic fraction) and ``compositions`` (species ->
@@ -390,8 +389,10 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
 
     reference = config["reference"]
     ref_species = reference["species"]
-    charge_pair = tuple(reference.get("charge_pair", (1, 2)))
-    ref_csr = raw_csr(peak_set, ref_species, charge_pair)
+    if reference.get("charge_pair", [1, 2]) not in ([1, 2], (1, 2)):
+        raise ConfigError(f"reference charge_pair {reference['charge_pair']!r} must be "
+                          "[1, 2]: the curves tabulate 2+/(1+ + 2+)")
+    ref_csr = raw_csr(peak_set, ref_species)
 
     curves = {species: read_curve_csv(path_of(path))
               for species, path in config["curves"].items()}

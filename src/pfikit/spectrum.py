@@ -15,7 +15,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -152,10 +152,11 @@ class Peak:
     assignments: tuple[Assignment, ...] = ()
 
     def __post_init__(self):
-        if self.counts < 0.0:
-            raise DomainError(f"peak at {self.mz_da} Da: counts {self.counts} < 0")
-        if self.mz_da <= 0.0:
-            raise DomainError(f"peak m/z {self.mz_da} Da must be positive")
+        if not 0.0 <= self.counts < math.inf:
+            raise DomainError(
+                f"peak at {self.mz_da} Da: counts {self.counts} must be finite and >= 0")
+        if not 0.0 < self.mz_da < math.inf:
+            raise DomainError(f"peak m/z {self.mz_da} Da must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,9 @@ class CsrEstimate:
 
 def _csr_from_counts(species: str, n_lo: float, n_hi: float,
                      charge_pair: tuple[int, int]) -> CsrEstimate:
-    if charge_pair[0] == charge_pair[1]:
-        raise DomainError(f"charge pair {charge_pair} names one charge state twice")
+    if not charge_pair[0] < charge_pair[1]:
+        raise DomainError(f"charge pair {charge_pair} must name a lower, then a higher "
+                          "charge state")
     total = n_lo + n_hi
     if total <= 0.0:
         raise DomainError(
@@ -427,48 +429,3 @@ def read_peaks_csv(path: str | os.PathLike,
         raise ConfigError(f"{path}: no data rows")
     return RangedPeakSet(tuple(peaks), tolerance_da)
 
-
-def read_histogram_csv(path: str | os.PathLike) -> tuple[tuple[float, float], ...]:
-    """Raw (m/z, counts) rows from a histogram CSV."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("mz_Da", "counts"):
-            raise ConfigError(f"{path}: expected header mz_Da,counts")
-        for line in reader:
-            if not line:
-                continue
-            rows.append((float(line[0]), float(line[1])))
-    return tuple(rows)
-
-
-def range_spectrum(histogram: tuple[tuple[float, float], ...],
-                   charge_states: dict[str, tuple[int, ...]],
-                   isotopes: IsotopeTable,
-                   compositions: dict[str, tuple[str, int]] | None = None,
-                   window_da: float = RANGING_TOLERANCE_DA) -> RangedPeakSet:
-    """Window-sum histogram counts around every candidate isotopologue line.
-
-    Thin helper: no background model, half-open windows [center - w,
-    center + w) so touching windows never double-count.
-    """
-    compositions = compositions or {}
-    centers: dict[float, list[Assignment]] = {}
-    for species, charges in charge_states.items():
-        element, size = compositions.get(species) or parse_composition(species)
-        dist = isotopologue_distribution(isotopes, element, size)
-        for mass_number, _ in dist:
-            for charge in charges:
-                center = round(mass_number / charge, 9)
-                centers.setdefault(center, []).append(
-                    Assignment(species, charge, mass_number))
-    peaks = []
-    for center in sorted(centers):
-        total = sum(c for mz, c in histogram
-                    if center - window_da <= mz < center + window_da)
-        if total > 0.0:
-            peaks.append(Peak(center, total, tuple(centers[center])))
-    if not peaks:
-        raise ConfigError("no candidate line captured any histogram counts")
-    return RangedPeakSet(tuple(peaks), window_da)

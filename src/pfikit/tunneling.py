@@ -179,16 +179,11 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                     field_vnm: float, max_charge: int | None = None) -> tuple[float, ...]:
-    """Sequential charge-state fractions (f_1 .. f_max); the last state absorbs the tail."""
-    if max_charge is None:
-        max_charge = min(species.max_charge, 3)
-    if not 1 <= max_charge <= species.max_charge:
-        raise ConfigError(
-            f"max_charge {max_charge} outside the {species.name} ladder (K = {species.max_charge})")
+                     field_vnm: float) -> tuple[float, ...]:
+    """Sequential charge-state fractions f_1 .. f_min(K, 3); the last state absorbs the tail."""
     fractions: list[float] = []
     survive = 1.0
-    for n in range(1, max_charge):
+    for n in range(1, min(species.max_charge, 3)):
         step = pfi_step_probability(species, env, zmodel, n, field_vnm)
         fractions.append(survive * (1.0 - step.p_t))
         survive *= step.p_t

@@ -30,12 +30,19 @@ def test_missing_required_arguments_exit_2():
     assert exc_info.value.code == 2
 
 
-def test_config_validation_exits_2(capsys):
+def test_config_validation_exits_2(fixtures_dir, capsys):
     assert main(["f50", "--species", "si", "--phi", "0.0"]) == 2
     assert main(["f50", "--species", "si", "--grid", "abc"]) == 2
     assert main(["f50", "--species", "si", "--grid", "5:45:nan"]) == 2
     assert main(["f50", "--species", "si", "--grid", "5:45:inf"]) == 2
-    assert capsys.readouterr().err.count("pfikit: error") == 4
+    for value in ("nan", "inf", "1.5"):
+        assert main(["scan", "--species", "si3", "--parameter", "m_q",
+                     "--values", value]) == 2
+    assert main(["kellogg", "--voltage", "nan", "--f0", "35", "--v0", "7000"]) == 2
+    peaks = os.path.join(fixtures_dir, "si2_overlap_peaks.csv")
+    assert main(["csr", "--peaks", peaks, "--name", "Si2",
+                 "--charge-low", "2", "--charge-high", "1"]) == 2
+    assert capsys.readouterr().err.count("pfikit: error") == 9
 
 
 @pytest.mark.parametrize("text,argv", [
@@ -44,7 +51,12 @@ def test_config_validation_exits_2(capsys):
     ("field_Vnm,f1,f2,f3,csr\n10,0.5,0.5\n", ["field", "--csr", "0.5", "--curve", "{path}"]),
     ("mz_Da,counts,assignments\n28,100,Si:1:28\n",
      ["deconv", "--peaks", "{path}", "--isotopes", "{path}.json"]),
-], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes"])
+    ("mz_Da,counts,assignments\nnan,100,Si:1:28\n", ["deconv", "--peaks", "{path}"]),
+    ("mz_Da,counts,assignments\n28,nan,Si:1:28\n", ["deconv", "--peaks", "{path}"]),
+    ("mz_Da,counts,assignments\n28,inf,Si:1:28\n",
+     ["csr", "--raw", "--name", "Si", "--peaks", "{path}"]),
+], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes", "nan-mz",
+        "nan-counts", "inf-counts"])
 def test_unreadable_inputs_exit_2(text, argv, tmp_path, capsys):
     path = tmp_path / "input.csv"
     if text is not None:
@@ -188,6 +200,17 @@ def test_resolve_json_and_text(fixtures_dir, capsys):
     # the config's own directory is the default base dir
     assert main(["resolve", "--config", config]) == 0
     assert "flags (4):" in capsys.readouterr().out
+
+
+def test_resolve_needs_the_tabulated_reference_pair(fixtures_dir, tmp_path, capsys):
+    # the curves tabulate 2+/(1+ + 2+); another pair cannot be inverted on them
+    with open(os.path.join(fixtures_dir, "as_pipeline.json")) as fh:
+        config = json.load(fh)
+    config["reference"]["charge_pair"] = [2, 1]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(config))
+    assert main(["resolve", "--config", str(path), "--base-dir", fixtures_dir]) == 2
+    assert "charge_pair" in capsys.readouterr().err
 
 
 def test_kellogg_formats(capsys):

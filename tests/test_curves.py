@@ -34,7 +34,6 @@ F50_ANCHORS = {
 
 def test_csr_from_fractions_conventions():
     assert csr_from_fractions((0.25, 0.75)) == pytest.approx(0.75)
-    assert csr_from_fractions((0.2, 0.3, 0.5), charge_pair=(2, 3)) == pytest.approx(0.625)
     # all ions promoted past the pair: the higher state wins
     assert csr_from_fractions((0.0, 0.0, 1.0)) == 1.0
 

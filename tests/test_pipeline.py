@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -131,6 +132,23 @@ def test_audit_orders_flags_by_kind():
     assert flags[0].subject == "Si:2+"
     order = {kind: i for i, kind in enumerate(FLAG_KINDS)}
     assert [order[k] for k in kinds] == sorted(order[k] for k in kinds)
+
+
+def test_audit_reads_an_empty_model_pair_as_csr_1():
+    # every ion promoted past 2+: the model CSR is 1 by convention, and the
+    # resolved singles and doubles are compared against it
+    peaks = RangedPeakSet((Peak(28.0, 60.0, (Assignment("Si", 1, 28),)),
+                           Peak(14.0, 40.0, (Assignment("Si", 2, 28),))))
+    resolved = {("Si", 1): 60.0, ("Si", 2): 40.0}
+    fractions = {"Si": {1: 0.0, 2: 0.0, 3: 1.0}}
+    flags = [f for f in audit_consistency(peaks, resolved, fractions)
+             if f.kind == "csr_prediction_mismatch"]
+    assert [f.numbers for f in flags] == [(("predicted", 1.0), ("observed", 0.4))]
+
+
+def test_report_text_reads_an_empty_model_pair_as_csr_1(as_report):
+    report = dataclasses.replace(as_report, fractions={"Si": {1: 0.0, 2: 0.0, 3: 1.0}})
+    assert "  Si: 1+ 0.0000  2+ 0.0000  3+ 1.0000  csr 1.0000\n" in report.to_text()
 
 
 def test_as_fixture_reference_and_field(as_report):

@@ -1,0 +1,42 @@
+"""Source hygiene: every name a module imports is used in that module."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+import pfikit
+
+MODULES = sorted(p for p in pathlib.Path(pfikit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # a Name in Store context (e.g. a dataclass field called ``field``) is
+    # not a use
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}"
+            for line, name in sorted((line, name) for name, line in imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_guard_sees_an_unused_import():
+    source = "import math\nimport os\nfrom x import field\nfield: int = 1\nos.getcwd()\n"
+    assert _unused_imports(source) == ["line 1: math", "line 3: field"]

@@ -24,9 +24,7 @@ from pfikit import (
     isotopologue_distribution,
     load_isotopes,
     parse_composition,
-    range_spectrum,
     raw_csr,
-    read_histogram_csv,
     read_peaks_csv,
     write_peaks_csv,
 )
@@ -292,8 +290,9 @@ def test_csr_error_paths():
         compute_csr(_two_state_result(0.0, 0.0), "As")
     with pytest.raises(ConfigError):
         compute_csr(_two_state_result(10.0, 10.0), "Si")
-    with pytest.raises(DomainError):
-        compute_csr(_two_state_result(10.0, 10.0), "As", (2, 2))
+    for pair in ((2, 2), (2, 1)):
+        with pytest.raises(DomainError):
+            compute_csr(_two_state_result(10.0, 10.0), "As", pair)
 
 
 def test_si2_fixture_deconvolution(fixtures_dir, isotopes):
@@ -312,8 +311,9 @@ def test_raw_csr_requires_a_primary_assignment(fixtures_dir):
     peak_set = read_peaks_csv(os.path.join(fixtures_dir, "si2_overlap_peaks.csv"))
     with pytest.raises(ConfigError):
         raw_csr(peak_set, "Kr")
-    with pytest.raises(DomainError):
-        raw_csr(peak_set, "Si2", (2, 2))
+    for pair in ((2, 2), (2, 1)):
+        with pytest.raises(DomainError):
+            raw_csr(peak_set, "Si2", pair)
 
 
 def test_peaks_csv_round_trip(tmp_path, fixtures_dir):
@@ -349,32 +349,3 @@ def test_ranging_tolerance_is_enforced():
     # the same peak passes with a looser window
     RangedPeakSet((Peak(28.6, 10.0, (Assignment("Si", 1, 28),)),),
                   tolerance_da=0.75)
-
-
-def test_range_spectrum_windows_are_half_open(isotopes):
-    histogram = ((27.9, 10.0), (28.05, 5.0), (28.25, 7.0), (28.6, 3.0),
-                 (29.0, 2.0), (40.0, 1.0))
-    peak_set = range_spectrum(histogram, {"Si2": (2,)}, isotopes)
-    counts = {p.mz_da: p.counts for p in peak_set.peaks}
-    # 28.25 sits on the 28.0/28.5 window boundary and must count once, high
-    assert counts[28.0] == 15.0
-    assert counts[28.5] == 10.0
-    assert counts[29.0] == 2.0
-    assert 40.0 not in counts
-    total_windowed = sum(counts.values())
-    assert total_windowed == 27.0
-
-
-def test_range_spectrum_requires_hits(isotopes):
-    with pytest.raises(ConfigError):
-        range_spectrum(((10.0, 5.0),), {"Si": (1,)}, isotopes)
-
-
-def test_histogram_reader(tmp_path):
-    path = tmp_path / "hist.csv"
-    path.write_text("mz_Da,counts\n28.0,10\n29.0,4\n")
-    assert read_histogram_csv(path) == ((28.0, 10.0), (29.0, 4.0))
-    bad = tmp_path / "bad.csv"
-    bad.write_text("m,c\n1,2\n")
-    with pytest.raises(ConfigError):
-        read_histogram_csv(bad)

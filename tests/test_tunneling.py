@@ -119,10 +119,6 @@ def test_fractions_sum_to_one(species_table, si_env, rh_env):
 def test_fraction_count_follows_ladder(species_table, si_env, rh_env):
     assert len(charge_fractions(species_table["si"], si_env, KINGHAM_Z, 20.0)) == 3
     assert len(charge_fractions(species_table["rh"], rh_env, KINGHAM_Z, 25.0)) == 2
-    assert len(charge_fractions(species_table["si"], si_env, KINGHAM_Z, 20.0,
-                                max_charge=2)) == 2
-    with pytest.raises(ConfigError):
-        charge_fractions(species_table["rh"], rh_env, KINGHAM_Z, 25.0, max_charge=3)
 
 
 def test_fractions_shift_to_higher_charge_with_field(species_table, si_env):
