@@ -15,6 +15,7 @@ that are proper crossings.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
@@ -86,11 +87,14 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
             target: float, xtol: float) -> tuple[float, float]:
     """Solve f50_of(x) == target for x inside ``bounds``; returns (x, F50 at x).
 
-    The nominal point must evaluate; unevaluable bounds retreat toward it.
+    A non-finite target raises DomainError before any F50 is solved.  The
+    nominal point must evaluate; unevaluable bounds retreat toward it.
     Raises FitRangeError with the achievable F50 interval when the target
     falls outside what the usable bracket can reach, and NumericalError when
     the F50 at the root misses the target by FIT_RESIDUAL_VNM or more.
     """
+    if not math.isfinite(target):
+        raise DomainError(f"{label}: target F50 {target} V/nm must be finite")
     cache: dict[float, float] = {}
 
     def f(x: float) -> float:

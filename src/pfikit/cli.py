@@ -68,17 +68,25 @@ def _resolve_zmodel(ref: str) -> ZModel:
                       f"{sorted(NAMED_ZMODELS)}")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--species", action="append", default=[],
+# Model flags and their defaults; commands without them still see the defaults.
+MODEL_DEFAULTS = {"species": [], "zmodel": "kingham", "phi": None, "screening": 0.0,
+                  "grid": "5:45:0.1"}
+
+
+def _model_flags(parser: argparse.ArgumentParser, zmodel: bool) -> None:
+    parser.add_argument("--species", action="append",
                         help="shipped species name or species JSON file; repeatable")
-    parser.add_argument("--zmodel", default="kingham",
-                        help="named Z model (kingham, si3, si4) or JSON file")
-    parser.add_argument("--phi", type=float, default=None,
+    if zmodel:
+        parser.add_argument("--zmodel",
+                            help="named Z model (kingham, si3, si4) or JSON file")
+    parser.add_argument("--phi", type=float,
                         help="work function in eV (default per material, 4.9)")
-    parser.add_argument("--lambda", dest="screening", type=float, default=0.0,
+    parser.add_argument("--lambda", dest="screening", type=float,
                         help="screening length in nm (default 0)")
-    parser.add_argument("--grid", type=str, default="5:45:0.1",
-                        help="field grid lo:hi:step in V/nm")
+    parser.add_argument("--grid", help="field grid lo:hi:step in V/nm")
+
+
+def _output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (or directory "
                         "for curves); default stdout")
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
@@ -282,17 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "fields, calibration fits, and overlap-resolved spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help_text: str,
-                species_count: str = "none") -> argparse.ArgumentParser:
+    def command(name: str, handler, help_text: str, species_count: str = "none",
+                zmodel: bool = True) -> argparse.ArgumentParser:
+        """A subcommand; one that takes species also takes the other model flags."""
         p = sub.add_parser(name, help=help_text)
-        _common_flags(p)
-        p.set_defaults(handler=handler, species_count=species_count)
+        p.set_defaults(handler=handler, species_count=species_count, **MODEL_DEFAULTS)
+        if species_count != "none":
+            _model_flags(p, zmodel)
+        _output_flags(p)
         return p
 
     command("curves", cmd_curves, "write CSR-vs-field curves as CSV", "some")
     command("f50", cmd_f50, "field where the CSR crosses 0.5", "some")
 
-    p = command("fit-z", cmd_fit_z, "fit the Z-model offset c0 to a target F50", "one")
+    p = command("fit-z", cmd_fit_z, "fit the Z-model offset c0 to a target F50", "one",
+                zmodel=False)
     p.add_argument("--target", type=float, required=True, help="target F50 in V/nm")
     p.add_argument("--c1", type=float, default=1.0, help="fixed c1 coefficient")
 

@@ -20,7 +20,7 @@ class DomainError(ConfigError, ValueError):
 
 
 class NumericalError(PfiKitError):
-    """Numerical failure: quadrature non-convergence, lost brackets, NaNs."""
+    """Numerical failure: an unresolved step integral, lost brackets, NaNs."""
 
     exit_code = 3
 

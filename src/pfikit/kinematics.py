@@ -1,4 +1,4 @@
-"""Ion kinematics along the flight axis: kinetic energy.
+"""Ion kinematics along the flight axis: kinetic energy and its forbidden gap.
 
 The ion field-evaporates as 1+ over the Schottky hump with zero kinetic
 energy; each completed PFI step r -> r+1 at distance z_r changes the charge
@@ -10,30 +10,51 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from .constants import CONSTANTS
 from .errors import DomainError, NonphysicalKinematicsError
 from .geometry import Environment
 from .species import SpeciesParams
 
 
-def kinetic_energy_unchecked(env: Environment, field_vnm: float, n: int,
-                             crossing_history_nm: Sequence[float], l_nm: float) -> float:
-    """k_n(L) in eV; may be negative (classically forbidden)."""
+def _energy_debt_ev(field_vnm: float, n: int, crossing_history_nm: Sequence[float]) -> float:
+    """K in k_n(L) = n F L + n^2 C / L - K: the hump escape and each completed step."""
     if not field_vnm > 0.0:
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    if not l_nm > 0.0:
-        raise DomainError(f"L must be > 0 nm, got {l_nm}")
     if len(crossing_history_nm) != n - 1:
         raise DomainError(
             f"charge state {n} needs {n - 1} completed-step crossing distances, "
             f"got {len(crossing_history_nm)}")
-    c = CONSTANTS.c_image_evnm
-    k = n * field_vnm * l_nm + n * n * c / l_nm - CONSTANTS.c_s * math.sqrt(field_vnm)
+    debt = CONSTANTS.c_s * math.sqrt(field_vnm)
     for r, z_r in enumerate(crossing_history_nm, start=1):
         if not z_r > 0.0:
             raise DomainError(f"crossing distance z_{r} must be > 0 nm, got {z_r}")
-        k -= field_vnm * z_r + (2 * r + 1) * c / z_r
-    return k
+        debt += field_vnm * z_r + (2 * r + 1) * CONSTANTS.c_image_evnm / z_r
+    return debt
+
+
+def kinetic_energy_unchecked(env: Environment, field_vnm: float, n: int,
+                             crossing_history_nm: Sequence[float], l_nm):
+    """k_n(L) in eV for a float or an array of L; may be negative (classically forbidden)."""
+    if not np.all(np.greater(l_nm, 0.0)):
+        raise DomainError(f"L must be > 0 nm, got {l_nm}")
+    return (n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm
+            - _energy_debt_ev(field_vnm, n, crossing_history_nm))
+
+
+def forbidden_gap_nm(field_vnm: float, n: int,
+                     crossing_history_nm: Sequence[float]) -> tuple[float, float]:
+    """L interval (nm) where k_n(L) < 0, or (0, 0) if k_n never goes negative.
+
+    k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
+    """
+    debt = _energy_debt_ev(field_vnm, n, crossing_history_nm)
+    disc = debt * debt - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
+    if not disc > 0.0:
+        return 0.0, 0.0
+    q = 0.5 * (debt + math.sqrt(disc))
+    return n * n * CONSTANTS.c_image_evnm / q, q / (n * field_vnm)
 
 
 def kinetic_energy(species: SpeciesParams, env: Environment, field_vnm: float, n: int,

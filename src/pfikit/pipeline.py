@@ -365,6 +365,20 @@ def _find_peak(peak_set: RangedPeakSet, mz_da: float) -> Peak:
     raise ConfigError(f"no ranged peak at {mz_da:g} Da")
 
 
+def _config_value(mapping, key: str, convert, where: str):
+    """``convert(mapping[key])``; a missing or malformed key raises ConfigError naming it."""
+    try:
+        return convert(mapping[key])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"pipeline config: {where} needs a valid {key!r} "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
+def _species_charge(value) -> tuple[str, int]:
+    species, charge = value
+    return str(species), int(charge)
+
+
 def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionReport:
     """Execute the overlap-resolution recipe described by a config mapping.
 
@@ -388,7 +402,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
                     in (config.get("compositions") or {}).items()}
 
     reference = config["reference"]
-    ref_species = reference["species"]
+    ref_species = _config_value(reference, "species", str, "reference")
     if reference.get("charge_pair", [1, 2]) not in ([1, 2], (1, 2)):
         raise ConfigError(f"reference charge_pair {reference['charge_pair']!r} must be "
                           "[1, 2]: the curves tabulate 2+/(1+ + 2+)")
@@ -410,11 +424,12 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
     counts_before = primary_counts(peak_set)
     counts = dict(counts_before)
     resolutions = []
-    for raw_case in config.get("overlaps", ()):
-        case = OverlapCase(float(raw_case["shared_mz"]),
-                           (raw_case["anchor"][0], int(raw_case["anchor"][1])),
-                           int(raw_case["partner_charge"]),
-                           (raw_case["claimant"][0], int(raw_case["claimant"][1])))
+    for index, raw_case in enumerate(config.get("overlaps", ())):
+        where = f"overlap {index}"
+        case = OverlapCase(_config_value(raw_case, "shared_mz", float, where),
+                           _config_value(raw_case, "anchor", _species_charge, where),
+                           _config_value(raw_case, "partner_charge", int, where),
+                           _config_value(raw_case, "claimant", _species_charge, where))
         anchor_species, anchor_charge = case.anchor
         if anchor_species not in fractions:
             raise ConfigError(f"anchor species {anchor_species!r} has no curve")

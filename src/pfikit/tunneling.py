@@ -11,16 +11,18 @@ exactly independent of z0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
 from .geometry import Environment, critical_distance, hump_position
-from .kinematics import kinetic_energy_unchecked
+from .kinematics import forbidden_gap_nm, kinetic_energy_unchecked
 from .species import SpeciesParams
 from .units import field_to_au, length_to_au, mass_amu_to_me, to_hartree
 from .zmodel import ZModel
@@ -30,9 +32,8 @@ E23 = math.exp(2.0 / 3.0)
 
 # Numerical constants of the step integral and the rate model.
 Z_MAX_AU = 200.0          # truncation of the z0 integral
-REL_TOL = 1e-8            # quadrature relative tolerance
-ABS_FLOOR = 1e-300        # quadrature absolute tolerance
-QUAD_LIMIT = 400          # QUADPACK subinterval limit
+RULE_ORDER = 32           # Gauss-Legendre nodes per piece; half as many estimate the error
+P_TOL = 1e-6              # largest accepted |P(RULE_ORDER) - P(RULE_ORDER / 2)|
 NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 Z_FLOOR_AU = 0.05         # lower floor for critical distances
@@ -40,12 +41,10 @@ Z_FLOOR_AU = 0.05         # lower floor for critical distances
 
 @dataclass(frozen=True)
 class PfiStepResult:
-    """One PFI step n -> n+1: probability, its integral, and quadrature diagnostics."""
+    """One PFI step n -> n+1: probability, its integral, and the rule's diagnostics."""
 
     p_t: float
     integral_value: float
-    z_c_au: float
-    breakpoints_au: tuple[float, ...]
     est_error: float
     n_evaluations: int
     note: str = ""
@@ -69,36 +68,33 @@ def _critical_z_au(species: SpeciesParams, env: Environment, n: int,
 
 
 def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                  field_vnm: float, z0_au: float, *,
-                  _z_c_au: float | None = None) -> float:
-    """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1.
+                  field_vnm: float, z0_au):
+    """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1, z0 a float or array.
 
     Distances below the critical distance evaluate at the critical distance
     itself (the rate is only consumed on [z_c, z_max]).
     """
-    if not z0_au > 0.0:
+    if not np.all(np.greater(z0_au, 0.0)):
         raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
     if not field_vnm > 0.0:
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     i_ha = to_hartree(species.ie_ev(n + 1))
     f_au = field_to_au(field_vnm)
-    z_c = _z_c_au if _z_c_au is not None else _critical_z_au(species, env, n, field_vnm)
-    z_b = max(z0_au, z_c)
-    z_eff = zmodel.z(n, min(z_b, Z_ARG_CAP_AU))
-    b_raw = i_ha - z_eff * f_au / i_ha - f_au * z_b
-    b = max(b_raw, 0.0)
+    z_b = np.maximum(z0_au, _critical_z_au(species, env, n, field_vnm))
+    z_eff = zmodel.z(n, np.minimum(z_b, Z_ARG_CAP_AU))
+    b = np.maximum(i_ha - z_eff * f_au / i_ha - f_au * z_b, 0.0)
     i32 = i_ha ** 1.5
     pre = prefactor_a2nu(species, n) * 6.0 * math.pi * f_au
     zs2i = z_eff * math.sqrt(2.0 / i_ha)
     arg = -TWO52 * i32 / (3.0 * f_au) + zs2i / 3.0
-    if b > 0.0:
-        b32 = b ** 1.5
-        arg += TWO52 * b32 / (3.0 * f_au) + zs2i * math.log(16.0 * i_ha * i_ha / (z_eff * f_au))
-        denom = TWO52 * (i32 - b32)
-        if denom <= 0.0:
-            raise NumericalError("barrier denominator <= 0; clamp invariant violated")
-        return NEAR_ZONE_WEIGHT * pre * math.exp(arg) / denom
-    return pre * math.exp(arg) / (TWO52 * i32)
+    b32 = b ** 1.5
+    denom = TWO52 * (i32 - b32)
+    if np.any(denom <= 0.0):
+        raise NumericalError("barrier denominator <= 0; clamp invariant violated")
+    near = arg + (TWO52 * b32 / (3.0 * f_au)
+                  + zs2i * np.log(16.0 * i_ha * i_ha / (z_eff * f_au)))
+    return np.where(b > 0.0, NEAR_ZONE_WEIGHT * pre * np.exp(near) / denom,
+                    pre * np.exp(arg) / (TWO52 * i32))[()]
 
 
 def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
@@ -119,16 +115,27 @@ def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, 
     return float(brentq(b_raw, z_c, hi, xtol=1e-12))
 
 
+@functools.cache
+def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s in [0, 1] and weights w: integral_a^b f ~= (b - a) sum(w f(a + (b - a) s)).
+
+    Gauss-Legendre in t on [0, pi] with s = (1 - cos t)/2; its Jacobian cancels 1/sqrt ends.
+    """
+    x, w = leggauss(order)
+    t = 0.5 * math.pi * (x + 1.0)
+    return 0.5 * (1.0 - np.cos(t)), 0.25 * math.pi * w * np.sin(t)
+
+
 def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
                          field_vnm: float) -> PfiStepResult:
-    """P_t = 1 - exp(-integral of R/u over [z_c, z_max]) for step n -> n+1."""
+    """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max])."""
     if not field_vnm > 0.0:
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
     z_c = _critical_z_au(species, env, n, field_vnm)
     if z_c >= Z_MAX_AU:
-        return PfiStepResult(0.0, 0.0, z_c, (), 0.0, 0,
+        return PfiStepResult(0.0, 0.0, 0.0, 0,
                              note="integration window empty (z_c >= z_max)")
     if n == 1:
         # The first-step kinetic energy has an exact double zero at the hump
@@ -136,46 +143,31 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
         # dwell-time integral diverges: ionization is certain.
         z_hump = length_to_au(hump_position(field_vnm))
         if z_c <= z_hump < Z_MAX_AU:
-            return PfiStepResult(1.0, math.inf, z_c, (), 0.0, 0,
+            return PfiStepResult(1.0, math.inf, 0.0, 0,
                                  note="launch at or below the hump; dwell diverges")
     bohr = CONSTANTS.bohr_in_nm
-    hartree = CONSTANTS.hartree_in_ev
     history_nm = [_critical_z_au(species, env, r, field_vnm) * bohr for r in range(1, n)]
-    m_me = mass_amu_to_me(species.mass_amu)
-    z_star = clamp_distance_au(species, env, zmodel, n, field_vnm)
-
-    def integrand(z_au: float) -> float:
-        k_ev = kinetic_energy_unchecked(env, field_vnm, n, history_nm, z_au * bohr)
-        if k_ev <= 0.0:  # classically forbidden: the ion has not yet reached z
-            return 0.0
-        u_au = math.sqrt(2.0 * (k_ev / hartree) / m_me)
-        r_au = rate_constant(species, env, zmodel, n, field_vnm, z_au, _z_c_au=z_c)
-        return r_au / u_au
-
-    breakpoints = tuple(p for p in (z_star, Z_ARG_CAP_AU) if z_c < p < Z_MAX_AU)
-    result = quad(integrand, z_c, Z_MAX_AU, epsabs=ABS_FLOOR, epsrel=REL_TOL,
-                  limit=QUAD_LIMIT, points=list(breakpoints) or None, full_output=1)
-    value, est_error, info = float(result[0]), float(result[1]), result[2]
-    note = ""
-    if len(result) >= 4:
-        # QUADPACK reports roundoff trouble on steep integrands.  The value is
-        # still usable when the integral is saturated (exp(-value) underflows
-        # long before the reported error matters) or the error is tiny.
-        note = str(result[3]).strip().replace("\n", " ")
-        saturated = value > 50.0
-        converged = est_error <= 1e-6 * abs(value) + 10.0 * ABS_FLOOR
-        if not (math.isfinite(value) and (saturated or converged)):
-            raise NumericalError(
-                f"{species.name} step {n}->{n + 1} at {field_vnm} V/nm: quadrature "
-                f"did not converge (value {value:.6e}, est. error {est_error:.2e}): "
-                f"{note}")
-    if not math.isfinite(value):
-        raise NumericalError(
-            f"{species.name} step {n}->{n + 1} at {field_vnm} V/nm: integral is {value}")
-    value = max(value, 0.0)
+    # Cut at the clamp distance (the near-zone weight switches off), the Z
+    # argument cap (a kink) and the roots of k_n (1/sqrt(k) end points), then
+    # drop the pieces inside the forbidden gap, which the ion never reaches.
+    gap_au = tuple(x / bohr for x in forbidden_gap_nm(field_vnm, n, history_nm))
+    cuts = (clamp_distance_au(species, env, zmodel, n, field_vnm), Z_ARG_CAP_AU) + gap_au
+    edges = np.unique([z_c, Z_MAX_AU] + [p for p in cuts if z_c < p < Z_MAX_AU])
+    allowed = (edges[:-1] < gap_au[0]) | (edges[1:] > gap_au[1])
+    lo, hi = edges[:-1][allowed, None], edges[1:][allowed, None]
+    (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
+    z = lo + (hi - lo) * np.concatenate((s_fine, s_coarse))
+    k_ev = kinetic_energy_unchecked(env, field_vnm, n, history_nm, z * bohr)
+    u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev) / mass_amu_to_me(species.mass_amu))
+    f = (hi - lo) * rate_constant(species, env, zmodel, n, field_vnm, z) / u_au
+    value = float(np.sum(w_fine * f[:, :RULE_ORDER]))
     p_t = 1.0 - math.exp(-value)
-    return PfiStepResult(p_t, value, z_c, breakpoints, est_error,
-                         int(info["neval"]), note=note)
+    est_error = abs(math.exp(-float(np.sum(w_coarse * f[:, RULE_ORDER:]))) - math.exp(-value))
+    if not (math.isfinite(value) and est_error <= P_TOL):
+        raise NumericalError(
+            f"{species.name} step {n}->{n + 1} at {field_vnm} V/nm: step integral "
+            f"{value:.6e} not resolved (P error estimate {est_error:.2e} > {P_TOL:g})")
+    return PfiStepResult(p_t, value, est_error, int(z.size))
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,

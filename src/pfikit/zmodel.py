@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 
 
@@ -21,9 +23,9 @@ class ZModel:
         if self.c1 < 0.0:
             raise ConfigError(f"ZModel c1 must be >= 0, got {self.c1}")
 
-    def z(self, n: int, z0_au: float) -> float:
-        """Z for source charge state n at distance z0 (a.u.)."""
-        if z0_au <= 0.0:
+    def z(self, n: int, z0_au):
+        """Z for source charge state n at distance z0 (a.u.), a float or an array."""
+        if not np.all(np.greater(z0_au, 0.0)):
             raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
         return n + self.c0 + self.c1 / z0_au
 

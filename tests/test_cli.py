@@ -30,7 +30,19 @@ def test_missing_required_arguments_exit_2():
     assert exc_info.value.code == 2
 
 
-def test_config_validation_exits_2(fixtures_dir, capsys):
+# each edit leaves as_pipeline.json with one missing or malformed key, named first
+PIPELINE_CONFIG_FAULTS = (
+    ("species", lambda c: c["reference"].pop("species")),
+    ("shared_mz", lambda c: c["overlaps"][0].pop("shared_mz")),
+    ("anchor", lambda c: c["overlaps"][0].pop("anchor")),
+    ("partner_charge", lambda c: c["overlaps"][1].pop("partner_charge")),
+    ("claimant", lambda c: c["overlaps"][0].pop("claimant")),
+    ("anchor", lambda c: c["overlaps"][0].update(anchor=["As"])),
+    ("shared_mz", lambda c: c["overlaps"][1].update(shared_mz="abc")),
+)
+
+
+def test_config_validation_exits_2(fixtures_dir, tmp_path, capsys):
     assert main(["f50", "--species", "si", "--phi", "0.0"]) == 2
     assert main(["f50", "--species", "si", "--grid", "abc"]) == 2
     assert main(["f50", "--species", "si", "--grid", "5:45:nan"]) == 2
@@ -43,6 +55,34 @@ def test_config_validation_exits_2(fixtures_dir, capsys):
     assert main(["csr", "--peaks", peaks, "--name", "Si2",
                  "--charge-low", "2", "--charge-high", "1"]) == 2
     assert capsys.readouterr().err.count("pfikit: error") == 9
+    # a non-finite fit target is rejected before any F50 is solved
+    for command in ("fit-z", "fit-ie"):
+        for value in ("nan", "inf"):
+            assert main([command, "--species", "si3", "--target", value]) == 2
+            assert "must be finite" in capsys.readouterr().err
+    with open(os.path.join(fixtures_dir, "as_pipeline.json")) as fh:
+        good = fh.read()
+    for index, (key, edit) in enumerate(PIPELINE_CONFIG_FAULTS):
+        config = json.loads(good)
+        edit(config)
+        path = tmp_path / f"fault{index}.json"
+        path.write_text(json.dumps(config))
+        assert main(["resolve", "--config", str(path), "--base-dir", fixtures_dir]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deconv", "--peaks", "p.csv", "--species", "si"],
+    ["csr", "--peaks", "p.csv", "--name", "Si", "--phi", "4.9"],
+    ["field", "--curve", "c.csv", "--csr", "0.5", "--grid", "5:45:0.1"],
+    ["resolve", "--config", "x.json", "--lambda", "0.1"],
+    ["kellogg", "--voltage", "1", "--f0", "1", "--v0", "1", "--zmodel", "si3"],
+    ["fit-z", "--species", "si3", "--target", "17.7", "--zmodel", "si4"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_commands_reject_model_flags_they_ignore(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
 
 
 @pytest.mark.parametrize("text,argv", [

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pfikit import CONSTANTS, critical_distance, hump_position, kinetic_energy
 from pfikit.errors import DomainError, NonphysicalKinematicsError
-from pfikit.kinematics import kinetic_energy_unchecked
+from pfikit.kinematics import forbidden_gap_nm, kinetic_energy_unchecked
 
 
 def telescoped_energy(field, history, l_nm):
@@ -65,6 +66,23 @@ def test_forbidden_region_raises(species_table, si_env):
     assert kinetic_energy_unchecked(si_env, field, 2, (z1,), l_min) < 0.0
     with pytest.raises(NonphysicalKinematicsError):
         kinetic_energy(si3, si_env, field, 2, (z1,), l_min)
+
+
+def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
+    si3 = species_table["si3"]
+    field = 10.0
+    history = (critical_distance(si3, si_env, 1, field).l_c_nm,)
+    lo, hi = forbidden_gap_nm(field, 2, history)
+    l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
+    k = kinetic_energy_unchecked(si_env, field, 2, history, l_nm)
+    inside = (l_nm > lo) & (l_nm < hi)
+    assert np.all(k[inside] < 0.0) and np.all(k[~inside] >= -1e-12)
+    for root in (lo, hi):
+        assert abs(kinetic_energy_unchecked(si_env, field, 2, history, root)) < 1e-9
+    # the first step touches zero only at the hump: at most a rounding-wide gap
+    for field in (5.0, 10.0, 21.3, 35.0):
+        lo, hi = forbidden_gap_nm(field, 1, ())
+        assert hi - lo < 1e-6
 
 
 def test_history_length_checked(species_table, si_env):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and the
+step integral has one path: no module imports ``scipy.integrate``."""
 
 from __future__ import annotations
 
@@ -32,11 +33,37 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _integrate_imports(source: str) -> list[str]:
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in modules):
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_scipy_integrate(path):
+    assert _integrate_imports(path.read_text()) == []
+
+
 def test_guard_sees_an_unused_import():
     source = "import math\nimport os\nfrom x import field\nfield: int = 1\nos.getcwd()\n"
     assert _unused_imports(source) == ["line 1: math", "line 3: field"]
+
+
+def test_guard_sees_scipy_integrate():
+    source = ("import scipy.integrate\nfrom scipy import integrate, optimize\n"
+              "from scipy.integrate import quad\nimport scipy.optimize\n"
+              "from scipy.integrated_thing import x\n")
+    assert _integrate_imports(source) == ["line 1", "line 2", "line 3"]

@@ -4,19 +4,35 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from pfikit import (
     KINGHAM_Z,
     ConfigError,
     DomainError,
+    Environment,
+    FieldGrid,
+    NumericalError,
     charge_fractions,
+    generate_curve,
+    load_zmodel,
     pfi_step_probability,
     rate_constant,
 )
 from pfikit import tunneling
+from pfikit.cli import NAMED_ZMODELS
+from pfikit.species import asset_path
 from pfikit.tunneling import prefactor_a2nu
 from pfikit.units import to_hartree
+
+# the environment `pfikit curves` uses when no --phi is given
+CLI_ENV = Environment(work_function_ev=4.9)
+
+
+@pytest.fixture(scope="module")
+def named_zmodels():
+    return {name: load_zmodel(asset_path(path)) for name, path in NAMED_ZMODELS.items()}
 
 
 def test_prefactor_matches_direct_formula(species_table):
@@ -71,6 +87,59 @@ def test_rate_rejects_nonpositive_inputs(species_table, si_env):
         rate_constant(si, si_env, KINGHAM_Z, 1, 20.0, 0.0)
     with pytest.raises(DomainError):
         rate_constant(si, si_env, KINGHAM_Z, 1, 0.0, 12.0)
+    with pytest.raises(DomainError):
+        rate_constant(si, si_env, KINGHAM_Z, 1, 20.0, np.array([1.0, 0.0, 2.0]))
+
+
+def test_rate_on_an_array_matches_scalar_calls(species_table, si_env):
+    # one array call covers the near zone below z*, the plateau and the
+    # capped Z argument, and distances below z_c
+    for name, n, field in (("si", 1, 12.0), ("si3", 2, 20.0), ("rh", 1, 25.0)):
+        sp = species_table[name]
+        z = np.geomspace(0.06, 199.0, 57)
+        rates = rate_constant(sp, si_env, KINGHAM_Z, n, field, z)
+        assert rates.shape == z.shape
+        for z0, rate in zip(z, rates):
+            assert rate == pytest.approx(
+                rate_constant(sp, si_env, KINGHAM_Z, n, field, float(z0)), rel=1e-15)
+
+
+def test_every_species_and_zmodel_evaluates_on_the_default_grid(
+        species_table, named_zmodels):
+    # Si4 under every Z model used to stop at 19.6 V/nm on a quadrature failure
+    for sp in species_table.values():
+        for zmodel in named_zmodels.values():
+            curve = generate_curve(sp, CLI_ENV, zmodel, FieldGrid(5.0, 45.0, 0.1))
+            assert len(curve.fractions) == 401
+            for row in curve.fractions:
+                assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_step_probability_is_refinement_invariant(species_table, named_zmodels,
+                                                  monkeypatch):
+    # the shipped rule against one with twice the nodes, on every step
+    fields = [float(f) for f in range(5, 46)]
+
+    def table():
+        return {(sp.name, zname, n, f): pfi_step_probability(sp, CLI_ENV, zmodel, n, f).p_t
+                for sp in species_table.values()
+                for zname, zmodel in named_zmodels.items()
+                for n in range(1, min(sp.max_charge, 3))
+                for f in fields}
+
+    shipped = table()
+    monkeypatch.setattr(tunneling, "RULE_ORDER", 2 * tunneling.RULE_ORDER)
+    refined = table()
+    worst = max(shipped, key=lambda key: abs(shipped[key] - refined[key]))
+    assert abs(shipped[worst] - refined[worst]) <= 1e-9, worst
+
+
+def test_step_gate_raises_above_the_tolerance(species_table, rh_env, monkeypatch):
+    step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
+    assert 0.0 < step.est_error <= tunneling.P_TOL
+    monkeypatch.setattr(tunneling, "P_TOL", 0.5 * step.est_error)
+    with pytest.raises(NumericalError, match="not resolved"):
+        pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
 
 
 def test_rh_step_probability_at_25(species_table, rh_env):
