@@ -80,7 +80,8 @@ def _model_flags(parser: argparse.ArgumentParser, zmodel: bool) -> None:
         parser.add_argument("--zmodel",
                             help="named Z model (kingham, si3, si4) or JSON file")
     parser.add_argument("--phi", type=float,
-                        help="work function in eV (default per material, 4.9)")
+                        help="work function in eV (default 4.9 for every species; "
+                             "Rh's tabulated crossover needs 4.8)")
     parser.add_argument("--lambda", dest="screening", type=float,
                         help="screening length in nm (default 0)")
     parser.add_argument("--grid", help="field grid lo:hi:step in V/nm")

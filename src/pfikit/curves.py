@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import TextIO
 
+import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -25,6 +26,7 @@ from .tunneling import charge_fractions
 from .zmodel import ZModel
 
 CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
+FIELD_BLOCK = 64  # fields per charge_fractions call in a curve; bounds the node arrays' memory
 
 
 @dataclass(frozen=True)
@@ -128,17 +130,14 @@ def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
                    grid: FieldGrid = DEFAULT_GRID) -> KinghamCurve:
-    """Evaluate charge fractions and CSR on every grid point."""
+    """Evaluate charge fractions and CSR on every grid point, FIELD_BLOCK fields per call."""
+    points = grid.points()
     rows = []
-    ratios = []
-    for f_vnm in grid.points():
-        try:
-            fr = charge_fractions(species, env, zmodel, f_vnm)
-        except NumericalError as exc:
-            raise NumericalError(f"{species.name} at {f_vnm:g} V/nm: {exc}") from exc
-        rows.append(fr)
-        ratios.append(csr_from_fractions(fr))
-    return KinghamCurve(species.name, grid.points(), tuple(rows), tuple(ratios))
+    for start in range(0, len(points), FIELD_BLOCK):
+        block = np.array(points[start:start + FIELD_BLOCK])
+        rows += zip(*(f.tolist() for f in charge_fractions(species, env, zmodel, block)))
+    return KinghamCurve(species.name, points, tuple(rows),
+                        tuple(map(csr_from_fractions, rows)))
 
 
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,

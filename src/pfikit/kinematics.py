@@ -18,29 +18,20 @@ from .geometry import Environment
 from .species import SpeciesParams
 
 
-def _energy_debt_ev(field_vnm: float, n: int, crossing_history_nm: Sequence[float]) -> float:
+def _energy_debt_ev(field_vnm, crossing_history_nm: Sequence):
     """K in k_n(L) = n F L + n^2 C / L - K: the hump escape and each completed step."""
-    if not field_vnm > 0.0:
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    if len(crossing_history_nm) != n - 1:
-        raise DomainError(
-            f"charge state {n} needs {n - 1} completed-step crossing distances, "
-            f"got {len(crossing_history_nm)}")
-    debt = CONSTANTS.c_s * math.sqrt(field_vnm)
+    debt = CONSTANTS.c_s * np.sqrt(field_vnm)
     for r, z_r in enumerate(crossing_history_nm, start=1):
-        if not z_r > 0.0:
-            raise DomainError(f"crossing distance z_{r} must be > 0 nm, got {z_r}")
         debt += field_vnm * z_r + (2 * r + 1) * CONSTANTS.c_image_evnm / z_r
     return debt
 
 
-def kinetic_energy_unchecked(env: Environment, field_vnm: float, n: int,
-                             crossing_history_nm: Sequence[float], l_nm):
-    """k_n(L) in eV for a float or an array of L; may be negative (classically forbidden)."""
-    if not np.all(np.greater(l_nm, 0.0)):
-        raise DomainError(f"L must be > 0 nm, got {l_nm}")
+def kinetic_energy_unchecked(env: Environment, field_vnm, n: int,
+                             crossing_history_nm: Sequence, l_nm):
+    """k_n(L) in eV, possibly negative (classically forbidden), for checked inputs: the
+    field, the crossing distances and L are floats or arrays that broadcast together."""
     return (n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm
-            - _energy_debt_ev(field_vnm, n, crossing_history_nm))
+            - _energy_debt_ev(field_vnm, crossing_history_nm))
 
 
 def forbidden_gap_nm(field_vnm: float, n: int,
@@ -49,7 +40,7 @@ def forbidden_gap_nm(field_vnm: float, n: int,
 
     k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
     """
-    debt = _energy_debt_ev(field_vnm, n, crossing_history_nm)
+    debt = _energy_debt_ev(field_vnm, crossing_history_nm)
     disc = debt * debt - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
     if not disc > 0.0:
         return 0.0, 0.0
@@ -63,6 +54,12 @@ def kinetic_energy(species: SpeciesParams, env: Environment, field_vnm: float, n
 
     Raises NonphysicalKinematicsError when the ion cannot classically reach L.
     """
+    if len(crossing_history_nm) != n - 1:
+        raise DomainError(f"charge state {n} needs {n - 1} completed-step crossing "
+                          f"distances, got {len(crossing_history_nm)}")
+    if not (field_vnm > 0.0 and l_nm > 0.0 and all(z > 0.0 for z in crossing_history_nm)):
+        raise DomainError(f"field, L and crossing distances must be > 0, got {field_vnm} "
+                          f"V/nm, {l_nm} nm, {tuple(crossing_history_nm)} nm")
     k = kinetic_energy_unchecked(env, field_vnm, n, crossing_history_nm, l_nm)
     if k < 0.0:
         raise NonphysicalKinematicsError(

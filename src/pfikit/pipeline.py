@@ -369,14 +369,19 @@ def _config_value(mapping, key: str, convert, where: str):
     """``convert(mapping[key])``; a missing or malformed key raises ConfigError naming it."""
     try:
         return convert(mapping[key])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"pipeline config: {where} needs a valid {key!r} "
                           f"({type(exc).__name__}: {exc})") from exc
 
 
-def _species_charge(value) -> tuple[str, int]:
-    species, charge = value
-    return str(species), int(charge)
+def _name_and_number(value) -> tuple[str, int]:
+    name, number = value
+    return str(name), int(number)
+
+
+def _object_of(convert):
+    """Converter for a JSON object whose values each convert with ``convert``."""
+    return lambda value: {str(key): convert(item) for key, item in value.items()}
 
 
 def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionReport:
@@ -398,8 +403,8 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
             raise ConfigError(f"pipeline config lacks the {key!r} key")
 
     peak_set = read_peaks_csv(path_of(config["peaks"]))
-    compositions = {name: (element, int(size)) for name, (element, size)
-                    in (config.get("compositions") or {}).items()}
+    compositions = (_config_value(config, "compositions", _object_of(_name_and_number),
+                                  "the top level") if config.get("compositions") else {})
 
     reference = config["reference"]
     ref_species = _config_value(reference, "species", str, "reference")
@@ -408,8 +413,8 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
                           "[1, 2]: the curves tabulate 2+/(1+ + 2+)")
     ref_csr = raw_csr(peak_set, ref_species)
 
-    curves = {species: read_curve_csv(path_of(path))
-              for species, path in config["curves"].items()}
+    curves = {species: read_curve_csv(path_of(path)) for species, path in
+              _config_value(config, "curves", _object_of(str), "the top level").items()}
     if ref_species not in curves:
         raise ConfigError(f"reference species {ref_species!r} has no curve")
     estimate = csr_to_field(curves[ref_species], ref_csr.value, ref_csr.two_sigma)
@@ -427,9 +432,9 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
     for index, raw_case in enumerate(config.get("overlaps", ())):
         where = f"overlap {index}"
         case = OverlapCase(_config_value(raw_case, "shared_mz", float, where),
-                           _config_value(raw_case, "anchor", _species_charge, where),
+                           _config_value(raw_case, "anchor", _name_and_number, where),
                            _config_value(raw_case, "partner_charge", int, where),
-                           _config_value(raw_case, "claimant", _species_charge, where))
+                           _config_value(raw_case, "claimant", _name_and_number, where))
         anchor_species, anchor_charge = case.anchor
         if anchor_species not in fractions:
             raise ConfigError(f"anchor species {anchor_species!r} has no curve")

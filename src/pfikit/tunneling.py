@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
@@ -38,14 +37,18 @@ NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 Z_FLOOR_AU = 0.05         # lower floor for critical distances
 
+NOTE_EMPTY = "integration window empty (z_c >= z_max)"
+NOTE_HUMP = "launch at or below the hump; dwell diverges"
+
 
 @dataclass(frozen=True)
 class PfiStepResult:
-    """One PFI step n -> n+1: probability, its integral, and the rule's diagnostics."""
+    """One PFI step n -> n+1: P, its integral and error estimate (floats or arrays like the
+    field), the nodes of the whole call, and the early-out every field took, else ""."""
 
-    p_t: float
-    integral_value: float
-    est_error: float
+    p_t: float | np.ndarray
+    integral_value: float | np.ndarray
+    est_error: float | np.ndarray
     n_evaluations: int
     note: str = ""
 
@@ -68,21 +71,24 @@ def _critical_z_au(species: SpeciesParams, env: Environment, n: int,
 
 
 def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                  field_vnm: float, z0_au):
-    """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1, z0 a float or array.
+                  field_vnm, z0_au):
+    """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1.
 
-    Distances below the critical distance evaluate at the critical distance
-    itself (the rate is only consumed on [z_c, z_max]).
+    field_vnm and z0_au are floats or arrays that broadcast together. Distances below
+    the critical distance evaluate at it (the rate is only consumed on [z_c, z_max]).
     """
     if not np.all(np.greater(z0_au, 0.0)):
         raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
-    if not field_vnm > 0.0:
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
+    z_c, f_au = np.vectorize(lambda f: (_critical_z_au(species, env, n, f), field_to_au(f)),
+                             otypes=[float, float])(field_vnm)
+    return _rate_au(species, zmodel, n, f_au, np.maximum(z0_au, z_c))
+
+
+def _rate_au(species: SpeciesParams, zmodel: ZModel, n: int, f_au, z_au):
+    """R at distances z_au >= z_c for fields f_au (a.u.) that broadcast against them."""
     i_ha = to_hartree(species.ie_ev(n + 1))
-    f_au = field_to_au(field_vnm)
-    z_b = np.maximum(z0_au, _critical_z_au(species, env, n, field_vnm))
-    z_eff = zmodel.z(n, np.minimum(z_b, Z_ARG_CAP_AU))
-    b = np.maximum(i_ha - z_eff * f_au / i_ha - f_au * z_b, 0.0)
+    z_eff = zmodel.z(n, np.minimum(z_au, Z_ARG_CAP_AU))
+    b = np.maximum(i_ha - z_eff * f_au / i_ha - f_au * z_au, 0.0)
     i32 = i_ha ** 1.5
     pre = prefactor_a2nu(species, n) * 6.0 * math.pi * f_au
     zs2i = z_eff * math.sqrt(2.0 / i_ha)
@@ -99,20 +105,23 @@ def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: i
 
 def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
                       field_vnm: float) -> float:
-    """Distance z* where the barrier residual b(z0) reaches zero (>= z_c)."""
+    """Distance z* >= z_c where the barrier residual b(z) = I - Z(n, z) F / I - F z reaches 0.
+
+    Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and
+    z* is its larger root; above the cap b is linear in z. z* = z_c where b(z_c) <= 0.
+    """
     z_c = _critical_z_au(species, env, n, field_vnm)
     i_ha = to_hartree(species.ie_ev(n + 1))
     f_au = field_to_au(field_vnm)
-
-    def b_raw(z: float) -> float:
-        return i_ha - zmodel.z(n, min(z, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z
-
-    if b_raw(z_c) <= 0.0:
+    z_fixed = n + zmodel.c0
+    if i_ha - (z_fixed + zmodel.c1 / min(z_c, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z_c <= 0.0:
         return z_c
-    hi = z_c * 2.0
-    while b_raw(hi) > 0.0:
-        hi *= 2.0
-    return float(brentq(b_raw, z_c, hi, xtol=1e-12))
+    z_linear = i_ha / f_au - (z_fixed + zmodel.c1 / Z_ARG_CAP_AU) / i_ha
+    if z_linear >= Z_ARG_CAP_AU:
+        return z_linear
+    slope = i_ha - z_fixed * f_au / i_ha
+    disc = slope * slope - 4.0 * zmodel.c1 * f_au * f_au / i_ha
+    return (slope + math.sqrt(max(disc, 0.0))) / (2.0 * f_au)
 
 
 @functools.cache
@@ -126,54 +135,80 @@ def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(t)), 0.25 * math.pi * w * np.sin(t)
 
 
-def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                         field_vnm: float) -> PfiStepResult:
-    """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max])."""
-    if not field_vnm > 0.0:
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    if not 1 <= n < species.max_charge:
-        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
+def _allowed_pieces(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
+                    field_vnm: float) -> tuple[str, list[tuple[float, ...]]]:
+    """At one field: an early-out note, or "" and the allowed pieces of [z_c, Z_MAX_AU],
+    each (lo a.u., hi a.u., field V/nm, field a.u., *completed-step crossing distances nm).
+    """
     z_c = _critical_z_au(species, env, n, field_vnm)
     if z_c >= Z_MAX_AU:
-        return PfiStepResult(0.0, 0.0, 0.0, 0,
-                             note="integration window empty (z_c >= z_max)")
-    if n == 1:
-        # The first-step kinetic energy has an exact double zero at the hump
-        # position, so a launch at or below it stalls the ion there and the
-        # dwell-time integral diverges: ionization is certain.
-        z_hump = length_to_au(hump_position(field_vnm))
-        if z_c <= z_hump < Z_MAX_AU:
-            return PfiStepResult(1.0, math.inf, 0.0, 0,
-                                 note="launch at or below the hump; dwell diverges")
+        return NOTE_EMPTY, []
+    # The first-step kinetic energy has an exact double zero at the hump
+    # position, so a launch at or below it stalls the ion there and the
+    # dwell-time integral diverges: ionization is certain.
+    if n == 1 and z_c <= length_to_au(hump_position(field_vnm)) < Z_MAX_AU:
+        return NOTE_HUMP, []
     bohr = CONSTANTS.bohr_in_nm
-    history_nm = [_critical_z_au(species, env, r, field_vnm) * bohr for r in range(1, n)]
+    history_nm = tuple(_critical_z_au(species, env, r, field_vnm) * bohr for r in range(1, n))
     # Cut at the clamp distance (the near-zone weight switches off), the Z
     # argument cap (a kink) and the roots of k_n (1/sqrt(k) end points), then
     # drop the pieces inside the forbidden gap, which the ion never reaches.
-    gap_au = tuple(x / bohr for x in forbidden_gap_nm(field_vnm, n, history_nm))
-    cuts = (clamp_distance_au(species, env, zmodel, n, field_vnm), Z_ARG_CAP_AU) + gap_au
-    edges = np.unique([z_c, Z_MAX_AU] + [p for p in cuts if z_c < p < Z_MAX_AU])
-    allowed = (edges[:-1] < gap_au[0]) | (edges[1:] > gap_au[1])
-    lo, hi = edges[:-1][allowed, None], edges[1:][allowed, None]
-    (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
-    z = lo + (hi - lo) * np.concatenate((s_fine, s_coarse))
-    k_ev = kinetic_energy_unchecked(env, field_vnm, n, history_nm, z * bohr)
-    u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev) / mass_amu_to_me(species.mass_amu))
-    f = (hi - lo) * rate_constant(species, env, zmodel, n, field_vnm, z) / u_au
-    value = float(np.sum(w_fine * f[:, :RULE_ORDER]))
-    p_t = 1.0 - math.exp(-value)
-    est_error = abs(math.exp(-float(np.sum(w_coarse * f[:, RULE_ORDER:]))) - math.exp(-value))
-    if not (math.isfinite(value) and est_error <= P_TOL):
-        raise NumericalError(
-            f"{species.name} step {n}->{n + 1} at {field_vnm} V/nm: step integral "
-            f"{value:.6e} not resolved (P error estimate {est_error:.2e} > {P_TOL:g})")
-    return PfiStepResult(p_t, value, est_error, int(z.size))
+    gap_lo, gap_hi = (x / bohr for x in forbidden_gap_nm(field_vnm, n, history_nm))
+    cuts = (clamp_distance_au(species, env, zmodel, n, field_vnm), Z_ARG_CAP_AU, gap_lo, gap_hi)
+    edges = sorted({z_c, Z_MAX_AU, *(p for p in cuts if z_c < p < Z_MAX_AU)})
+    return "", [(lo, hi, field_vnm, field_to_au(field_vnm), *history_nm)
+                for lo, hi in zip(edges, edges[1:]) if lo < gap_lo or hi > gap_hi]
+
+
+def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
+                         field_vnm) -> PfiStepResult:
+    """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max]).
+
+    field_vnm is a float or a 1-D array of fields. The allowed pieces of all
+    fields go through one node pass, and their sums are added up per field.
+    """
+    fields = np.array(field_vnm, dtype=float, ndmin=1)
+    if fields.ndim != 1 or not all(0.0 < f < math.inf for f in fields.tolist()):
+        raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
+    if not 1 <= n < species.max_charge:
+        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
+    notes, owner, pieces = [], [], []
+    for i, f_vnm in enumerate(fields.tolist()):
+        note, own = _allowed_pieces(species, env, zmodel, n, f_vnm)
+        notes.append(note)
+        owner += [i] * len(own)
+        pieces += own
+    # an empty window leaves P = 0; a stalled launch has an infinite integral and P = 1
+    value = np.array([math.inf if note == NOTE_HUMP else 0.0 for note in notes])
+    coarse = value.copy()
+    if pieces:
+        (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
+        lo, hi, f_vnm, f_au, *history_nm = np.array(pieces).T[:, :, None]
+        z = lo + (hi - lo) * np.concatenate((s_fine, s_coarse))
+        k_ev = kinetic_energy_unchecked(env, f_vnm, n, history_nm, z * CONSTANTS.bohr_in_nm)
+        u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev) / mass_amu_to_me(species.mass_amu))
+        f = (hi - lo) * _rate_au(species, zmodel, n, f_au, z) / u_au
+        value += np.bincount(owner, f[:, :RULE_ORDER] @ w_fine, fields.size)
+        coarse += np.bincount(owner, f[:, RULE_ORDER:] @ w_coarse, fields.size)
+    p_t = -np.expm1(-value)
+    est_error = np.abs(np.expm1(-coarse) + p_t)
+    for f_vnm, note, v, err in zip(fields.tolist(), notes, value.tolist(), est_error.tolist()):
+        if not (note or math.isfinite(v) and err <= P_TOL):
+            raise NumericalError(
+                f"{species.name} step {n}->{n + 1} at {f_vnm} V/nm: step integral "
+                f"{v:.6e} not resolved (P error estimate {err:.2e} > {P_TOL:g})")
+    if np.ndim(field_vnm) == 0:
+        p_t, value, est_error = p_t[0].item(), value[0].item(), est_error[0].item()
+    early = set(notes)
+    return PfiStepResult(p_t, value, est_error, len(pieces) * (RULE_ORDER + RULE_ORDER // 2),
+                         note=early.pop() if len(early) == 1 else "")
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                     field_vnm: float) -> tuple[float, ...]:
-    """Sequential charge-state fractions f_1 .. f_min(K, 3); the last state absorbs the tail."""
-    fractions: list[float] = []
+                     field_vnm) -> tuple:
+    """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
+    the last state absorbs the tail."""
+    fractions = []
     survive = 1.0
     for n in range(1, min(species.max_charge, 3)):
         step = pfi_step_probability(species, env, zmodel, n, field_vnm)

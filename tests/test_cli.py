@@ -39,6 +39,8 @@ PIPELINE_CONFIG_FAULTS = (
     ("claimant", lambda c: c["overlaps"][0].pop("claimant")),
     ("anchor", lambda c: c["overlaps"][0].update(anchor=["As"])),
     ("shared_mz", lambda c: c["overlaps"][1].update(shared_mz="abc")),
+    ("curves", lambda c: c.update(curves=sorted(c["curves"].values()))),
+    ("compositions", lambda c: c.update(compositions={"As": ["As"]})),
 )
 
 

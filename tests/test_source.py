@@ -1,5 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, and the
-step integral has one path: no module imports ``scipy.integrate``."""
+step integral has one path: no module imports ``scipy.integrate``, and
+``tunneling.py`` imports nothing from scipy (its clamp distance is closed form,
+not a root finder)."""
 
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def _integrate_imports(source: str) -> list[str]:
+def _imports_from(source: str, package: str) -> list[str]:
+    """Lines that import ``package`` or anything inside it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -42,7 +45,7 @@ def _integrate_imports(source: str) -> list[str]:
             modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in modules):
+        if any(m == package or m.startswith(package + ".") for m in modules):
             lines.append(f"line {node.lineno}")
     return lines
 
@@ -54,7 +57,12 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_scipy_integrate(path):
-    assert _integrate_imports(path.read_text()) == []
+    assert _imports_from(path.read_text(), "scipy.integrate") == []
+
+
+def test_tunneling_imports_nothing_from_scipy():
+    path = pathlib.Path(pfikit.__file__).parent / "tunneling.py"
+    assert _imports_from(path.read_text(), "scipy") == []
 
 
 def test_guard_sees_an_unused_import():
@@ -66,4 +74,11 @@ def test_guard_sees_scipy_integrate():
     source = ("import scipy.integrate\nfrom scipy import integrate, optimize\n"
               "from scipy.integrate import quad\nimport scipy.optimize\n"
               "from scipy.integrated_thing import x\n")
-    assert _integrate_imports(source) == ["line 1", "line 2", "line 3"]
+    assert _imports_from(source, "scipy.integrate") == ["line 1", "line 2", "line 3"]
+
+
+def test_guard_sees_any_scipy_import():
+    source = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
+              "import scipy\nfrom scipy.optimize import brentq\nimport scipyx\n"
+              "from scipy import optimize\n")
+    assert _imports_from(source, "scipy") == ["line 3", "line 4", "line 6"]

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pfikit import (
     KINGHAM_Z,
@@ -14,6 +15,7 @@ from pfikit import (
     Environment,
     FieldGrid,
     NumericalError,
+    ZModel,
     charge_fractions,
     generate_curve,
     load_zmodel,
@@ -24,7 +26,7 @@ from pfikit import tunneling
 from pfikit.cli import NAMED_ZMODELS
 from pfikit.species import asset_path
 from pfikit.tunneling import prefactor_a2nu
-from pfikit.units import to_hartree
+from pfikit.units import field_to_au, to_hartree
 
 # the environment `pfikit curves` uses when no --phi is given
 CLI_ENV = Environment(work_function_ev=4.9)
@@ -214,3 +216,119 @@ def test_si_csr_at_nominal_crossover(species_table, si_env):
     csr = fr[1] / (fr[0] + fr[1])
     assert csr == pytest.approx(0.5, abs=0.02)
 
+
+
+def _barrier_residual(sp, zmodel, n, field, z):
+    """b(z) = I - Z(n, min(z, cap)) F / I - F z in Hartree, straight from its definition."""
+    i_ha = to_hartree(sp.ie_ev(n + 1))
+    f_au = field_to_au(field)
+    return i_ha - zmodel.z(n, min(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z, i_ha
+
+
+def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels):
+    # every species x Z model x step on the default grid, against a root finder
+    zmodels = dict(named_zmodels, no_c1=ZModel(c0=1.0, c1=0.0))
+    fields = FieldGrid(5.0, 45.0, 0.1).points()
+    branches = {"at z_c": 0, "quadratic": 0, "linear": 0}
+    for sp in species_table.values():
+        for zmodel in zmodels.values():
+            for n in range(1, min(sp.max_charge, 3)):
+                for field in fields:
+                    z_c = tunneling._critical_z_au(sp, CLI_ENV, n, field)
+                    z_star = tunneling.clamp_distance_au(sp, CLI_ENV, zmodel, n, field)
+                    b_c, i_ha = _barrier_residual(sp, zmodel, n, field, z_c)
+                    if b_c <= 0.0:
+                        assert z_star == z_c
+                        branches["at z_c"] += 1
+                        continue
+                    b_star, _ = _barrier_residual(sp, zmodel, n, field, z_star)
+                    assert abs(b_star) <= 1e-12 * i_ha, (sp.name, zmodel, n, field)
+                    hi = 2.0 * z_c
+                    while _barrier_residual(sp, zmodel, n, field, hi)[0] > 0.0:
+                        hi *= 2.0
+                    reference = brentq(lambda z: _barrier_residual(sp, zmodel, n, field, z)[0],
+                                       z_c, hi, xtol=1e-13)
+                    assert z_star == pytest.approx(reference, abs=1e-10)
+                    branches["quadratic" if z_star < tunneling.Z_ARG_CAP_AU else "linear"] += 1
+    assert all(branches.values()), branches
+
+
+def test_clamp_distance_without_c1_is_the_linear_root(species_table):
+    # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so z* = I / F - (n + c0) / I
+    si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
+    i_ha, f_au = to_hartree(si.ie_ev(2)), field_to_au(30.0)
+    z_star = tunneling.clamp_distance_au(si, CLI_ENV, zmodel, 1, 30.0)
+    assert z_star < tunneling.Z_ARG_CAP_AU
+    assert z_star == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
+
+
+def test_fractions_on_a_field_array_match_float_calls(species_table, named_zmodels):
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    for sp in species_table.values():
+        for zmodel in named_zmodels.values():
+            batch = charge_fractions(sp, CLI_ENV, zmodel, fields)
+            assert all(column.shape == fields.shape for column in batch)
+            for i, field in enumerate(fields.tolist()):
+                single = charge_fractions(sp, CLI_ENV, zmodel, field)
+                assert all(type(f) is float for f in single)
+                assert np.abs(np.array(single) - [column[i] for column in batch]).max() <= 1e-13
+
+
+def test_float_field_keeps_float_results_and_notes(species_table, si_env):
+    si, si4 = species_table["si"], species_table["si4"]
+    for sp, field, note in ((si, 20.0, ""),
+                            (si4, 30.0, "launch at or below the hump; dwell diverges"),
+                            (si, 1.0, "integration window empty (z_c >= z_max)")):
+        step = pfi_step_probability(sp, si_env, KINGHAM_Z, 1, field)
+        assert step.note == note
+        assert all(type(v) is float for v in (step.p_t, step.integral_value, step.est_error))
+        assert type(step.n_evaluations) is int
+        assert (step.n_evaluations > 0) == (note == "")
+
+
+def test_batch_note_and_evaluations_cover_the_call(species_table, si_env):
+    si = species_table["si"]
+    fields = [1.0, 20.0, 21.0]
+    batch = pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array(fields))
+    singles = [pfi_step_probability(si, si_env, KINGHAM_Z, 1, f) for f in fields]
+    assert batch.note == ""
+    assert batch.n_evaluations == sum(s.n_evaluations for s in singles)
+    assert batch.p_t.tolist() == [s.p_t for s in singles]
+    empty = pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array([0.5, 1.0]))
+    assert empty.note.startswith("integration window empty")
+    assert empty.p_t.tolist() == [0.0, 0.0]
+    # two different early-outs share no note
+    mixed = pfi_step_probability(species_table["si4"], si_env, KINGHAM_Z, 1, np.array([0.5, 30.0]))
+    assert mixed.note == ""
+    assert mixed.p_t.tolist() == [0.0, 1.0]
+    assert mixed.integral_value.tolist() == [0.0, math.inf]
+    assert mixed.n_evaluations == 0
+
+
+def test_batch_gate_names_the_first_failing_field(species_table, rh_env, monkeypatch):
+    rh = species_table["rh"]
+    fields = np.array([10.0, 22.0, 25.0, 28.0])
+    errors = pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, fields).est_error
+    tolerance = 0.5 * errors[2]
+    first = fields[np.argmax(errors > tolerance)]
+    assert first > fields[0]
+    monkeypatch.setattr(tunneling, "P_TOL", tolerance)
+    with pytest.raises(NumericalError, match=f"Rh step 1->2 at {first} V/nm"):
+        pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, fields)
+
+
+def test_step_rejects_bad_fields(species_table, si_env):
+    si = species_table["si"]
+    for bad in (0.0, -1.0, math.inf, math.nan, np.array([20.0, 0.0]), np.ones((2, 2))):
+        with pytest.raises(DomainError):
+            pfi_step_probability(si, si_env, KINGHAM_Z, 1, bad)
+
+
+def test_rate_on_a_field_array_matches_scalar_calls(species_table, si_env):
+    si = species_table["si"]
+    fields = np.array([[8.0], [19.6], [30.0]])
+    z = np.geomspace(0.06, 199.0, 9)
+    rates = rate_constant(si, si_env, KINGHAM_Z, 1, fields, z)
+    assert rates.shape == (3, 9)
+    for (field,), row in zip(fields.tolist(), rates):
+        assert row.tolist() == rate_constant(si, si_env, KINGHAM_Z, 1, field, z).tolist()
