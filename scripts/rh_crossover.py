@@ -25,7 +25,7 @@ def main() -> None:
     env = Environment(work_function_ev=args.phi)
 
     geometry = critical_distance(rh, env, 1, args.field)
-    k_ev = kinetic_energy(rh, env, args.field, 1, (), geometry.l_c_nm)
+    k_ev = kinetic_energy(rh, args.field, 1, (), geometry.l_c_nm)
     step = pfi_step_probability(rh, env, KINGHAM_Z, 1, args.field)
     crossover = find_f50(rh, env, KINGHAM_Z)
 

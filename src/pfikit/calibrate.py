@@ -18,8 +18,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from ._numerics import brentq
 from .curves import find_f50
 from .errors import BracketError, DomainError, FitRangeError, NumericalError
 from .geometry import Environment
@@ -118,7 +117,8 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
     points.sort()
     for (xa, fa), (xb, fb) in zip(points, points[1:]):
         if (fa - target) * (fb - target) <= 0.0:
-            x = float(brentq(lambda x: f(x) - target, xa, xb, xtol=xtol))
+            x, _ = brentq(lambda x: f(x) - target, xa, xb, fa - target, fb - target,
+                          xtol=xtol)
             achieved = f(x)
             if abs(achieved - target) >= FIT_RESIDUAL_VNM:
                 raise NumericalError(f"{label}: residual {achieved - target:.4f} V/nm "

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
+from ._numerics import brentq, pchip
 from .errors import (AmbiguityError, BracketError, ConfigError, DomainError,
                      NumericalError)
 from .geometry import Environment
@@ -156,15 +155,15 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
             f"{species.name}: CSR is {g_lo + 0.5:.4g} at {lo} V/nm and "
             f"{g_hi + 0.5:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
             achievable=(g_lo + 0.5, g_hi + 0.5))
-    root = brentq(g, lo, hi, xtol=1e-9, rtol=8.9e-16)
-    achieved = g(root) + 0.5
+    root, g_root = brentq(g, lo, hi, g_lo, g_hi, xtol=1e-9, rtol=8.9e-16)
+    achieved = g_root + 0.5
     if abs(achieved - 0.5) >= 1e-6:
         # CSR can jump over 0.5 where the barrier vanishes below the
         # crossing field; there is no proper 50 % crossover then.
         raise NumericalError(
             f"{species.name}: CSR jumps over 0.5 near {root:.3f} V/nm "
             f"(reaches {achieved:.4g}); the crossover is discontinuous")
-    return CrossoverResult(float(root), (lo, hi), achieved)
+    return CrossoverResult(root, (lo, hi), achieved)
 
 
 def _monotone_runs(values: tuple[float, ...]) -> list[tuple[int, int]]:
@@ -191,10 +190,7 @@ def _invert_on_run(curve: KinghamCurve, run: tuple[int, int], value: float) -> f
     y = curve.field_grid_vnm[i:j + 1]
     if x[0] > x[-1]:
         x, y = x[::-1], y[::-1]
-    if len(x) == 2:
-        t = (value - x[0]) / (x[1] - x[0])
-        return y[0] + t * (y[1] - y[0])
-    return float(PchipInterpolator(x, y, extrapolate=False)(value))
+    return pchip(x, y, value)
 
 
 def csr_to_field(curve: KinghamCurve, csr: float,

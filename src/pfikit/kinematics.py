@@ -14,7 +14,6 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import DomainError, NonphysicalKinematicsError
-from .geometry import Environment
 from .species import SpeciesParams
 
 
@@ -26,8 +25,7 @@ def _energy_debt_ev(field_vnm, crossing_history_nm: Sequence):
     return debt
 
 
-def kinetic_energy_unchecked(env: Environment, field_vnm, n: int,
-                             crossing_history_nm: Sequence, l_nm):
+def kinetic_energy_unchecked(field_vnm, n: int, crossing_history_nm: Sequence, l_nm):
     """k_n(L) in eV, possibly negative (classically forbidden), for checked inputs: the
     field, the crossing distances and L are floats or arrays that broadcast together."""
     return (n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm
@@ -48,7 +46,7 @@ def forbidden_gap_nm(field_vnm: float, n: int,
     return n * n * CONSTANTS.c_image_evnm / q, q / (n * field_vnm)
 
 
-def kinetic_energy(species: SpeciesParams, env: Environment, field_vnm: float, n: int,
+def kinetic_energy(species: SpeciesParams, field_vnm: float, n: int,
                    crossing_history_nm: Sequence[float], l_nm: float) -> float:
     """Kinetic energy (eV) of the ion at distance L in charge state n.
 
@@ -60,7 +58,7 @@ def kinetic_energy(species: SpeciesParams, env: Environment, field_vnm: float, n
     if not (field_vnm > 0.0 and l_nm > 0.0 and all(z > 0.0 for z in crossing_history_nm)):
         raise DomainError(f"field, L and crossing distances must be > 0, got {field_vnm} "
                           f"V/nm, {l_nm} nm, {tuple(crossing_history_nm)} nm")
-    k = kinetic_energy_unchecked(env, field_vnm, n, crossing_history_nm, l_nm)
+    k = kinetic_energy_unchecked(field_vnm, n, crossing_history_nm, l_nm)
     if k < 0.0:
         raise NonphysicalKinematicsError(
             f"{species.name}: k({l_nm:.6g} nm) = {k:.6g} eV < 0 in charge state {n}")

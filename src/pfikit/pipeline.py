@@ -398,11 +398,13 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
     def path_of(name: str) -> str:
         return os.path.join(base_dir, name)
 
+    if not isinstance(config, dict):
+        raise ConfigError(f"pipeline config must be a JSON object, not {type(config).__name__}")
     for key in ("peaks", "reference", "curves"):
         if key not in config:
             raise ConfigError(f"pipeline config lacks the {key!r} key")
 
-    peak_set = read_peaks_csv(path_of(config["peaks"]))
+    peak_set = read_peaks_csv(path_of(_config_value(config, "peaks", os.fspath, "the top level")))
     compositions = (_config_value(config, "compositions", _object_of(_name_and_number),
                                   "the top level") if config.get("compositions") else {})
 
@@ -429,7 +431,9 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
     counts_before = primary_counts(peak_set)
     counts = dict(counts_before)
     resolutions = []
-    for index, raw_case in enumerate(config.get("overlaps", ())):
+    overlaps = (_config_value(config, "overlaps", list, "the top level")
+                if config.get("overlaps") else [])
+    for index, raw_case in enumerate(overlaps):
         where = f"overlap {index}"
         case = OverlapCase(_config_value(raw_case, "shared_mz", float, where),
                            _config_value(raw_case, "anchor", _name_and_number, where),
@@ -455,8 +459,10 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
                                  + resolution.remainder_counts)
         resolutions.append(resolution)
 
-    flags = audit_consistency(peak_set, counts, fractions, tuple(resolutions),
-                              config.get("nominal_fraction"), compositions)
+    nominal = (_config_value(config, "nominal_fraction", _object_of(float), "the top level")
+               if config.get("nominal_fraction") else None)
+    flags = audit_consistency(peak_set, counts, fractions, tuple(resolutions), nominal,
+                              compositions)
     return ResolutionReport(
         ref_species, ref_csr, estimate, fractions, counts_before, counts,
         composition_by_element(counts_before, compositions),

@@ -97,8 +97,9 @@ def load_species_file(path: str | Path) -> list[SpeciesParams]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse species file {path}: {exc}") from exc
     entries = raw.get("species", [raw]) if isinstance(raw, dict) else raw
-    if not entries:
-        raise ConfigError(f"no species in {path}")
+    if not (isinstance(entries, list) and entries):
+        raise ConfigError(f"no species in {path}: expected an object, a list of objects "
+                          "or {\"species\": [...]}")
     return [_species_from_dict(e) for e in entries]
 
 

@@ -18,13 +18,14 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
+from ._numerics import nnls
 from .errors import ConfigError, DegenerateMatrixError, DomainError
 from .species import asset_path
 
 RANGING_TOLERANCE_DA = 0.25
 COLINEAR_COSINE = 1.0 - 1e-9
+MAX_COUNTS = 2.0 ** 53  # largest count a double holds exactly; keeps the NNLS free of overflow
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ class Peak:
     assignments: tuple[Assignment, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 <= self.counts < math.inf:
+        if not 0.0 <= self.counts <= MAX_COUNTS:
             raise DomainError(
-                f"peak at {self.mz_da} Da: counts {self.counts} must be finite and >= 0")
+                f"peak at {self.mz_da} Da: counts {self.counts} must lie in [0, 2**53]")
         if not 0.0 < self.mz_da < math.inf:
             raise DomainError(f"peak m/z {self.mz_da} Da must be positive and finite")
 

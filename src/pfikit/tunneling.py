@@ -103,14 +103,14 @@ def _rate_au(species: SpeciesParams, zmodel: ZModel, n: int, f_au, z_au):
                     pre * np.exp(arg) / (TWO52 * i32))[()]
 
 
-def clamp_distance_au(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                      field_vnm: float) -> float:
-    """Distance z* >= z_c where the barrier residual b(z) = I - Z(n, z) F / I - F z reaches 0.
+def clamp_distance_au(species: SpeciesParams, zmodel: ZModel, n: int, field_vnm: float,
+                      z_c: float) -> float:
+    """Distance z* >= z_c where the barrier residual b(z) = I - Z(n, z) F / I - F z reaches 0;
+    z_c is the floored critical distance of the step (``_critical_z_au``).
 
     Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and
     z* is its larger root; above the cap b is linear in z. z* = z_c where b(z_c) <= 0.
     """
-    z_c = _critical_z_au(species, env, n, field_vnm)
     i_ha = to_hartree(species.ie_ev(n + 1))
     f_au = field_to_au(field_vnm)
     z_fixed = n + zmodel.c0
@@ -154,7 +154,7 @@ def _allowed_pieces(species: SpeciesParams, env: Environment, zmodel: ZModel, n:
     # argument cap (a kink) and the roots of k_n (1/sqrt(k) end points), then
     # drop the pieces inside the forbidden gap, which the ion never reaches.
     gap_lo, gap_hi = (x / bohr for x in forbidden_gap_nm(field_vnm, n, history_nm))
-    cuts = (clamp_distance_au(species, env, zmodel, n, field_vnm), Z_ARG_CAP_AU, gap_lo, gap_hi)
+    cuts = (clamp_distance_au(species, zmodel, n, field_vnm, z_c), Z_ARG_CAP_AU, gap_lo, gap_hi)
     edges = sorted({z_c, Z_MAX_AU, *(p for p in cuts if z_c < p < Z_MAX_AU)})
     return "", [(lo, hi, field_vnm, field_to_au(field_vnm), *history_nm)
                 for lo, hi in zip(edges, edges[1:]) if lo < gap_lo or hi > gap_hi]
@@ -185,11 +185,15 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
         (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
         lo, hi, f_vnm, f_au, *history_nm = np.array(pieces).T[:, :, None]
         z = lo + (hi - lo) * np.concatenate((s_fine, s_coarse))
-        k_ev = kinetic_energy_unchecked(env, f_vnm, n, history_nm, z * CONSTANTS.bohr_in_nm)
-        u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev) / mass_amu_to_me(species.mass_amu))
-        f = (hi - lo) * _rate_au(species, zmodel, n, f_au, z) / u_au
-        value += np.bincount(owner, f[:, :RULE_ORDER] @ w_fine, fields.size)
-        coarse += np.bincount(owner, f[:, RULE_ORDER:] @ w_coarse, fields.size)
+        # extreme model inputs can overflow here; the check below turns a
+        # non-finite integral into a NumericalError, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k_ev = kinetic_energy_unchecked(f_vnm, n, history_nm, z * CONSTANTS.bohr_in_nm)
+            u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev)
+                           / mass_amu_to_me(species.mass_amu))
+            f = (hi - lo) * _rate_au(species, zmodel, n, f_au, z) / u_au
+            value += np.bincount(owner, f[:, :RULE_ORDER] @ w_fine, fields.size)
+            coarse += np.bincount(owner, f[:, RULE_ORDER:] @ w_coarse, fields.size)
     p_t = -np.expm1(-value)
     est_error = np.abs(np.expm1(-coarse) + p_t)
     for f_vnm, note, v, err in zip(fields.tolist(), notes, value.tolist(), est_error.tolist()):

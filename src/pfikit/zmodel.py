@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +21,11 @@ class ZModel:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.c1 < 0.0:
-            raise ConfigError(f"ZModel c1 must be >= 0, got {self.c1}")
+        if not 0.0 <= self.c1 < math.inf:
+            raise ConfigError(f"ZModel c1 must be finite and >= 0, got {self.c1}")
+        # Z(1, z0) = 1 + c0 + c1/z0 stays positive at every z0 only for c0 > -1
+        if not -1.0 < self.c0 < math.inf:
+            raise ConfigError(f"ZModel c0 must be finite and > -1, got {self.c0}")
 
     def z(self, n: int, z0_au):
         """Z for source charge state n at distance z0 (a.u.), a float or an array."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -41,6 +42,9 @@ PIPELINE_CONFIG_FAULTS = (
     ("shared_mz", lambda c: c["overlaps"][1].update(shared_mz="abc")),
     ("curves", lambda c: c.update(curves=sorted(c["curves"].values()))),
     ("compositions", lambda c: c.update(compositions={"As": ["As"]})),
+    ("peaks", lambda c: c.update(peaks=-1)),
+    ("overlaps", lambda c: c.update(overlaps=5)),
+    ("nominal_fraction", lambda c: c.update(nominal_fraction="As")),
 )
 
 
@@ -73,6 +77,37 @@ def test_config_validation_exits_2(fixtures_dir, tmp_path, capsys):
         assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--zmodel", '{"c0": 1e999, "c1": 4.5}'),
+    ("--zmodel", '{"c0": 1.0, "c1": NaN}'),
+    ("--zmodel", '{"c0": -5, "c1": 4.5}'),
+    ("--species", "-1"),
+    ("--species", '{"species": 5}'),
+], ids=["infinite-c0", "nan-c1", "c0-below-minus-1", "species-number", "species-not-a-list"])
+def test_malformed_model_files_exit_2(flag, text, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    species = [] if flag == "--species" else ["--species", "si"]
+    assert main(["f50", *species, flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("pfikit: error: ")
+
+
+def test_overflowing_model_exits_3_without_warnings(capsys):
+    # a huge but finite c1 overflows the rate; the unresolved integral is the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit-z", "--species", "si3", "--target", "17.7", "--c1", "1e300"]) == 3
+    assert "not resolved" in capsys.readouterr().err
+
+
+def test_resolve_needs_a_json_object(tmp_path, capsys):
+    for text in ("-1", "[1, 2]", "\"peaks\""):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["resolve", "--config", str(path)]) == 2
+        assert "pipeline config must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["deconv", "--peaks", "p.csv", "--species", "si"],
     ["csr", "--peaks", "p.csv", "--name", "Si", "--phi", "4.9"],
@@ -97,8 +132,10 @@ def test_commands_reject_model_flags_they_ignore(argv):
     ("mz_Da,counts,assignments\n28,nan,Si:1:28\n", ["deconv", "--peaks", "{path}"]),
     ("mz_Da,counts,assignments\n28,inf,Si:1:28\n",
      ["csr", "--raw", "--name", "Si", "--peaks", "{path}"]),
+    ("mz_Da,counts,assignments\n28,1e308,Si:1:28;Si2:2:56\n29,10,Si:1:29\n",
+     ["deconv", "--peaks", "{path}"]),
 ], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes", "nan-mz",
-        "nan-counts", "inf-counts"])
+        "nan-counts", "inf-counts", "huge-counts"])
 def test_unreadable_inputs_exit_2(text, argv, tmp_path, capsys):
     path = tmp_path / "input.csv"
     if text is not None:

@@ -34,15 +34,14 @@ def telescoped_energy(field, history, l_nm):
 def test_rh_launch_energy_anchor(species_table, rh_env):
     rh = species_table["rh"]
     l_c = critical_distance(rh, rh_env, 1, 25.0).l_c_nm
-    k = kinetic_energy(rh, rh_env, 25.0, 1, (), l_c)
+    k = kinetic_energy(rh, 25.0, 1, (), l_c)
     assert k == pytest.approx(5.6094, abs=1e-3)
 
 
-def test_energy_vanishes_at_hump(species_table, si_env):
-    si = species_table["si"]
+def test_energy_vanishes_at_hump():
     for field in (10.0, 21.3, 35.0):
         l_i = hump_position(field)
-        assert abs(kinetic_energy_unchecked(si_env, field, 1, (), l_i)) < 1e-9
+        assert abs(kinetic_energy_unchecked(field, 1, (), l_i)) < 1e-9
 
 
 def test_two_route_agreement(species_table, si_env):
@@ -51,7 +50,7 @@ def test_two_route_agreement(species_table, si_env):
     z1 = critical_distance(si3, si_env, 1, field).l_c_nm
     z2 = critical_distance(si3, si_env, 2, field).l_c_nm
     for n, history, l_nm in [(1, (), 0.8), (2, (z1,), 1.2), (3, (z1, z2), 2.0)]:
-        package = kinetic_energy_unchecked(si_env, field, n, history, l_nm)
+        package = kinetic_energy_unchecked(field, n, history, l_nm)
         oracle = telescoped_energy(field, history, l_nm)
         assert package == pytest.approx(oracle, abs=1e-9)
 
@@ -63,9 +62,9 @@ def test_forbidden_region_raises(species_table, si_env):
     field = 10.0
     z1 = critical_distance(si3, si_env, 1, field).l_c_nm
     l_min = 2.0 * math.sqrt(CONSTANTS.c_image_evnm / field)
-    assert kinetic_energy_unchecked(si_env, field, 2, (z1,), l_min) < 0.0
+    assert kinetic_energy_unchecked(field, 2, (z1,), l_min) < 0.0
     with pytest.raises(NonphysicalKinematicsError):
-        kinetic_energy(si3, si_env, field, 2, (z1,), l_min)
+        kinetic_energy(si3, field, 2, (z1,), l_min)
 
 
 def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
@@ -74,27 +73,27 @@ def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     history = (critical_distance(si3, si_env, 1, field).l_c_nm,)
     lo, hi = forbidden_gap_nm(field, 2, history)
     l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
-    k = kinetic_energy_unchecked(si_env, field, 2, history, l_nm)
+    k = kinetic_energy_unchecked(field, 2, history, l_nm)
     inside = (l_nm > lo) & (l_nm < hi)
     assert np.all(k[inside] < 0.0) and np.all(k[~inside] >= -1e-12)
     for root in (lo, hi):
-        assert abs(kinetic_energy_unchecked(si_env, field, 2, history, root)) < 1e-9
+        assert abs(kinetic_energy_unchecked(field, 2, history, root)) < 1e-9
     # the first step touches zero only at the hump: at most a rounding-wide gap
     for field in (5.0, 10.0, 21.3, 35.0):
         lo, hi = forbidden_gap_nm(field, 1, ())
         assert hi - lo < 1e-6
 
 
-def test_history_length_checked(species_table, si_env):
+def test_history_length_checked(species_table):
     with pytest.raises(DomainError):
-        kinetic_energy(species_table["si3"], si_env, 16.0, 2, (), 1.0)
+        kinetic_energy(species_table["si3"], 16.0, 2, (), 1.0)
     with pytest.raises(DomainError):
-        kinetic_energy(species_table["si"], si_env, 16.0, 1, (0.4,), 1.0)
+        kinetic_energy(species_table["si"], 16.0, 1, (0.4,), 1.0)
 
 
-def test_nonpositive_inputs_rejected(species_table, si_env):
+def test_nonpositive_inputs_rejected(species_table):
     si = species_table["si"]
     with pytest.raises(DomainError):
-        kinetic_energy(si, si_env, -1.0, 1, (), 1.0)
+        kinetic_energy(si, -1.0, 1, (), 1.0)
     with pytest.raises(DomainError):
-        kinetic_energy(si, si_env, 20.0, 1, (), 0.0)
+        kinetic_energy(si, 20.0, 1, (), 0.0)

@@ -119,7 +119,7 @@ def test_critical_distance_solves_its_quadratic(field):
 @given(st.floats(min_value=5.0, max_value=40.0))
 def test_first_step_energy_vanishes_at_the_hump(field):
     l_i = hump_position(field)
-    k = kinetic_energy_unchecked(SI_ENV, field, 1, (), l_i)
+    k = kinetic_energy_unchecked(field, 1, (), l_i)
     assert abs(k) < 1e-9
 
 
@@ -129,7 +129,7 @@ def test_first_step_energy_vanishes_at_the_hump(field):
 def test_first_step_energy_is_a_perfect_square(field, l_nm):
     # k1(L) = (F/L) (L - L_i)^2: nonnegative with a double zero at the hump
     l_i = hump_position(field)
-    k = kinetic_energy_unchecked(SI_ENV, field, 1, (), l_nm)
+    k = kinetic_energy_unchecked(field, 1, (), l_nm)
     expected = (field / l_nm) * (l_nm - l_i) ** 2
     assert abs(k - expected) <= 1e-9
     assert k >= -1e-12

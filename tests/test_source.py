@@ -1,19 +1,23 @@
 """Source hygiene: every name a module imports is used in that module, and the
-step integral has one path: no module imports ``scipy.integrate``, and
-``tunneling.py`` imports nothing from scipy (its clamp distance is closed form,
-not a root finder)."""
+package runs on numpy alone: no module imports scipy in any form (its root
+finder, interpolant and NNLS are ``pfikit._numerics``), and importing the CLI
+loads no scipy module."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import pfikit
 
-MODULES = sorted(p for p in pathlib.Path(pfikit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = pathlib.Path(pfikit.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,13 +40,19 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def _imports_from(source: str, package: str) -> list[str]:
-    """Lines that import ``package`` or anything inside it."""
+    """Lines that import ``package`` or anything inside it, by statement or by a
+    ``__import__``/``import_module`` call on a literal name."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            modules = [node.args[0].value]
         else:
             continue
         if any(m == package or m.startswith(package + ".") for m in modules):
@@ -55,14 +65,19 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_scipy_integrate(path):
-    assert _imports_from(path.read_text(), "scipy.integrate") == []
-
-
-def test_tunneling_imports_nothing_from_scipy():
-    path = pathlib.Path(pfikit.__file__).parent / "tunneling.py"
+    # named for the scipy.integrate check it started as; it now rejects every scipy import
     assert _imports_from(path.read_text(), "scipy") == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, pfikit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_guard_sees_an_unused_import():
@@ -80,5 +95,7 @@ def test_guard_sees_scipy_integrate():
 def test_guard_sees_any_scipy_import():
     source = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
               "import scipy\nfrom scipy.optimize import brentq\nimport scipyx\n"
-              "from scipy import optimize\n")
-    assert _imports_from(source, "scipy") == ["line 3", "line 4", "line 6"]
+              "from scipy import optimize\nimportlib.import_module('scipy.optimize')\n"
+              "__import__('scipy')\nimportlib.import_module('scipyx')\n")
+    assert _imports_from(source, "scipy") == ["line 3", "line 4", "line 6", "line 7",
+                                              "line 8"]

@@ -235,7 +235,7 @@ def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels
             for n in range(1, min(sp.max_charge, 3)):
                 for field in fields:
                     z_c = tunneling._critical_z_au(sp, CLI_ENV, n, field)
-                    z_star = tunneling.clamp_distance_au(sp, CLI_ENV, zmodel, n, field)
+                    z_star = tunneling.clamp_distance_au(sp, zmodel, n, field, z_c)
                     b_c, i_ha = _barrier_residual(sp, zmodel, n, field, z_c)
                     if b_c <= 0.0:
                         assert z_star == z_c
@@ -257,7 +257,8 @@ def test_clamp_distance_without_c1_is_the_linear_root(species_table):
     # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so z* = I / F - (n + c0) / I
     si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
     i_ha, f_au = to_hartree(si.ie_ev(2)), field_to_au(30.0)
-    z_star = tunneling.clamp_distance_au(si, CLI_ENV, zmodel, 1, 30.0)
+    z_c = tunneling._critical_z_au(si, CLI_ENV, 1, 30.0)
+    z_star = tunneling.clamp_distance_au(si, zmodel, 1, 30.0, z_c)
     assert z_star < tunneling.Z_ARG_CAP_AU
     assert z_star == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
 
