@@ -26,6 +26,8 @@ from .zmodel import ZModel
 
 CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
 FIELD_BLOCK = 64  # fields per charge_fractions call in a curve; bounds the node arrays' memory
+MAX_GRID_POINTS = 200_000  # largest field grid; a finer --grid step is a typo, not a curve
+F50_PROBES = 17  # fields of the one charge_fractions call that brackets an F50, ends included
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,9 @@ class FieldGrid:
                 f"field grid [{self.low_vnm}, {self.high_vnm}] V/nm must lie in (0, 60]")
         if not 0.0 < self.step_vnm < math.inf:
             raise DomainError(f"grid step {self.step_vnm} V/nm must be positive and finite")
+        if not (self.high_vnm - self.low_vnm) / self.step_vnm < MAX_GRID_POINTS - 1:
+            raise DomainError(f"grid {self.low_vnm}:{self.high_vnm}:{self.step_vnm} V/nm "
+                              f"has more than {MAX_GRID_POINTS} points")
 
     def points(self) -> tuple[float, ...]:
         n = int(round((self.high_vnm - self.low_vnm) / self.step_vnm))
@@ -141,21 +146,26 @@ def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
              search_vnm: tuple[float, float] = (5.0, 45.0)) -> CrossoverResult:
-    """Locate the field where the CSR crosses 0.5 inside ``search_vnm``."""
+    """Lowest field in ``search_vnm`` where the CSR crosses 0.5 upward: one call on
+    F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0, and
+    Brent's method solves in that cell, the reported bracket, from the call's values."""
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
 
-    def g(f_vnm: float) -> float:
-        return evaluate_csr(species, env, zmodel, f_vnm) - 0.5
-
-    g_lo, g_hi = g(lo), g(hi)
+    probes = np.linspace(lo, hi, F50_PROBES).tolist()
+    rows = zip(*(f.tolist() for f in charge_fractions(species, env, zmodel, np.array(probes))))
+    g_probes = [csr_from_fractions(row) - 0.5 for row in rows]
+    g_lo, g_hi = g_probes[0], g_probes[-1]
     if not g_lo < 0.0 < g_hi:
         raise BracketError(
             f"{species.name}: CSR is {g_lo + 0.5:.4g} at {lo} V/nm and "
             f"{g_hi + 0.5:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
             achievable=(g_lo + 0.5, g_hi + 0.5))
-    root, g_root = brentq(g, lo, hi, g_lo, g_hi, xtol=1e-9, rtol=8.9e-16)
+    k = next(k for k, (a, b) in enumerate(zip(g_probes, g_probes[1:])) if a < 0.0 <= b)
+    cell = probes[k], probes[k + 1]
+    root, g_root = brentq(lambda f_vnm: evaluate_csr(species, env, zmodel, f_vnm) - 0.5, *cell,
+                          g_probes[k], g_probes[k + 1], xtol=1e-9, rtol=8.9e-16)
     achieved = g_root + 0.5
     if abs(achieved - 0.5) >= 1e-6:
         # CSR can jump over 0.5 where the barrier vanishes below the
@@ -163,7 +173,7 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
         raise NumericalError(
             f"{species.name}: CSR jumps over 0.5 near {root:.3f} V/nm "
             f"(reaches {achieved:.4g}); the crossover is discontinuous")
-    return CrossoverResult(root, (lo, hi), achieved)
+    return CrossoverResult(root, cell, achieved)
 
 
 def _monotone_runs(values: tuple[float, ...]) -> list[tuple[int, int]]:

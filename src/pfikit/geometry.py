@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError
 from .species import SpeciesParams
@@ -21,10 +23,11 @@ class Environment:
     screening_length_nm: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.work_function_ev > 0.0:
-            raise ConfigError(f"work function must be > 0 eV, got {self.work_function_ev}")
-        if self.screening_length_nm < 0.0:
-            raise ConfigError(f"screening length must be >= 0 nm, got {self.screening_length_nm}")
+        if not 0.0 < self.work_function_ev < math.inf:
+            raise ConfigError(f"work function must be finite, > 0 eV, got {self.work_function_ev}")
+        if not 0.0 <= self.screening_length_nm < math.inf:
+            raise ConfigError(f"screening length must be finite, >= 0 nm, "
+                              f"got {self.screening_length_nm}")
 
 
 @dataclass(frozen=True)
@@ -44,30 +47,29 @@ class CrossingGeometry:
     barrier_vanished: bool
 
 
-def hump_position(field_vnm: float) -> float:
-    """Schottky hump L_i = 0.5*sqrt(W/F) in nm."""
-    if not field_vnm > 0.0:
+def hump_position(field_vnm):
+    """Schottky hump L_i = 0.5*sqrt(W/F) in nm, a float or an array like the field."""
+    if not np.greater(field_vnm, 0.0).all():
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    return 0.5 * math.sqrt(CONSTANTS.w_image_evnm / field_vnm)
+    l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / np.asarray(field_vnm, dtype=float))
+    return l_i if l_i.ndim else l_i.item()
 
 
 def critical_distance(species: SpeciesParams, env: Environment, n: int,
-                      field_vnm: float) -> CrossingGeometry:
-    """Critical distance for PFI step n -> n+1 at the given field.
+                      field_vnm) -> CrossingGeometry:
+    """Critical distance for PFI step n -> n+1 at a field, a float or an array.
 
     L_c is the larger root of F*L^2 - (I_{n+1} - phi)*L + (2n+1)*W/4 = 0;
-    PFI is energetically allowed beyond it.
+    PFI is energetically allowed beyond it. An array field gives array members.
     """
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    if not field_vnm > 0.0:
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    w = CONSTANTS.w_image_evnm
-    a = species.ie_ev(n + 1) - env.work_function_ev
-    disc = a * a - (2 * n + 1) * field_vnm * w
     l_i = hump_position(field_vnm)
-    if disc < 0.0:
-        return CrossingGeometry(0.0, 0.0, l_i, disc, True)
-    l_c = (a + math.sqrt(disc)) / (2.0 * field_vnm)
-    z_c = l_c - env.screening_length_nm
-    return CrossingGeometry(l_c, z_c, l_i, disc, False)
+    field = np.asarray(field_vnm, dtype=float)
+    a = species.ie_ev(n + 1) - env.work_function_ev
+    disc = a * a - (2 * n + 1) * field * CONSTANTS.w_image_evnm
+    vanished = disc < 0.0
+    l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field))
+    z_c = np.where(vanished, 0.0, l_c - env.screening_length_nm)
+    members = (l_c, z_c, np.asarray(l_i), disc, vanished)
+    return CrossingGeometry(*(v if field.ndim else v.item() for v in members))

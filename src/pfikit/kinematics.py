@@ -7,7 +7,6 @@ it is accelerated at and adds an image-energy offset.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import DomainError, NonphysicalKinematicsError
 from .species import SpeciesParams
 
 
-def _energy_debt_ev(field_vnm, crossing_history_nm: Sequence):
+def energy_debt_ev(field_vnm, crossing_history_nm: Sequence):
     """K in k_n(L) = n F L + n^2 C / L - K: the hump escape and each completed step."""
     debt = CONSTANTS.c_s * np.sqrt(field_vnm)
     for r, z_r in enumerate(crossing_history_nm, start=1):
@@ -25,25 +24,26 @@ def _energy_debt_ev(field_vnm, crossing_history_nm: Sequence):
     return debt
 
 
-def kinetic_energy_unchecked(field_vnm, n: int, crossing_history_nm: Sequence, l_nm):
-    """k_n(L) in eV, possibly negative (classically forbidden), for checked inputs: the
-    field, the crossing distances and L are floats or arrays that broadcast together."""
-    return (n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm
-            - _energy_debt_ev(field_vnm, crossing_history_nm))
+def kinetic_energy_unchecked(field_vnm, n, crossing_history_nm: Sequence, l_nm, debt_ev=None):
+    """k_n(L) in eV, possibly negative (classically forbidden), for checked floats or arrays
+    that broadcast together; ``debt_ev`` replaces ``energy_debt_ev`` of field and history."""
+    if debt_ev is None:
+        debt_ev = energy_debt_ev(field_vnm, crossing_history_nm)
+    return n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm - debt_ev
 
 
-def forbidden_gap_nm(field_vnm: float, n: int,
-                     crossing_history_nm: Sequence[float]) -> tuple[float, float]:
-    """L interval (nm) where k_n(L) < 0, or (0, 0) if k_n never goes negative.
+def forbidden_gap_nm(field_vnm, n: int, crossing_history_nm: Sequence):
+    """L interval (nm) where k_n(L) < 0, or (0, 0) if k_n never goes negative; floats, or
+    arrays like the field and the crossing distances.
 
     k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
     """
-    debt = _energy_debt_ev(field_vnm, crossing_history_nm)
+    debt = energy_debt_ev(field_vnm, crossing_history_nm)
     disc = debt * debt - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
-    if not disc > 0.0:
-        return 0.0, 0.0
-    q = 0.5 * (debt + math.sqrt(disc))
-    return n * n * CONSTANTS.c_image_evnm / q, q / (n * field_vnm)
+    q = 0.5 * (debt + np.sqrt(np.maximum(disc, 0.0)))
+    lo, hi = (np.where(disc > 0.0, x, 0.0) for x in (n * n * CONSTANTS.c_image_evnm / q,
+                                                      q / (n * field_vnm)))
+    return (lo, hi) if lo.ndim else (lo.item(), hi.item())
 
 
 def kinetic_energy(species: SpeciesParams, field_vnm: float, n: int,

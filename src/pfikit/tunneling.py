@@ -20,10 +20,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import Environment, critical_distance, hump_position
-from .kinematics import forbidden_gap_nm, kinetic_energy_unchecked
+from .geometry import CrossingGeometry, Environment, critical_distance
+from .kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 from .species import SpeciesParams
-from .units import field_to_au, length_to_au, mass_amu_to_me, to_hartree
+from .units import mass_amu_to_me, to_hartree
 from .zmodel import ZModel
 
 TWO52 = 2.0 ** 2.5
@@ -57,17 +57,12 @@ def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
     """A^2 nu = I_{n+1} / (6 pi m_q e^(2/3)) in a.u. for step n -> n+1."""
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    i_ha = to_hartree(species.ie_ev(n + 1))
-    return i_ha / (6.0 * math.pi * species.m_q * E23)
+    return to_hartree(species.ie_ev(n + 1)) / (6.0 * math.pi * species.m_q * E23)
 
 
-def _critical_z_au(species: SpeciesParams, env: Environment, n: int,
-                   field_vnm: float) -> float:
-    """Floored critical distance in a.u. for step n -> n+1."""
-    geo = critical_distance(species, env, n, field_vnm)
-    if geo.barrier_vanished:
-        return Z_FLOOR_AU
-    return max(length_to_au(max(geo.z_c_nm, 0.0)), Z_FLOOR_AU)
+def _critical_z_au(geo: CrossingGeometry):
+    """Floored critical distance (a.u.) of a ``critical_distance``; a vanished barrier's 0 too."""
+    return np.maximum(geo.z_c_nm / CONSTANTS.bohr_in_nm, Z_FLOOR_AU)
 
 
 def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
@@ -77,51 +72,47 @@ def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: i
     field_vnm and z0_au are floats or arrays that broadcast together. Distances below
     the critical distance evaluate at it (the rate is only consumed on [z_c, z_max]).
     """
-    if not np.all(np.greater(z0_au, 0.0)):
-        raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
-    z_c, f_au = np.vectorize(lambda f: (_critical_z_au(species, env, n, f), field_to_au(f)),
-                             otypes=[float, float])(field_vnm)
-    return _rate_au(species, zmodel, n, f_au, np.maximum(z0_au, z_c))
+    if not (np.greater(z0_au, 0.0).all() and np.isfinite(field_vnm).all()):
+        raise DomainError(f"z0 must be > 0 a.u. and the field finite, got {z0_au}, {field_vnm}")
+    z_c = _critical_z_au(critical_distance(species, env, n, field_vnm))
+    return _rate_au(zmodel, n, to_hartree(species.ie_ev(n + 1)), prefactor_a2nu(species, n),
+                    np.asarray(field_vnm) / CONSTANTS.field_au_in_vnm, np.maximum(z0_au, z_c))
 
 
-def _rate_au(species: SpeciesParams, zmodel: ZModel, n: int, f_au, z_au):
-    """R at distances z_au >= z_c for fields f_au (a.u.) that broadcast against them."""
-    i_ha = to_hartree(species.ie_ev(n + 1))
+def _rate_au(zmodel: ZModel, n, i_ha, a2nu, f_au, z_au):
+    """R at distances z_au >= z_c for step n with I_{n+1} = i_ha (Hartree) and A^2 nu = a2nu,
+    at fields f_au (a.u.); all broadcast together."""
     z_eff = zmodel.z(n, np.minimum(z_au, Z_ARG_CAP_AU))
-    b = np.maximum(i_ha - z_eff * f_au / i_ha - f_au * z_au, 0.0)
+    zf = z_eff * f_au
+    b = np.maximum(i_ha - zf / i_ha - f_au * z_au, 0.0)
     i32 = i_ha ** 1.5
-    pre = prefactor_a2nu(species, n) * 6.0 * math.pi * f_au
-    zs2i = z_eff * math.sqrt(2.0 / i_ha)
+    pre = a2nu * 6.0 * math.pi * f_au
+    zs2i = z_eff * np.sqrt(2.0 / i_ha)
     arg = -TWO52 * i32 / (3.0 * f_au) + zs2i / 3.0
-    b32 = b ** 1.5
+    b32 = b * np.sqrt(b)
     denom = TWO52 * (i32 - b32)
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise NumericalError("barrier denominator <= 0; clamp invariant violated")
-    near = arg + (TWO52 * b32 / (3.0 * f_au)
-                  + zs2i * np.log(16.0 * i_ha * i_ha / (z_eff * f_au)))
-    return np.where(b > 0.0, NEAR_ZONE_WEIGHT * pre * np.exp(near) / denom,
-                    pre * np.exp(arg) / (TWO52 * i32))[()]
+    # one exponential; the barrier zone adds its terms, weight and WKB denominator
+    near = b > 0.0
+    rate = pre * np.exp(np.where(near, arg + (TWO52 * b32 / (3.0 * f_au)
+                                              + zs2i * np.log(16.0 * i_ha * i_ha / zf)), arg))
+    return np.where(near, NEAR_ZONE_WEIGHT * rate / denom, rate / (TWO52 * i32))[()]
 
 
-def clamp_distance_au(species: SpeciesParams, zmodel: ZModel, n: int, field_vnm: float,
-                      z_c: float) -> float:
-    """Distance z* >= z_c where the barrier residual b(z) = I - Z(n, z) F / I - F z reaches 0;
-    z_c is the floored critical distance of the step (``_critical_z_au``).
+def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au, z_c):
+    """Distance z* >= z_c (a.u., arrays alike) where b(z) = I - Z(n, z) F / I - F z reaches 0.
 
     Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and
     z* is its larger root; above the cap b is linear in z. z* = z_c where b(z_c) <= 0.
     """
-    i_ha = to_hartree(species.ie_ev(n + 1))
-    f_au = field_to_au(field_vnm)
     z_fixed = n + zmodel.c0
-    if i_ha - (z_fixed + zmodel.c1 / min(z_c, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z_c <= 0.0:
-        return z_c
+    b_c = i_ha - (z_fixed + zmodel.c1 / np.minimum(z_c, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z_c
     z_linear = i_ha / f_au - (z_fixed + zmodel.c1 / Z_ARG_CAP_AU) / i_ha
-    if z_linear >= Z_ARG_CAP_AU:
-        return z_linear
     slope = i_ha - z_fixed * f_au / i_ha
     disc = slope * slope - 4.0 * zmodel.c1 * f_au * f_au / i_ha
-    return (slope + math.sqrt(max(disc, 0.0))) / (2.0 * f_au)
+    z_quadratic = (slope + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * f_au)
+    return np.where(b_c <= 0.0, z_c, np.where(z_linear >= Z_ARG_CAP_AU, z_linear, z_quadratic))
 
 
 @functools.cache
@@ -135,87 +126,100 @@ def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(t)), 0.25 * math.pi * w * np.sin(t)
 
 
-def _allowed_pieces(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                    field_vnm: float) -> tuple[str, list[tuple[float, ...]]]:
-    """At one field: an early-out note, or "" and the allowed pieces of [z_c, Z_MAX_AU],
-    each (lo a.u., hi a.u., field V/nm, field a.u., *completed-step crossing distances nm).
-    """
-    z_c = _critical_z_au(species, env, n, field_vnm)
-    if z_c >= Z_MAX_AU:
-        return NOTE_EMPTY, []
-    # The first-step kinetic energy has an exact double zero at the hump
-    # position, so a launch at or below it stalls the ion there and the
-    # dwell-time integral diverges: ionization is certain.
-    if n == 1 and z_c <= length_to_au(hump_position(field_vnm)) < Z_MAX_AU:
-        return NOTE_HUMP, []
-    bohr = CONSTANTS.bohr_in_nm
-    history_nm = tuple(_critical_z_au(species, env, r, field_vnm) * bohr for r in range(1, n))
-    # Cut at the clamp distance (the near-zone weight switches off), the Z
-    # argument cap (a kink) and the roots of k_n (1/sqrt(k) end points), then
-    # drop the pieces inside the forbidden gap, which the ion never reaches.
-    gap_lo, gap_hi = (x / bohr for x in forbidden_gap_nm(field_vnm, n, history_nm))
-    cuts = (clamp_distance_au(species, zmodel, n, field_vnm, z_c), Z_ARG_CAP_AU, gap_lo, gap_hi)
-    edges = sorted({z_c, Z_MAX_AU, *(p for p in cuts if z_c < p < Z_MAX_AU)})
-    return "", [(lo, hi, field_vnm, field_to_au(field_vnm), *history_nm)
-                for lo, hi in zip(edges, edges[1:]) if lo < gap_lo or hi > gap_hi]
+def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: range,
+               field_vnm) -> list[PfiStepResult]:
+    """The steps n -> n+1, n in ``steps``, at a float or 1-D array of fields: array
+    geometry over (steps, fields) cuts [z_c, z_max] into a (steps, fields, 5) layout of
+    pieces, and the kept pieces of every step and field go through one node pass."""
+    fields = np.array(field_vnm, dtype=float, ndmin=1)
+    if fields.ndim != 1 or not (np.isfinite(fields).all() and (fields > 0.0).all()):
+        raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
+    per_step = np.array([(n, prefactor_a2nu(species, n), to_hartree(species.ie_ev(n + 1)))
+                         for n in steps])
+    bohr, f_au = CONSTANTS.bohr_in_nm, fields / CONSTANTS.field_au_in_vnm
+    # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
+    # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
+    edges = np.zeros((len(steps), fields.size, 6))
+    edges[..., 2], edges[..., 5] = Z_ARG_CAP_AU, Z_MAX_AU
+    debt, hump, history_nm = np.empty(edges.shape[:2]), np.zeros(edges.shape[:2], bool), []
+    for n in range(1, steps[-1] + 1):
+        geo = critical_distance(species, env, n, fields)
+        z_c = _critical_z_au(geo)
+        if n in steps:
+            s = n - steps[0]
+            edges[s, :, 0], debt[s] = z_c, energy_debt_ev(fields, history_nm)
+            if n == 1:
+                # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no forbidden gap, but a launch at or
+                # below the hump stalls there, the dwell diverges, and ionization is certain
+                l_i = geo.l_i_nm / bohr
+                hump[s] = (z_c <= l_i) & (l_i < Z_MAX_AU)
+            else:
+                edges[s, :, 3], edges[s, :, 4] = forbidden_gap_nm(fields, n, history_nm)
+        history_nm.append(z_c * bohr)
+    edges[..., 1] = _clamp_distance_au(zmodel, per_step[:, :1], per_step[:, 2:], f_au,
+                                       edges[..., 0])
+    gap = edges[..., 3:5] = edges[..., 3:5] / bohr
+    # z_c >= z_max empties the window; a cut outside [z_c, z_max] leaves an empty piece
+    empty = edges[..., 0] >= Z_MAX_AU
+    early = empty | hump
+    edges = np.sort(np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU), axis=-1)
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    # keep the non-empty pieces outside the forbidden gap, of fields without an early out
+    keep = (hi > lo) & ((lo < gap[..., :1]) | (hi > gap[..., 1:])) & ~early[..., None]
+    step_of, field_of, _ = np.nonzero(keep)
+    lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
+    n, a2nu, i_ha = per_step[step_of].T[:, :, None]
+    f_vnm, f_au = fields[field_of][:, None], f_au[field_of][:, None]
+    (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
+    z = lo + width * np.concatenate((s_fine, s_coarse))
+    # extreme model inputs can overflow here; the check below turns a
+    # non-finite integral into a NumericalError, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k_ev = kinetic_energy_unchecked(f_vnm, n, (), z * bohr, debt[step_of, field_of][:, None])
+        m_au = mass_amu_to_me(species.mass_amu)
+        u_au = np.sqrt(k_ev * (2.0 / (CONSTANTS.hartree_in_ev * m_au)))
+        f = width * _rate_au(zmodel, n, i_ha, a2nu, f_au, z) / u_au
+    # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
+    # field gets the same P in every call; each field's pieces add up in ascending order.
+    # An empty window leaves P = 0; a stalled launch has an infinite integral and P = 1.
+    owner = step_of * fields.size + field_of
+    value, coarse = (np.where(hump, math.inf, np.bincount(owner, np.einsum(
+        "pk,k->p", nodes, weights), hump.size).reshape(hump.shape))
+        for nodes, weights in ((f[:, :RULE_ORDER], w_fine), (f[:, RULE_ORDER:], w_coarse)))
+    p_t = -np.expm1(-value)
+    est_error = np.abs(np.expm1(-coarse) + p_t)
+    resolved = early | np.isfinite(value) & (est_error <= P_TOL)
+    if not resolved.all():
+        s, i = np.argwhere(~resolved)[0]
+        raise NumericalError(
+            f"{species.name} step {steps[s]}->{steps[s] + 1} at {fields[i].item()} V/nm: "
+            f"step integral {value[s, i]:.6e} not resolved (P error estimate "
+            f"{est_error[s, i]:.2e} > {P_TOL:g})")
+    if not np.ndim(field_vnm):
+        p_t, value, est_error = p_t[:, 0].tolist(), value[:, 0].tolist(), est_error[:, 0].tolist()
+    evals = np.bincount(step_of, minlength=len(steps)) * (RULE_ORDER + RULE_ORDER // 2)
+    notes = [NOTE_EMPTY if e else NOTE_HUMP if h else ""
+             for e, h in zip(empty.all(axis=1).tolist(), hump.all(axis=1).tolist())]
+    return [PfiStepResult(*step) for step in zip(p_t, value, est_error, evals.tolist(), notes)]
 
 
 def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
                          field_vnm) -> PfiStepResult:
     """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max]).
 
-    field_vnm is a float or a 1-D array of fields. The allowed pieces of all
-    fields go through one node pass, and their sums are added up per field.
+    field_vnm is a float or a 1-D array of fields, and P, its integral and error estimate
+    are floats or arrays like it; the note is the early-out every field took, else "".
     """
-    fields = np.array(field_vnm, dtype=float, ndmin=1)
-    if fields.ndim != 1 or not all(0.0 < f < math.inf for f in fields.tolist()):
-        raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
-    if not 1 <= n < species.max_charge:
-        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    notes, owner, pieces = [], [], []
-    for i, f_vnm in enumerate(fields.tolist()):
-        note, own = _allowed_pieces(species, env, zmodel, n, f_vnm)
-        notes.append(note)
-        owner += [i] * len(own)
-        pieces += own
-    # an empty window leaves P = 0; a stalled launch has an infinite integral and P = 1
-    value = np.array([math.inf if note == NOTE_HUMP else 0.0 for note in notes])
-    coarse = value.copy()
-    if pieces:
-        (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
-        lo, hi, f_vnm, f_au, *history_nm = np.array(pieces).T[:, :, None]
-        z = lo + (hi - lo) * np.concatenate((s_fine, s_coarse))
-        # extreme model inputs can overflow here; the check below turns a
-        # non-finite integral into a NumericalError, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k_ev = kinetic_energy_unchecked(f_vnm, n, history_nm, z * CONSTANTS.bohr_in_nm)
-            u_au = np.sqrt(2.0 * (k_ev / CONSTANTS.hartree_in_ev)
-                           / mass_amu_to_me(species.mass_amu))
-            f = (hi - lo) * _rate_au(species, zmodel, n, f_au, z) / u_au
-            value += np.bincount(owner, f[:, :RULE_ORDER] @ w_fine, fields.size)
-            coarse += np.bincount(owner, f[:, RULE_ORDER:] @ w_coarse, fields.size)
-    p_t = -np.expm1(-value)
-    est_error = np.abs(np.expm1(-coarse) + p_t)
-    for f_vnm, note, v, err in zip(fields.tolist(), notes, value.tolist(), est_error.tolist()):
-        if not (note or math.isfinite(v) and err <= P_TOL):
-            raise NumericalError(
-                f"{species.name} step {n}->{n + 1} at {f_vnm} V/nm: step integral "
-                f"{v:.6e} not resolved (P error estimate {err:.2e} > {P_TOL:g})")
-    if np.ndim(field_vnm) == 0:
-        p_t, value, est_error = p_t[0].item(), value[0].item(), est_error[0].item()
-    early = set(notes)
-    return PfiStepResult(p_t, value, est_error, len(pieces) * (RULE_ORDER + RULE_ORDER // 2),
-                         note=early.pop() if len(early) == 1 else "")
+    return _pfi_steps(species, env, zmodel, range(n, n + 1), field_vnm)[0]
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
                      field_vnm) -> tuple:
     """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
-    the last state absorbs the tail."""
-    fractions = []
-    survive = 1.0
-    for n in range(1, min(species.max_charge, 3)):
-        step = pfi_step_probability(species, env, zmodel, n, field_vnm)
+    the last state absorbs the tail. All steps go through one ``_pfi_steps`` call."""
+    fractions, survive = [], 1.0
+    for step in _pfi_steps(species, env, zmodel, range(1, min(species.max_charge, 3)),
+                           field_vnm):
         fractions.append(survive * (1.0 - step.p_t))
         survive *= step.p_t
     fractions.append(survive)

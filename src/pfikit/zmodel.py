@@ -29,7 +29,7 @@ class ZModel:
 
     def z(self, n: int, z0_au):
         """Z for source charge state n at distance z0 (a.u.), a float or an array."""
-        if not np.all(np.greater(z0_au, 0.0)):
+        if not np.greater(z0_au, 0.0).all():
             raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
         return n + self.c0 + self.c1 / z0_au
 

@@ -183,6 +183,12 @@ def test_curves_multiple_species_need_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_curves_refuses_a_grid_too_fine_to_build(capsys):
+    # 5:45:1e-9 would be 4e10 points
+    assert main(["curves", "--species", "si", "--grid", "5:45:1e-9"]) == 2
+    assert "more than 200000 points" in capsys.readouterr().err
+
+
 def test_dry_run_writes_nothing(tmp_path, capsys):
     out = tmp_path / "curves"
     assert main(["curves", "--species", "si", "--out", str(out),

@@ -185,3 +185,13 @@ def test_model_commands_on_mutated_flags_and_files(data):
             argv += [f"--target={data.draw(_plausible_or_any(10.0, 30.0))}",
                      f"--ie-index={data.draw(SMALL_INTS)}"]
         _run([command] + argv)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_curves_on_mutated_grids(data):
+    # a tiny step must be refused before any point is built (5:45:1e-9 is 4e10 points)
+    lo, hi = data.draw(_plausible_or_any(5.0, 25.0)), data.draw(_plausible_or_any(25.0, 45.0))
+    step = data.draw(st.one_of(st.sampled_from(("1e-9", "1e-320", "2e-4", "0.5")), FLOATS,
+                               st.floats(0.05, 20.0).map(repr)))
+    _run(["curves", "--species=si", f"--grid={lo}:{hi}:{step}"])

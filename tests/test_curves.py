@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from pfikit import (
@@ -12,9 +13,11 @@ from pfikit import (
     BracketError,
     CrossoverResult,
     DomainError,
+    Environment,
     FieldGrid,
     KinghamCurve,
     NumericalError,
+    charge_fractions,
     csr_from_fractions,
     csr_to_field,
     evaluate_csr,
@@ -23,6 +26,7 @@ from pfikit import (
     read_curve_csv,
     write_curve_csv,
 )
+from pfikit import curves
 
 F50_ANCHORS = {
     "si": 19.8155,
@@ -72,6 +76,33 @@ def test_find_f50_rejects_bad_search_range(species_table, si_env):
         find_f50(species_table["si"], si_env, KINGHAM_Z, search_vnm=(30.0, 10.0))
     with pytest.raises(DomainError):
         find_f50(species_table["si"], si_env, KINGHAM_Z, search_vnm=(5.0, 80.0))
+
+
+def test_f50_is_the_lowest_upward_crossing(species_table):
+    # Rh under Kingham Z at 4.7 eV reaches 0.5 three times: a proper crossing near
+    # 24.9 V/nm, a fall near 39.6 and a jump back near 41.4
+    rh, env = species_table["rh"], Environment(work_function_ev=4.7)
+    assert evaluate_csr(rh, env, KINGHAM_Z, 39.6) > 0.5 > evaluate_csr(rh, env, KINGHAM_Z, 39.65)
+    assert evaluate_csr(rh, env, KINGHAM_Z, 41.4) < 0.5 < evaluate_csr(rh, env, KINGHAM_Z, 41.45)
+    result = find_f50(rh, env, KINGHAM_Z)
+    assert result.f50_vnm == pytest.approx(24.8553, abs=5e-5)
+    lo, hi = result.bracket_vnm
+    assert lo < 24.8553 < hi
+
+
+@pytest.mark.parametrize("name", ["si", "si2", "si3", "rh"])
+def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name):
+    # one batched bracket call, then Brent's steps inside its cell
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return charge_fractions(*args)
+
+    monkeypatch.setattr(curves, "charge_fractions", counted)
+    find_f50(species_table[name], Environment(work_function_ev=4.9), KINGHAM_Z)
+    assert len(calls) <= 8
+    assert np.size(calls[0]) == curves.F50_PROBES
 
 
 def test_discontinuous_crossover_is_refused(species_table, si_env):
@@ -196,3 +227,11 @@ def test_field_grid_points_hit_both_ends():
         FieldGrid(10.0, 5.0, 0.1)
     with pytest.raises(DomainError):
         FieldGrid(5.0, 45.0, 0.0)
+
+
+def test_field_grid_point_count_is_bounded_before_building():
+    # 10^5 points pass; a step that would make 4e10 points is refused up front
+    assert len(FieldGrid(5.0, 45.0, 0.0004).points()) == 100_001
+    for step in (1e-9, 1e-320, 40.0 / curves.MAX_GRID_POINTS):
+        with pytest.raises(DomainError, match="more than"):
+            FieldGrid(5.0, 45.0, step)

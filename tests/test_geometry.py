@@ -100,3 +100,11 @@ def test_error_paths(species_table, si_env):
         critical_distance(si, si_env, 3, 20.0)
     with pytest.raises(DomainError):
         hump_position(-5.0)
+
+
+def test_environment_rejects_nonfinite_values():
+    # an infinite work function made the array critical distance inf - inf = nan
+    for phi, screening in ((math.inf, 0.0), (math.nan, 0.0), (0.0, 0.0), (4.9, math.nan),
+                           (4.9, math.inf), (4.9, -0.1)):
+        with pytest.raises(ConfigError):
+            Environment(phi, screening)

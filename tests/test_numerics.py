@@ -59,10 +59,17 @@ def test_brent_roots_are_bit_identical_to_scipy():
 
 @pytest.mark.parametrize("name", sorted(ENVS))
 def test_brent_f50_is_bit_identical_to_scipy(species_table, request, name):
+    # find_f50 solves inside the cell of its batched bracket; scipy on that cell gives
+    # the same root bit for bit, and scipy on the whole range a root within 2e-9 V/nm
     species, env = species_table[name], request.getfixturevalue(ENVS[name])
-    expected = scipy_brentq(lambda f: evaluate_csr(species, env, KINGHAM_Z, f) - 0.5,
-                            5.0, 45.0, xtol=1e-9, rtol=8.9e-16)
-    assert find_f50(species, env, KINGHAM_Z).f50_vnm == expected
+
+    def g(f_vnm):
+        return evaluate_csr(species, env, KINGHAM_Z, f_vnm) - 0.5
+
+    result = find_f50(species, env, KINGHAM_Z)
+    assert result.f50_vnm == scipy_brentq(g, *result.bracket_vnm, xtol=1e-9, rtol=8.9e-16)
+    whole = scipy_brentq(g, 5.0, 45.0, xtol=1e-9, rtol=8.9e-16)
+    assert abs(result.f50_vnm - whole) <= 2e-9
 
 
 def test_brent_raises_numerical_error_past_maxiter():

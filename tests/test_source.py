@@ -71,6 +71,27 @@ def test_no_scipy_integrate(path):
     assert _imports_from(path.read_text(), "scipy") == []
 
 
+def _vectorize_calls(source: str) -> list[str]:
+    """Lines that use ``vectorize`` (``np.vectorize``, ``numpy.vectorize`` or an imported name)."""
+    return [f"line {line}" for line in sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "vectorize"
+        or isinstance(node, ast.Name) and node.id == "vectorize"
+        or isinstance(node, ast.alias) and node.name == "vectorize"})]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_np_vectorize(path):
+    # the step kernel works on arrays; a per-point Python loop in disguise does not belong
+    assert _vectorize_calls(path.read_text()) == []
+
+
+def test_guard_sees_vectorize():
+    source = ("import numpy as np\nf = np.vectorize(abs)\nfrom numpy import vectorize\n"
+              "g = vectorize(abs)\nnp.vectorized = 1\n")
+    assert _vectorize_calls(source) == ["line 2", "line 3", "line 4"]
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, pfikit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

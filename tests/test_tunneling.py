@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pfikit import (
+    CONSTANTS,
     KINGHAM_Z,
     ConfigError,
     DomainError,
@@ -17,6 +18,7 @@ from pfikit import (
     NumericalError,
     ZModel,
     charge_fractions,
+    critical_distance,
     generate_curve,
     load_zmodel,
     pfi_step_probability,
@@ -26,7 +28,7 @@ from pfikit import tunneling
 from pfikit.cli import NAMED_ZMODELS
 from pfikit.species import asset_path
 from pfikit.tunneling import prefactor_a2nu
-from pfikit.units import field_to_au, to_hartree
+from pfikit.units import to_hartree
 
 # the environment `pfikit curves` uses when no --phi is given
 CLI_ENV = Environment(work_function_ev=4.9)
@@ -221,21 +223,27 @@ def test_si_csr_at_nominal_crossover(species_table, si_env):
 def _barrier_residual(sp, zmodel, n, field, z):
     """b(z) = I - Z(n, min(z, cap)) F / I - F z in Hartree, straight from its definition."""
     i_ha = to_hartree(sp.ie_ev(n + 1))
-    f_au = field_to_au(field)
+    f_au = field / CONSTANTS.field_au_in_vnm
     return i_ha - zmodel.z(n, min(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z, i_ha
+
+
+def _clamp_distances(sp, zmodel, n, fields):
+    """Floored z_c and the clamp distance z* (a.u.) of step n at an array of fields."""
+    z_c = tunneling._critical_z_au(critical_distance(sp, CLI_ENV, n, fields))
+    f_au = fields / CONSTANTS.field_au_in_vnm
+    return z_c, tunneling._clamp_distance_au(zmodel, n, to_hartree(sp.ie_ev(n + 1)), f_au, z_c)
 
 
 def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels):
     # every species x Z model x step on the default grid, against a root finder
     zmodels = dict(named_zmodels, no_c1=ZModel(c0=1.0, c1=0.0))
-    fields = FieldGrid(5.0, 45.0, 0.1).points()
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
     branches = {"at z_c": 0, "quadratic": 0, "linear": 0}
     for sp in species_table.values():
         for zmodel in zmodels.values():
             for n in range(1, min(sp.max_charge, 3)):
-                for field in fields:
-                    z_c = tunneling._critical_z_au(sp, CLI_ENV, n, field)
-                    z_star = tunneling.clamp_distance_au(sp, zmodel, n, field, z_c)
+                z_cs, z_stars = _clamp_distances(sp, zmodel, n, fields)
+                for field, z_c, z_star in zip(fields.tolist(), z_cs.tolist(), z_stars.tolist()):
                     b_c, i_ha = _barrier_residual(sp, zmodel, n, field, z_c)
                     if b_c <= 0.0:
                         assert z_star == z_c
@@ -256,14 +264,14 @@ def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels
 def test_clamp_distance_without_c1_is_the_linear_root(species_table):
     # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so z* = I / F - (n + c0) / I
     si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
-    i_ha, f_au = to_hartree(si.ie_ev(2)), field_to_au(30.0)
-    z_c = tunneling._critical_z_au(si, CLI_ENV, 1, 30.0)
-    z_star = tunneling.clamp_distance_au(si, zmodel, 1, 30.0, z_c)
+    i_ha, f_au = to_hartree(si.ie_ev(2)), 30.0 / CONSTANTS.field_au_in_vnm
+    _, (z_star,) = _clamp_distances(si, zmodel, 1, np.array([30.0]))
     assert z_star < tunneling.Z_ARG_CAP_AU
     assert z_star == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
 
 
 def test_fractions_on_a_field_array_match_float_calls(species_table, named_zmodels):
+    # bit for bit: a field's fractions do not depend on the other fields of the call
     fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
     for sp in species_table.values():
         for zmodel in named_zmodels.values():
@@ -272,7 +280,22 @@ def test_fractions_on_a_field_array_match_float_calls(species_table, named_zmode
             for i, field in enumerate(fields.tolist()):
                 single = charge_fractions(sp, CLI_ENV, zmodel, field)
                 assert all(type(f) is float for f in single)
-                assert np.abs(np.array(single) - [column[i] for column in batch]).max() <= 1e-13
+                assert list(single) == [column[i] for column in batch], (sp.name, field)
+
+
+def test_fractions_are_built_from_the_step_probabilities(species_table, named_zmodels):
+    # the steps that charge_fractions runs together give what each step gives alone
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    for sp in species_table.values():
+        for zmodel in named_zmodels.values():
+            rebuilt, survive = [], 1.0
+            for n in range(1, min(sp.max_charge, 3)):
+                p_t = pfi_step_probability(sp, CLI_ENV, zmodel, n, fields).p_t
+                rebuilt.append(survive * (1.0 - p_t))
+                survive = survive * p_t
+            rebuilt.append(survive)
+            fractions = charge_fractions(sp, CLI_ENV, zmodel, fields)
+            assert all(np.array_equal(a, b) for a, b in zip(fractions, rebuilt)), sp.name
 
 
 def test_float_field_keeps_float_results_and_notes(species_table, si_env):

@@ -6,7 +6,7 @@ import pytest
 
 from pfikit import CONSTANTS
 from pfikit.errors import DomainError
-from pfikit.units import field_to_au, length_to_au, mass_amu_to_me, to_hartree
+from pfikit.units import mass_amu_to_me, to_hartree
 
 
 def test_image_coefficients():
@@ -20,22 +20,14 @@ def test_image_coefficients():
 
 def test_known_conversion_values():
     assert to_hartree(CONSTANTS.hartree_in_ev) == 1.0
-    assert length_to_au(CONSTANTS.bohr_in_nm) == 1.0
-    assert field_to_au(CONSTANTS.field_au_in_vnm) == 1.0
     assert mass_amu_to_me(1.0) == CONSTANTS.amu_in_me
-
-
-@pytest.mark.parametrize("fn", [field_to_au, length_to_au])
-def test_negative_rejected(fn):
-    with pytest.raises(DomainError):
-        fn(-1.0)
 
 
 def test_nonfinite_rejected():
     with pytest.raises(DomainError):
         to_hartree(float("nan"))
     with pytest.raises(DomainError):
-        length_to_au(float("inf"))
+        mass_amu_to_me(float("inf"))
 
 
 def test_nonpositive_mass_rejected():
