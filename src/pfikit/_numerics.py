@@ -73,7 +73,7 @@ def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float = 2e-12,
 
 
 def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
+    return int(v > 0.0) - int(v < 0.0)  # numpy bools do not subtract
 
 
 def _pchip_slope(h0: float, h1: float, m0: float, m1: float) -> float:

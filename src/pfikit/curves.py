@@ -8,7 +8,6 @@ headline observable.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -48,55 +47,64 @@ class FieldGrid:
             raise DomainError(f"grid {self.low_vnm}:{self.high_vnm}:{self.step_vnm} V/nm "
                               f"has more than {MAX_GRID_POINTS} points")
 
-    def points(self) -> tuple[float, ...]:
+    def points(self) -> np.ndarray:
         n = int(round((self.high_vnm - self.low_vnm) / self.step_vnm))
-        pts = [self.low_vnm + i * self.step_vnm for i in range(n + 1)]
+        pts = self.low_vnm + np.arange(n + 1) * self.step_vnm
         if pts[-1] > self.high_vnm + 1e-12:
-            pts.pop()
-        if not pts or pts[-1] < self.high_vnm - 1e-9:
-            pts.append(self.high_vnm)
-        return tuple(pts)
+            pts = pts[:-1]
+        if pts[-1] < self.high_vnm - 1e-9:
+            pts = np.append(pts, self.high_vnm)
+        return pts
 
 
 DEFAULT_GRID = FieldGrid()
 
 
-def csr_from_fractions(fractions) -> float:
-    """Ratio f_2 / (f_1 + f_2) of charge-ordered fractions; empty pair -> 1.
+def csr_from_fractions(fractions):
+    """Ratio f_2 / (f_1 + f_2) of charge-ordered fractions, a float or an array like
+    them; empty pair -> 1.
 
     The 0/0 case means every ion has been promoted past both states of the
     pair, so the higher state wins by convention.
     """
     f_lo, f_hi = fractions[0], fractions[1]
-    total = f_lo + f_hi
-    if total == 0.0:
-        return 1.0
-    return f_hi / total
+    total = np.add(f_lo, f_hi)
+    ratio = np.divide(f_hi, total, out=np.ones(np.shape(total)), where=total != 0.0)
+    return ratio if ratio.ndim else float(ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinghamCurve:
-    """Charge-state fractions and CSR of one species on an ascending grid."""
+    """Charge-state fractions and CSR of one species on an ascending grid.
+
+    ``field_grid_vnm`` and ``csr`` have shape (N,) and ``fractions`` (N, 3), charge
+    ordered from 1+; a two-state species has f3 = 0.  The curve keeps read-only float
+    copies of what it is given, so the checks below hold for its whole life.
+    """
 
     species_name: str
-    field_grid_vnm: tuple[float, ...]
-    fractions: tuple[tuple[float, ...], ...]
-    csr: tuple[float, ...]
+    field_grid_vnm: np.ndarray
+    fractions: np.ndarray
+    csr: np.ndarray
 
     def __post_init__(self):
-        g = self.field_grid_vnm
-        if len(g) != len(self.fractions) or len(g) != len(self.csr):
-            raise DomainError("grid, fractions, and csr lengths differ")
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise DomainError("field grid must be strictly ascending")
-        for f_vnm, row in zip(g, self.fractions):
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise DomainError(f"fractions at {f_vnm} V/nm sum to {sum(row)!r}, not 1")
-        if any(not 0.0 <= v <= 1.0 for v in self.csr):
-            raise DomainError("csr values must lie in [0, 1]")
-
-    def csr_range(self) -> tuple[float, float]:
-        return min(self.csr), max(self.csr)
+        for name in ("field_grid_vnm", "fractions", "csr"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        g, fr, csr = self.field_grid_vnm, self.fractions, self.csr
+        if g.ndim != 1 or fr.shape != (g.size, 3) or csr.shape != g.shape:
+            raise DomainError(f"grid, fractions and csr have shapes {g.shape}, {fr.shape} "
+                              f"and {csr.shape}, not (N,), (N, 3) and (N,)")
+        if not (np.isfinite(g).all() and (np.diff(g) > 0.0).all()):
+            raise DomainError("field grid must be finite and strictly ascending")
+        # comparisons with NaN are false, so each check asks for the good case
+        if not (((fr >= 0.0) & (fr <= 1.0)).all() and ((csr >= 0.0) & (csr <= 1.0)).all()):
+            raise DomainError("fractions and csr values must lie in [0, 1]")
+        off = np.abs(fr.sum(axis=1) - 1.0) > 1e-12
+        if off.any():
+            i = off.argmax()
+            raise DomainError(f"fractions at {g[i]} V/nm sum to {fr[i].sum().item()!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -134,14 +142,14 @@ def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
                    grid: FieldGrid = DEFAULT_GRID) -> KinghamCurve:
-    """Evaluate charge fractions and CSR on every grid point, FIELD_BLOCK fields per call."""
+    """Charge fractions on every grid point, FIELD_BLOCK fields per call, written into
+    one (N, 3) array; the CSR follows from it in one array call."""
     points = grid.points()
-    rows = []
-    for start in range(0, len(points), FIELD_BLOCK):
-        block = np.array(points[start:start + FIELD_BLOCK])
-        rows += zip(*(f.tolist() for f in charge_fractions(species, env, zmodel, block)))
-    return KinghamCurve(species.name, points, tuple(rows),
-                        tuple(map(csr_from_fractions, rows)))
+    fractions = np.zeros((points.size, 3))
+    for start in range(0, points.size, FIELD_BLOCK):
+        block = charge_fractions(species, env, zmodel, points[start:start + FIELD_BLOCK])
+        fractions[start:start + FIELD_BLOCK, :len(block)] = np.transpose(block)
+    return KinghamCurve(species.name, points, fractions, csr_from_fractions(fractions.T))
 
 
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
@@ -153,19 +161,18 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
 
-    probes = np.linspace(lo, hi, F50_PROBES).tolist()
-    rows = zip(*(f.tolist() for f in charge_fractions(species, env, zmodel, np.array(probes))))
-    g_probes = [csr_from_fractions(row) - 0.5 for row in rows]
-    g_lo, g_hi = g_probes[0], g_probes[-1]
-    if not g_lo < 0.0 < g_hi:
+    probes = np.linspace(lo, hi, F50_PROBES)
+    csr = csr_from_fractions(charge_fractions(species, env, zmodel, probes))
+    if not csr[0] < 0.5 < csr[-1]:
         raise BracketError(
-            f"{species.name}: CSR is {g_lo + 0.5:.4g} at {lo} V/nm and "
-            f"{g_hi + 0.5:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
-            achievable=(g_lo + 0.5, g_hi + 0.5))
-    k = next(k for k, (a, b) in enumerate(zip(g_probes, g_probes[1:])) if a < 0.0 <= b)
-    cell = probes[k], probes[k + 1]
+            f"{species.name}: CSR is {csr[0]:.4g} at {lo} V/nm and "
+            f"{csr[-1]:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
+            achievable=(float(csr[0]), float(csr[-1])))
+    k = np.flatnonzero((csr[:-1] < 0.5) & (csr[1:] >= 0.5))[0]
+    cell = float(probes[k]), float(probes[k + 1])
     root, g_root = brentq(lambda f_vnm: evaluate_csr(species, env, zmodel, f_vnm) - 0.5, *cell,
-                          g_probes[k], g_probes[k + 1], xtol=1e-9, rtol=8.9e-16)
+                          float(csr[k]) - 0.5, float(csr[k + 1]) - 0.5, xtol=1e-9,
+                          rtol=8.9e-16)
     achieved = g_root + 0.5
     if abs(achieved - 0.5) >= 1e-6:
         # CSR can jump over 0.5 where the barrier vanishes below the
@@ -176,31 +183,21 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
     return CrossoverResult(root, cell, achieved)
 
 
-def _monotone_runs(values: tuple[float, ...]) -> list[tuple[int, int]]:
-    """Index ranges [i, j] of maximal strictly monotone runs (len >= 2)."""
-    runs = []
-    i = 0
-    n = len(values)
-    while i < n - 1:
-        if values[i + 1] == values[i]:
-            i += 1
-            continue
-        sign = 1.0 if values[i + 1] > values[i] else -1.0
-        j = i + 1
-        while j < n - 1 and sign * (values[j + 1] - values[j]) > 0.0:
-            j += 1
-        runs.append((i, j))
-        i = j
-    return runs
+def _monotone_runs(values: np.ndarray) -> np.ndarray:
+    """Index pairs [i, j] of the maximal strictly monotone runs, shape (runs, 2); runs
+    that meet share their end index, and flat steps belong to none."""
+    sign = np.sign(np.diff(values))
+    # run bounds: both ends (the NaN pads) and each index where the step's sign changes
+    bounds = np.flatnonzero(np.diff(sign, prepend=np.nan, append=np.nan))
+    runs = np.column_stack((bounds[:-1], bounds[1:]))
+    return runs[sign[runs[:, 0]] != 0.0]
 
 
-def _invert_on_run(curve: KinghamCurve, run: tuple[int, int], value: float) -> float:
-    i, j = run
-    x = curve.csr[i:j + 1]
-    y = curve.field_grid_vnm[i:j + 1]
+def _invert_on_run(curve: KinghamCurve, i: int, j: int, value: float) -> float:
+    x, y = curve.csr[i:j + 1], curve.field_grid_vnm[i:j + 1]
     if x[0] > x[-1]:
         x, y = x[::-1], y[::-1]
-    return pchip(x, y, value)
+    return float(pchip(x, y, value))
 
 
 def csr_to_field(curve: KinghamCurve, csr: float,
@@ -210,49 +207,40 @@ def csr_to_field(curve: KinghamCurve, csr: float,
     With ``two_sigma`` the interval is the field image of csr +/- two_sigma,
     clamped to the grid ends where the band leaves the tabulated range.
     """
-    lo, hi = curve.csr_range()
+    lo, hi = curve.csr.min(), curve.csr.max()
     if not lo <= csr <= hi:
         raise DomainError(
             f"csr {csr} outside the curve's range [{lo:.4g}, {hi:.4g}]; refusing "
             "to extrapolate")
     runs = _monotone_runs(curve.csr)
-    hits = [r for r in runs
-            if min(curve.csr[r[0]], curve.csr[r[1]]) <= csr
-            <= max(curve.csr[r[0]], curve.csr[r[1]])]
-    if not hits:
+    spans = np.sort(curve.csr[runs], axis=1)  # lowest and highest CSR of each run
+    hits = (spans[:, 0] <= csr) & (csr <= spans[:, 1])
+    if not hits.any():
         raise DomainError(f"csr {csr} falls only on flat curve segments")
-    if len(hits) > 1:
-        branches = tuple((curve.field_grid_vnm[i], curve.field_grid_vnm[j])
-                         for i, j in hits)
+    if hits.sum() > 1:
+        branches = tuple(map(tuple, curve.field_grid_vnm[runs[hits]].tolist()))
         windows = ", ".join(f"[{a:g}, {b:g}] V/nm" for a, b in branches)
         raise AmbiguityError(
-            f"csr {csr} is reached on {len(hits)} branches: {windows}",
+            f"csr {csr} is reached on {len(branches)} branches: {windows}",
             branches=branches)
-    run = hits[0]
-    center = _invert_on_run(curve, run, csr)
+    (i, j), (run_lo, run_hi) = runs[hits][0], spans[hits][0].tolist()
+    center = _invert_on_run(curve, i, j, csr)
     interval = None
     if two_sigma is not None:
-        if two_sigma < 0.0:
-            raise DomainError(f"two_sigma {two_sigma} must be nonnegative")
-        run_lo = min(curve.csr[run[0]], curve.csr[run[1]])
-        run_hi = max(curve.csr[run[0]], curve.csr[run[1]])
-        ends = []
-        for v in (csr - two_sigma, csr + two_sigma):
-            clamped = min(max(v, run_lo), run_hi)
-            ends.append(_invert_on_run(curve, run, clamped))
+        if not 0.0 <= two_sigma < math.inf:
+            raise DomainError(f"two_sigma {two_sigma} must be nonnegative and finite")
+        ends = [_invert_on_run(curve, i, j, min(max(v, run_lo), run_hi))
+                for v in (csr - two_sigma, csr + two_sigma)]
         interval = (min(ends), max(ends))
     return FieldEstimate(center, interval, csr, two_sigma)
 
 
 def dump_curve_csv(curve: KinghamCurve, fh: TextIO) -> None:
-    """Write the curve as CSV to an open text stream; two-state species pad f3 with zero."""
-    fh.write(f"# species: {curve.species_name}\n")
-    writer = csv.writer(fh)
-    writer.writerow(CSV_HEADER)
-    for f_vnm, row, ratio in zip(curve.field_grid_vnm, curve.fractions, curve.csr):
-        padded = tuple(row) + (0.0,) * (3 - len(row))
-        writer.writerow([f"{f_vnm:.9g}"] + [f"{v:.9g}" for v in padded]
-                        + [f"{ratio:.9g}"])
+    """Write the curve as CSV to an open text stream: a species comment line, then the
+    header and one %.9g row per field, CRLF-terminated; a two-state species' f3 is 0."""
+    np.savetxt(fh, np.column_stack((curve.field_grid_vnm, curve.fractions, curve.csr)),
+               fmt="%.9g", delimiter=",", newline="\r\n", comments="",
+               header=f"# species: {curve.species_name}\n" + ",".join(CSV_HEADER))
 
 
 def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:
@@ -261,40 +249,49 @@ def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:
         dump_curve_csv(curve, fh)
 
 
+def _bad_row(path, lines: list[str], first_line: int, exc: ValueError) -> ConfigError:
+    """Error for rows that do not parse, naming the first bad one (lines[0] is line first_line)."""
+    for number, line in enumerate(lines, first_line):
+        cells = line.split(",")
+        try:
+            if line:
+                _, _, _, _, _ = map(float, cells)
+        except ValueError as row_exc:
+            return ConfigError(f"{path}:{number}: bad row {cells!r} ({row_exc})")
+    return ConfigError(f"{path}: bad rows ({exc})")
+
+
 def read_curve_csv(path: str | os.PathLike) -> KinghamCurve:
-    """Read a curve CSV written by :func:`write_curve_csv` (or compatible)."""
-    species_name = os.path.splitext(os.path.basename(path))[0]
-    grid, rows, ratios = [], [], []
+    """Read a curve CSV written by :func:`write_curve_csv` (or compatible): the rows
+    parse in one conversion, and each row's largest fraction absorbs the rounding
+    residue of its sum."""
     try:
-        with open(path, newline="") as fh:
-            first = fh.readline()
-            comment_lines = 1
-            if first.startswith("# species:"):
-                species_name = first.split(":", 1)[1].strip()
-            else:
-                fh.seek(0)
-                comment_lines = 0
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-                raise DomainError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            for line in reader:
-                if not line:
-                    continue
-                try:
-                    f_vnm, f1, f2, f3, ratio = (float(v) for v in line)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{reader.line_num + comment_lines}: "
-                                      f"bad row {line!r} ({exc})") from exc
-                row = [f1, f2, f3]
-                # 9-digit CSV rounding breaks the exact row sum; the largest
-                # fraction absorbs the residue (well below the stored precision).
-                row[row.index(max(row))] += 1.0 - sum(row)
-                grid.append(f_vnm)
-                rows.append(tuple(row))
-                ratios.append(ratio)
-    except (OSError, UnicodeError, csv.Error) as exc:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
-    if not grid:
+    head = int(bool(lines) and lines[0].startswith("# species:"))
+    species_name = (lines[0].split(":", 1)[1].strip() if head
+                    else os.path.splitext(os.path.basename(path))[0])
+    if len(lines) <= head or tuple(h.strip() for h in lines[head].split(",")) != CSV_HEADER:
+        raise DomainError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    body = lines[head + 1:]
+    if not any(body):
         raise DomainError(f"{path}: no data rows")
-    return KinghamCurve(species_name, tuple(grid), tuple(rows), tuple(ratios))
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != len(CSV_HEADER):
+            raise ValueError(f"{table.shape[1]} columns, not {len(CSV_HEADER)}")
+    except ValueError as exc:
+        raise _bad_row(path, body, head + 2, exc) from exc
+    fractions = table[:, 1:4]
+    # 9-digit CSV rounding breaks the exact row sum; the largest
+    # fraction absorbs the residue (well below the stored precision).
+    # A non-finite or huge cell fails the curve's checks, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fractions[np.arange(len(table)), fractions.argmax(axis=1)] += 1.0 - (
+            fractions[:, 0] + fractions[:, 1] + fractions[:, 2])
+    try:
+        return KinghamCurve(species_name, table[:, 0], fractions, table[:, 4])
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc

@@ -51,7 +51,7 @@ def fraction_at(curve: KinghamCurve, field_vnm: float, charge: int) -> float:
     """Charge-state fraction at a field, linear interpolation on the grid.
 
     Fraction columns are charge-ordered starting at 1+; charges beyond the
-    stored columns have fraction 0.
+    three stored columns have fraction 0.
     """
     grid = curve.field_grid_vnm
     if not grid[0] <= field_vnm <= grid[-1]:
@@ -59,11 +59,9 @@ def fraction_at(curve: KinghamCurve, field_vnm: float, charge: int) -> float:
                           f"the curve grid [{grid[0]:g}, {grid[-1]:g}]")
     if charge < 1:
         raise DomainError(f"charge {charge} must be >= 1")
-    j = charge - 1
-    if j >= len(curve.fractions[0]):
+    if charge > curve.fractions.shape[1]:
         return 0.0
-    column = [row[j] for row in curve.fractions]
-    return float(np.interp(field_vnm, grid, column))
+    return float(np.interp(field_vnm, grid, curve.fractions[:, charge - 1]))
 
 
 @dataclass(frozen=True)
@@ -421,12 +419,9 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
         raise ConfigError(f"reference species {ref_species!r} has no curve")
     estimate = csr_to_field(curves[ref_species], ref_csr.value, ref_csr.two_sigma)
 
-    fractions = {}
-    for species, curve in curves.items():
-        table = {}
-        for charge in range(1, len(curve.fractions[0]) + 1):
-            table[charge] = fraction_at(curve, estimate.field_vnm, charge)
-        fractions[species] = table
+    fractions = {species: {charge: fraction_at(curve, estimate.field_vnm, charge)
+                           for charge in range(1, curve.fractions.shape[1] + 1)}
+                 for species, curve in curves.items()}
 
     counts_before = primary_counts(peak_set)
     counts = dict(counts_before)

@@ -198,7 +198,9 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     if not np.ndim(field_vnm):
         p_t, value, est_error = p_t[:, 0].tolist(), value[:, 0].tolist(), est_error[:, 0].tolist()
     evals = np.bincount(step_of, minlength=len(steps)) * (RULE_ORDER + RULE_ORDER // 2)
-    notes = [NOTE_EMPTY if e else NOTE_HUMP if h else ""
+    # a call without fields took no early-out, although all() over no fields is true
+    taken = fields.size > 0
+    notes = [NOTE_EMPTY if taken and e else NOTE_HUMP if taken and h else ""
              for e, h in zip(empty.all(axis=1).tolist(), hump.all(axis=1).tolist())]
     return [PfiStepResult(*step) for step in zip(p_t, value, est_error, evals.tolist(), notes)]
 

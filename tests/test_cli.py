@@ -275,6 +275,19 @@ def test_field_inversion(fixtures_dir, capsys):
     assert lo < payload["field_vnm"] < hi
 
 
+
+def test_field_refuses_a_curve_with_a_nan_field(fixtures_dir, tmp_path, capsys):
+    with open(os.path.join(fixtures_dir, "in_curve.csv"), newline="") as fh:
+        text = fh.read()
+    assert "\n24.5," in text
+    path = tmp_path / "in_curve.csv"
+    path.write_bytes(text.replace("\n24.5,", "\nnan,").encode())
+    assert main(["field", "--curve", str(path), "--csr", "0.0271378524"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pfikit: error: ")
+
+
 def test_resolve_json_and_text(fixtures_dir, capsys):
     config = os.path.join(fixtures_dir, "as_pipeline.json")
     assert main(["resolve", "--config", config, "--format", "json"]) == 0

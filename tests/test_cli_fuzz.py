@@ -2,7 +2,7 @@
 
 Whatever the input, the CLI exits 0, 2, 3, 4 or 5 and reports a failure as
 ``pfikit: error: ...`` lines on stderr, never as a Python traceback or a
-warning.  Flag
+warning; ``field`` prints strict JSON, without NaN or Infinity.  Flag
 values stay within what argparse accepts (a float flag gets a float literal,
 ``nan`` and ``inf`` included), so every case reaches pfikit's own checks.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import re
 import shutil
@@ -74,7 +75,15 @@ def _packaged(name: str) -> str:
         return fh.read()
 
 
-def _run(argv: list[str]) -> None:
+def _strict_json(text: str) -> None:
+    """Parse ``text`` as JSON that has no NaN or Infinity (Python's json writes them)."""
+    def refuse(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    json.loads(text, parse_constant=refuse)
+
+
+def _run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -85,6 +94,7 @@ def _run(argv: list[str]) -> None:
     lines = err.getvalue().splitlines()
     assert all(line.startswith("pfikit: error: ") for line in lines), (argv, lines)
     assert (code == 0) == (not lines), (argv, code, lines)
+    return out.getvalue() if code == 0 else ""
 
 
 def _write(directory: str, name: str, text: str) -> str:
@@ -121,7 +131,7 @@ def test_peak_commands_on_mutated_peak_tables(data):
         _run(argv)
 
 
-@FUZZ
+@settings(FUZZ, max_examples=300)  # 60 do not reach a curve or flag that yields NaN
 @given(st.data())
 def test_field_on_mutated_curves_and_flags(data):
     name = data.draw(st.sampled_from(CURVE_FILES))
@@ -131,7 +141,9 @@ def test_field_on_mutated_curves_and_flags(data):
                 f"--csr={data.draw(st.one_of(FLOATS, st.floats(0.0, 1.0).map(repr)))}"]
         if data.draw(st.booleans()):
             argv.append(f"--two-sigma={data.draw(FLOATS)}")
-        _run(argv)
+        stdout = _run(argv)
+    if stdout:
+        _strict_json(stdout)
 
 
 @FUZZ

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_inversion_recovers_the_forward_model(species_table, si_env, f50):
 def test_inversion_refuses_extrapolation(species_table, si_env):
     curve = generate_curve(species_table["si"], si_env, KINGHAM_Z,
                            FieldGrid(17.0, 19.0, 0.5))
-    lo, hi = curve.csr_range()
+    lo, hi = curve.csr.min(), curve.csr.max()
     with pytest.raises(DomainError):
         csr_to_field(curve, hi + 0.05)
     with pytest.raises(DomainError):
@@ -189,12 +190,47 @@ def test_curve_csv_round_trip(tmp_path, species_table, si_env):
     path = tmp_path / "si2_curve.csv"
     write_curve_csv(curve, path)
     back = read_curve_csv(path)
+    assert not (back.field_grid_vnm.flags.writeable or back.fractions.flags.writeable
+                or back.csr.flags.writeable)
     assert back.species_name == curve.species_name
     assert back.field_grid_vnm == pytest.approx(curve.field_grid_vnm, rel=1e-8)
     assert back.csr == pytest.approx(curve.csr, rel=1e-8, abs=1e-12)
     for row, orig in zip(back.fractions, curve.fractions):
         # construction already proved each row sums to 1 within 1e-12
         assert row[:len(orig)] == pytest.approx(orig, rel=1e-8, abs=1e-12)
+
+
+def test_reader_gives_each_rows_residue_to_its_largest_fraction(fixtures_dir):
+    # the row-by-row rule the array reader replaces, as its bit-for-bit reference
+    for name in ("in_curve.csv", "as3_curve.csv"):
+        path = os.path.join(fixtures_dir, name)
+        raw = np.loadtxt(path, delimiter=",", skiprows=2)
+        for row, got in zip(raw[:, 1:4].tolist(), read_curve_csv(path).fractions.tolist()):
+            row[row.index(max(row))] += 1.0 - sum(row)
+            assert got == row
+
+
+def _monotone_runs_walk(values):
+    """The scalar walk that ``curves._monotone_runs`` replaces, as its reference."""
+    runs, i = [], 0
+    while i < len(values) - 1:
+        if values[i + 1] == values[i]:
+            i += 1
+            continue
+        sign = 1.0 if values[i + 1] > values[i] else -1.0
+        j = i + 1
+        while j < len(values) - 1 and sign * (values[j + 1] - values[j]) > 0.0:
+            j += 1
+        runs.append([i, j])
+        i = j
+    return runs
+
+
+def test_monotone_runs_match_the_scalar_walk():
+    rng = np.random.default_rng(5)
+    for n in range(1, 40):
+        values = rng.integers(0, 4, n).astype(float)  # repeated values make flat steps
+        assert curves._monotone_runs(values).tolist() == _monotone_runs_walk(values)
 
 
 def test_curve_csv_reader_validates(tmp_path):
@@ -215,6 +251,14 @@ def test_curve_validation_rejects_bad_rows():
         KinghamCurve("x", (10.0, 11.0), ((0.7, 0.2, 0.0),) * 2, (0.0, 0.0))
     with pytest.raises(DomainError):
         KinghamCurve("x", (10.0, 11.0), ((1.0, 0.0, 0.0),) * 2, (0.0, 1.5))
+    # NaN compares false and inf is ascending, so each check must ask for the good case
+    row = (1.0, 0.0, 0.0)
+    for grid, rows in (((10.0, math.nan, 12.0), (row,) * 3),
+                       ((10.0, 11.0, math.inf), (row,) * 3),
+                       ((10.0, 11.0), (row, (1.5, -0.5, 0.0))),
+                       ((10.0, 11.0), (row, (math.nan, 0.0, 0.0)))):
+        with pytest.raises(DomainError):
+            KinghamCurve("x", grid, rows, (0.0,) * len(grid))
 
 
 def test_field_grid_points_hit_both_ends():

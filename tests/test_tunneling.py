@@ -327,6 +327,7 @@ def test_batch_note_and_evaluations_cover_the_call(species_table, si_env):
     assert mixed.p_t.tolist() == [0.0, 1.0]
     assert mixed.integral_value.tolist() == [0.0, math.inf]
     assert mixed.n_evaluations == 0
+    assert pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array([])).note == ""
 
 
 def test_batch_gate_names_the_first_failing_field(species_table, rh_env, monkeypatch):
