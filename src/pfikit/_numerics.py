@@ -134,16 +134,17 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     """argmin ||a x - b|| over x >= 0 for a full-column-rank ``a``; returns x, ||a x - b||.
 
+    ``x`` is the unconstrained least-squares solution, which the caller has
+    from the ``np.linalg.lstsq`` call that also gave it the rank of ``a``.
     Lawson & Hanson's active-set method (1974), started with every column
-    passive: the unconstrained least-squares solution is the answer when it
-    is nonnegative, and otherwise its positive part is the feasible start.
+    passive: the unconstrained solution is the answer when it is
+    nonnegative, and otherwise its positive part is the feasible start.
     Raises NumericalError after 3 n passes without meeting the optimality test.
     """
     m, n = a.shape
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
     if x.min() >= 0.0:
         return x, _norm(a @ x - b)
     passive = x > 0.0

@@ -36,7 +36,7 @@ class FitReport:
     """Echo of a 1D calibration fit: inputs, fitted value, and residual."""
 
     kind: str                     # "z_offset" or "ie"
-    species_name: str
+    species: str
     parameter: str                # "c0" or "I<k>"
     target_f50_vnm: float
     achieved_f50_vnm: float
@@ -45,9 +45,6 @@ class FitReport:
     nominal_value: float
     absolute_shift: float
     relative_shift: float
-    zmodel: ZModel | None = None
-    species: SpeciesParams | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -131,33 +128,25 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
 
 
 def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float,
-                 c1: float = 1.0, c0_bounds: tuple[float, float] = C0_BOUNDS,
-                 search_vnm: tuple[float, float] = (5.0, 45.0),
-                 note: str = "") -> FitReport:
-    """Find c0 in ``c0_bounds`` so the species' F50 meets the target.
+                 c1: float = 1.0,
+                 search_vnm: tuple[float, float] = (5.0, 45.0)) -> FitReport:
+    """Find c0 in ``C0_BOUNDS``, from the nominal 1, so the species' F50 meets the target.
 
     F50 falls as c0 grows (more screening promotes ionization), so the target
     must lie between the F50 values reachable at the two c0 endpoints.
     """
-    c_lo, c_hi = c0_bounds
-    if not 0.0 < c_lo < c_hi:
-        raise DomainError(f"c0 bounds {c0_bounds} must be ascending and positive")
-    nominal_c0 = min(max(1.0, c_lo), c_hi)
-
     def f50_of(c0: float) -> float:
         return find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm
 
-    c0, achieved = _fit_1d(f50_of, f"{species.name} z-offset fit", nominal_c0,
-                           (c_lo, c_hi), target_f50_vnm, xtol=1e-4)
+    c0, achieved = _fit_1d(f50_of, f"{species.name} z-offset fit", 1.0, C0_BOUNDS,
+                           target_f50_vnm, xtol=1e-4)
     return FitReport("z_offset", species.name, "c0", target_f50_vnm, achieved,
-                     achieved - target_f50_vnm, c0, 1.0, c0 - 1.0, c0 - 1.0,
-                     zmodel=ZModel(c0, c1), note=note)
+                     achieved - target_f50_vnm, c0, 1.0, c0 - 1.0, c0 - 1.0)
 
 
 def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
            target_f50_vnm: float, ie_index: int = 2,
-           search_vnm: tuple[float, float] = (5.0, 45.0),
-           note: str = "") -> FitReport:
+           search_vnm: tuple[float, float] = (5.0, 45.0)) -> FitReport:
     """Vary one ladder entry (1-based ``ie_index``) to meet the target F50.
 
     The entry moves within +/-30 % of nominal, clipped so the ladder stays
@@ -186,8 +175,7 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
                                (lo, hi), target_f50_vnm, xtol=1e-4)
     return FitReport("ie", species.name, f"I{ie_index}", target_f50_vnm, achieved,
                      achieved - target_f50_vnm, fitted, nominal, fitted - nominal,
-                     (fitted - nominal) / nominal,
-                     species=species.with_ie(ie_index, fitted), note=note)
+                     (fitted - nominal) / nominal)
 
 
 def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,

@@ -27,6 +27,14 @@ CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
 FIELD_BLOCK = 64  # fields per charge_fractions call in a curve; bounds the node arrays' memory
 MAX_GRID_POINTS = 200_000  # largest field grid; a finer --grid step is a typo, not a curve
 F50_PROBES = 17  # fields of the one charge_fractions call that brackets an F50, ends included
+# How far a curve CSV row may stray from the curve it was written from.  A %.9g
+# cell v in [0, 1] reads back within 5e-10 of v and within a relative 5e-9, so
+# three fractions that summed to 1 within 1e-12 read back summing to 1 within
+# 1.5e-9 + 1e-12, and f2/(f1 + f2) of the read cells is within 2.5e-9 of the
+# written ratio, which the csr cell holds to 5e-10.  (The largest gaps in the
+# shipped fixtures and in generated curves are 1.0e-9 and 8.7e-10.)
+CSV_SUM_TOLERANCE = 1.5e-9 + 1e-12
+CSV_CSR_TOLERANCE = 3e-9
 
 
 @dataclass(frozen=True)
@@ -263,8 +271,9 @@ def _bad_row(path, lines: list[str], first_line: int, exc: ValueError) -> Config
 
 def read_curve_csv(path: str | os.PathLike) -> KinghamCurve:
     """Read a curve CSV written by :func:`write_curve_csv` (or compatible): the rows
-    parse in one conversion, and each row's largest fraction absorbs the rounding
-    residue of its sum."""
+    parse in one conversion, a row whose fraction sum or csr cell is off by more than
+    9-digit rounding explains is refused, and each row's largest fraction absorbs the
+    rounding residue of its sum."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -285,12 +294,19 @@ def read_curve_csv(path: str | os.PathLike) -> KinghamCurve:
     except ValueError as exc:
         raise _bad_row(path, body, head + 2, exc) from exc
     fractions = table[:, 1:4]
-    # 9-digit CSV rounding breaks the exact row sum; the largest
-    # fraction absorbs the residue (well below the stored precision).
-    # A non-finite or huge cell fails the curve's checks, so numpy need not warn.
+    # A non-finite or huge cell fails a check below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        fractions[np.arange(len(table)), fractions.argmax(axis=1)] += 1.0 - (
-            fractions[:, 0] + fractions[:, 1] + fractions[:, 2])
+        total = fractions[:, 0] + fractions[:, 1] + fractions[:, 2]
+        csr = csr_from_fractions(fractions.T)
+        off = ~((np.abs(total - 1.0) <= CSV_SUM_TOLERANCE)
+                & (np.abs(table[:, 4] - csr) <= CSV_CSR_TOLERANCE))
+    if off.any():
+        i = off.argmax()
+        raise DomainError(f"{path}: row at {table[i, 0]:g} V/nm: fractions sum to "
+                          f"{total[i]:.10g} and csr is {table[i, 4]:.10g} where "
+                          f"f2/(f1 + f2) is {csr[i]:.10g}; more than rounding can explain")
+    # the largest fraction absorbs the rounding residue of the sum
+    fractions[np.arange(len(table)), fractions.argmax(axis=1)] += 1.0 - total
     try:
         return KinghamCurve(species_name, table[:, 0], fractions, table[:, 4])
     except DomainError as exc:

@@ -43,7 +43,6 @@ class CrossingGeometry:
     l_c_nm: float
     z_c_nm: float
     l_i_nm: float
-    discriminant_ev2: float
     barrier_vanished: bool
 
 
@@ -71,5 +70,5 @@ def critical_distance(species: SpeciesParams, env: Environment, n: int,
     vanished = disc < 0.0
     l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field))
     z_c = np.where(vanished, 0.0, l_c - env.screening_length_nm)
-    members = (l_c, z_c, np.asarray(l_i), disc, vanished)
+    members = (l_c, z_c, np.asarray(l_i), vanished)
     return CrossingGeometry(*(v if field.ndim else v.item() for v in members))

@@ -22,7 +22,7 @@ from .curves import (FieldEstimate, KinghamCurve, csr_from_fractions, csr_to_fie
                      read_curve_csv)
 from .errors import ConfigError, DomainError
 from .spectrum import (CsrEstimate, Peak, RangedPeakSet, parse_composition,
-                       primary_counts, raw_csr, read_peaks_csv)
+                       primary_counts, raw_csr, read_peaks_csv, state_label)
 
 UNEXPECTED_FRACTION_THRESHOLD = 1e-4
 CSR_MISMATCH_TOLERANCE = 0.05
@@ -107,10 +107,6 @@ class OverlapResolution:
     deficit_counts: float
     case: OverlapCase | None = None
 
-    @property
-    def feasible(self) -> bool:
-        return self.deficit_counts == 0.0
-
 
 def resolve_overlap(shared_counts: float, anchor_counts: float,
                     fraction_partner: float, fraction_anchor: float,
@@ -154,18 +150,13 @@ class ConsistencyFlag:
             raise ConfigError(f"unknown flag kind {self.kind!r}")
 
 
-def _state_label(species: str, charge: int) -> str:
-    return f"{species}:{charge}+"
-
-
 def composition_by_element(counts: dict[tuple[str, int], float],
                            compositions: dict[str, tuple[str, int]] | None = None
                            ) -> dict[str, float]:
     """Atomic fractions per element from (species, charge) ion counts."""
-    compositions = compositions or {}
     atoms: dict[str, float] = {}
     for (species, _), value in counts.items():
-        element, size = compositions.get(species) or parse_composition(species)
+        element, size = parse_composition(species, compositions)
         atoms[element] = atoms.get(element, 0.0) + size * value
     total = sum(atoms.values())
     if total <= 0.0:
@@ -202,7 +193,7 @@ def audit_consistency(peak_set: RangedPeakSet,
     for res in resolutions:
         if res.deficit_counts > 0.0 and res.case is not None:
             species, _ = res.case.anchor
-            label = _state_label(species, res.case.partner_charge)
+            label = state_label(species, res.case.partner_charge)
             flags.append(ConsistencyFlag(
                 "predicted_counts_exceed_peak",
                 f"{label} at {res.case.shared_mz_da:g} Da",
@@ -219,8 +210,8 @@ def audit_consistency(peak_set: RangedPeakSet,
         predicted = fractions[species].get(charge, 0.0)
         if predicted < UNEXPECTED_FRACTION_THRESHOLD:
             flags.append(ConsistencyFlag(
-                "unexpected_charge_state_present", _state_label(species, charge),
-                f"{_state_label(species, charge)} carries {value:.0f} counts but "
+                "unexpected_charge_state_present", state_label(species, charge),
+                f"{state_label(species, charge)} carries {value:.0f} counts but "
                 f"the model fraction at this field is {predicted:.2e}",
                 (("counts", value), ("fraction", predicted))))
 
@@ -231,9 +222,9 @@ def audit_consistency(peak_set: RangedPeakSet,
             if (predicted >= UNEXPECTED_FRACTION_THRESHOLD
                     and (species, charge) not in ranged_states):
                 flags.append(ConsistencyFlag(
-                    "missing_expected_peak", _state_label(species, charge),
+                    "missing_expected_peak", state_label(species, charge),
                     f"the model expects fraction {predicted:.4f} of "
-                    f"{_state_label(species, charge)} but no peak is ranged for it",
+                    f"{state_label(species, charge)} but no peak is ranged for it",
                     (("fraction", predicted),)))
 
     overlap_species = set()
@@ -286,9 +277,9 @@ class ResolutionReport:
         for res in self.resolutions:
             if res.case is None:
                 continue
-            anchor = _state_label(*res.case.anchor)
-            partner = _state_label(res.case.anchor[0], res.case.partner_charge)
-            claimant = _state_label(*res.case.claimant)
+            anchor = state_label(*res.case.anchor)
+            partner = state_label(res.case.anchor[0], res.case.partner_charge)
+            claimant = state_label(*res.case.claimant)
             if res.deficit_counts > 0.0:
                 lines.append(
                     f"At {res.case.shared_mz_da:g} Da the predicted {partner} "
@@ -312,19 +303,13 @@ class ResolutionReport:
             "field": asdict(self.field),
             "fractions": {s: {str(q): v for q, v in table.items()}
                           for s, table in self.fractions.items()},
-            "counts_before": {_state_label(*k): v
+            "counts_before": {state_label(*k): v
                               for k, v in sorted(self.counts_before.items())},
-            "counts_after": {_state_label(*k): v
+            "counts_after": {state_label(*k): v
                              for k, v in sorted(self.counts_after.items())},
             "composition_before": self.composition_before,
             "composition_after": self.composition_after,
-            "resolutions": [
-                {**{f: getattr(r, f) for f in (
-                    "shared_counts", "anchor_counts", "fraction_anchor",
-                    "fraction_partner", "predicted_counts", "assigned_counts",
-                    "remainder_counts", "deficit_counts")},
-                 "case": None if r.case is None else asdict(r.case)}
-                for r in self.resolutions],
+            "resolutions": [asdict(r) for r in self.resolutions],
             "flags": [asdict(flag) for flag in self.flags],
             "narrative": self.narrative(),
         }

@@ -134,8 +134,12 @@ class Assignment:
         return cls(m["species"], int(m["charge"]), int(m["mass"]))
 
 
-def parse_composition(name: str) -> tuple[str, int]:
-    """Element symbol and cluster size from names like Si, Si2, As4, In."""
+def parse_composition(name: str, compositions: dict[str, tuple[str, int]] | None = None
+                      ) -> tuple[str, int]:
+    """Element symbol and cluster size of a species: its entry in ``compositions``,
+    else parsed from names like Si, Si2, As4, In."""
+    if compositions and name in compositions:
+        return compositions[name]
     m = COMPOSITION_RE.match(name)
     if m is None:
         raise ConfigError(f"cannot infer element/cluster size from species {name!r}; "
@@ -189,11 +193,12 @@ class OverlapMatrix:
     peak_mz_da: tuple[float, ...]
     columns: tuple[tuple[str, int], ...]
     values: np.ndarray
-    coverage: dict[tuple[str, int], float]
 
 
-def _column_label(column: tuple[str, int]) -> str:
-    return f"{column[0]}:{column[1]}+"
+def state_label(species: str, charge: int) -> str:
+    """How a (species, charge) state is written in reports: ``Si2:2+``."""
+    return f"{species}:{charge}+"
+
 
 def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
                          compositions: dict[str, tuple[str, int]] | None = None
@@ -205,7 +210,6 @@ def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
     whose ranged peaks capture zero isotopologue probability makes its column
     degenerate.
     """
-    compositions = compositions or {}
     columns: list[tuple[str, int]] = []
     for peak in peak_set.peaks:
         for a in peak.assignments:
@@ -218,7 +222,7 @@ def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
     distributions: dict[str, dict[int, float]] = {}
     for species, _ in columns:
         if species not in distributions:
-            element, size = compositions.get(species) or parse_composition(species)
+            element, size = parse_composition(species, compositions)
             distributions[species] = dict(
                 isotopologue_distribution(isotopes, element, size))
 
@@ -233,20 +237,16 @@ def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
                     f"isotopologue of {a.species}")
             values[i, j] += prob
 
-    coverage = {}
-    for j, column in enumerate(columns):
-        total = float(values[:, j].sum())
+    for column, total in zip(columns, values.sum(axis=0).tolist()):
         if total <= 0.0:
             raise DegenerateMatrixError(
-                f"column {_column_label(column)} captures zero isotopologue "
-                "probability", columns=(_column_label(column),))
+                f"column {state_label(*column)} captures zero isotopologue "
+                "probability", columns=(state_label(*column),))
         if total > 1.0 + 1e-9:
             raise ConfigError(
-                f"column {_column_label(column)} coverage {total} exceeds 1; "
+                f"column {state_label(*column)} coverage {total} exceeds 1; "
                 "duplicated assignments?")
-        coverage[column] = min(total, 1.0)
-    return OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks), tuple(columns),
-                         values, coverage)
+    return OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks), tuple(columns), values)
 
 
 @dataclass(eq=False)
@@ -258,7 +258,6 @@ class DeconvolutionResult:
     corrected totals even when some isotopologue peaks are unranged).
     """
 
-    columns: tuple[tuple[str, int], ...]
     totals: dict[tuple[str, int], float]
     solver_totals: dict[tuple[str, int], float]
     per_peak: tuple[dict[tuple[str, int], float], ...]
@@ -277,7 +276,7 @@ def _colinear_columns(matrix: OverlapMatrix) -> tuple[str, ...]:
         for j in range(i + 1, n):
             if gram[i, j] >= COLINEAR_COSINE:
                 for k in (i, j):
-                    label = _column_label(matrix.columns[k])
+                    label = state_label(*matrix.columns[k])
                     if label not in flagged:
                         flagged.append(label)
     return tuple(flagged)
@@ -289,13 +288,15 @@ def deconvolve(peak_set: RangedPeakSet, matrix: OverlapMatrix) -> DeconvolutionR
         raise ConfigError("peak set and overlap matrix have different peak counts")
     a = matrix.values
     counts = np.array([p.counts for p in peak_set.peaks], dtype=float)
-    if np.linalg.matrix_rank(a) < len(matrix.columns):
+    # one SVD gives the rank (the matrix_rank threshold) and the start of the NNLS
+    start, _, rank, _ = np.linalg.lstsq(a, counts, rcond=None)
+    if rank < len(matrix.columns):
         flagged = _colinear_columns(matrix)
         raise DegenerateMatrixError(
             "overlap matrix is rank deficient; indistinguishable columns: "
             + (", ".join(flagged) if flagged else "(no single colinear pair)"),
             columns=flagged)
-    solution, residual = nnls(a, counts)
+    solution, residual = nnls(a, counts, start)
 
     model = a @ solution
     per_peak: list[dict[tuple[str, int], float]] = []
@@ -322,8 +323,8 @@ def deconvolve(peak_set: RangedPeakSet, matrix: OverlapMatrix) -> DeconvolutionR
               for column in matrix.columns}
     solver_totals = {column: float(solution[j])
                      for j, column in enumerate(matrix.columns)}
-    return DeconvolutionResult(matrix.columns, totals, solver_totals,
-                               tuple(per_peak), tuple(unassigned), float(residual))
+    return DeconvolutionResult(totals, solver_totals, tuple(per_peak), tuple(unassigned),
+                               float(residual))
 
 
 @dataclass(frozen=True)

@@ -134,14 +134,63 @@ def test_commands_reject_model_flags_they_ignore(argv):
      ["csr", "--raw", "--name", "Si", "--peaks", "{path}"]),
     ("mz_Da,counts,assignments\n28,1e308,Si:1:28;Si2:2:56\n29,10,Si:1:29\n",
      ["deconv", "--peaks", "{path}"]),
+    # fractions summing to 0.9; a csr cell that is not f2/(f1 + f2)
+    ("field_Vnm,f1,f2,f3,csr\n10,0.5,0.4,0,0.5\n11,0.4,0.6,0,0.6\n",
+     ["field", "--csr", "0.55", "--curve", "{path}"]),
+    ("field_Vnm,f1,f2,f3,csr\n10,1,0,0,0.9\n11,0.4,0.6,0,0.6\n",
+     ["field", "--csr", "0.7", "--curve", "{path}"]),
 ], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes", "nan-mz",
-        "nan-counts", "inf-counts", "huge-counts"])
+        "nan-counts", "inf-counts", "huge-counts", "curve-row-sum", "curve-csr-cell"])
 def test_unreadable_inputs_exit_2(text, argv, tmp_path, capsys):
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)
     assert main([arg.format(path=path) for arg in argv]) == 2
-    assert "pfikit: error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pfikit: error:" in captured.err
+
+
+# per command: arguments, the formats it writes (default first), and whether it
+# reads --verbose and --dry-run
+COMMANDS = {
+    "curves": (["--species", "si", "--grid", "19:20:0.5"], ("csv",), True, True),
+    "f50": (["--species", "si"], ("text", "json", "csv"), False, True),
+    "fit-z": (["--species", "si3", "--target", "17.7"], ("json",), False, True),
+    "fit-ie": (["--species", "si3", "--target", "17.7"], ("json",), False, True),
+    "scan": (["--species", "si3", "--parameter", "phi", "--values", "3.92"],
+             ("csv", "json"), False, True),
+    "deconv": (["--peaks", "{fixtures}/si2_overlap_peaks.csv"], ("json",), False, False),
+    "csr": (["--peaks", "{fixtures}/si2_overlap_peaks.csv", "--name", "Si2"], ("json",),
+            False, False),
+    "field": (["--curve", "{fixtures}/in_curve.csv", "--csr", "0.0056"], ("json",),
+              False, False),
+    "resolve": (["--config", "{fixtures}/as_pipeline.json"], ("text", "json"), False, False),
+    "kellogg": (["--voltage", "5600", "--f0", "35", "--v0", "7000"], ("text", "json"),
+                False, False),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_take_only_the_formats_and_flags_they_read(command, fixtures_dir, capsys):
+    args, formats, verbose, dry_run = COMMANDS[command]
+    argv = [command] + [arg.format(fixtures=fixtures_dir) for arg in args]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    outputs = []
+    for fmt in formats:
+        assert main(argv + ["--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == default
+    assert len(set(outputs)) == len(formats)
+    refused = [["--format", fmt] for fmt in ("text", "json", "csv") if fmt not in formats]
+    refused += [[flag] for flag, read in (("--verbose", verbose), ("--dry-run", dry_run))
+                if not read]
+    for extra in refused:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + extra)
+        assert exc_info.value.code == 2, extra
+    assert capsys.readouterr().out == ""
 
 
 def test_curves_stdout(capsys):

@@ -142,7 +142,7 @@ def test_nnls_matches_scipy_on_random_full_rank_problems():
         x_true = rng.uniform(-0.5, 1.0, n) * 10.0 ** rng.uniform(0.0, 5.0)
         b = a @ x_true + rng.normal(0.0, 1.0, m) * rng.uniform(0.0, 10.0)
         expected, expected_norm = scipy_nnls(a, b)
-        x, norm = nnls(a, b)
+        x, norm = nnls(a, b, np.linalg.lstsq(a, b, rcond=None)[0])
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max(), (a, b)
         # a residual far below |b| carries the rounding of a x - b at the scale of |b|
         assert norm == pytest.approx(expected_norm, rel=1e-12, abs=1e-12 * np.abs(b).max())

@@ -76,7 +76,6 @@ def test_resolve_overlap_budget():
     assert res.assigned_counts == pytest.approx(250.0)
     assert res.remainder_counts == pytest.approx(700.0)
     assert res.deficit_counts == 0.0
-    assert res.feasible
     assert res.assigned_counts + res.remainder_counts == res.shared_counts
 
 
@@ -86,7 +85,6 @@ def test_resolve_overlap_infeasible_prediction_is_clamped():
     assert res.assigned_counts == 100.0
     assert res.remainder_counts == 0.0
     assert res.deficit_counts == pytest.approx(8900.0)
-    assert not res.feasible
 
 
 def test_resolve_overlap_edge_cases():

@@ -54,7 +54,7 @@ def test_resolve_overlap_invariants(shared, anchor, f_partner, f_anchor):
     assert 0.0 <= res.assigned_counts <= res.shared_counts
     assert res.remainder_counts >= 0.0
     assert res.deficit_counts >= 0.0
-    assert res.feasible == (res.predicted_counts <= res.shared_counts)
+    assert (res.deficit_counts == 0.0) == (res.predicted_counts <= res.shared_counts)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=3))

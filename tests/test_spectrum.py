@@ -171,7 +171,7 @@ def test_matrix_separates_half_integer_lines():
         row = by_mz[mz]
         nonzero = [c for c, v in zip(matrix.columns, row) if v > 0.0]
         assert nonzero == [("Si4", 2)]
-    assert all(c == pytest.approx(1.0, abs=1e-12) for c in matrix.coverage.values())
+    assert matrix.values.sum(axis=0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrix_rejects_impossible_mass_numbers(isotopes):
