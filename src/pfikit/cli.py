@@ -7,8 +7,9 @@ field rescaling.  Each takes only the flags it reads, and ``--format`` offers
 only the formats it writes, its default first.  All numeric output is
 deterministic: CSV carries 9 significant digits, JSON is sorted with indent 2.
 
-Exit codes: 0 success, 2 configuration, 3 numerical, 4 fit range,
-5 degenerate matrix.
+Exit codes: 0 success, 2 configuration (an input file that cannot be read or an
+``--out`` that cannot be written included), 3 numerical, 4 fit range, 5 degenerate
+matrix.
 """
 
 from __future__ import annotations
@@ -325,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     except PfiKitError as exc:
         print(f"pfikit: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
+    except OSError as exc:
+        # input files are read through species.read_text, so this is a failed write
+        print(f"pfikit: error: cannot write output: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

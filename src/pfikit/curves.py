@@ -19,7 +19,7 @@ from ._numerics import brentq, pchip
 from .errors import (AmbiguityError, BracketError, ConfigError, DomainError,
                      NumericalError)
 from .geometry import Environment
-from .species import SpeciesParams
+from .species import SpeciesParams, read_text
 from .tunneling import charge_fractions
 from .zmodel import ZModel
 
@@ -274,11 +274,7 @@ def read_curve_csv(path: str | os.PathLike) -> KinghamCurve:
     parse in one conversion, a row whose fraction sum or csr cell is off by more than
     9-digit rounding explains is refused, and each row's largest fraction absorbs the
     rounding residue of its sum."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeError) as exc:
-        raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
+    lines = read_text(path, "curve file").splitlines()
     head = int(bool(lines) and lines[0].startswith("# species:"))
     species_name = (lines[0].split(":", 1)[1].strip() if head
                     else os.path.splitext(os.path.basename(path))[0])

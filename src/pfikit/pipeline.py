@@ -21,8 +21,10 @@ import numpy as np
 from .curves import (FieldEstimate, KinghamCurve, csr_from_fractions, csr_to_field,
                      read_curve_csv)
 from .errors import ConfigError, DomainError
-from .spectrum import (CsrEstimate, Peak, RangedPeakSet, parse_composition,
-                       primary_counts, raw_csr, read_peaks_csv, state_label)
+from .species import json_int, read_json
+from .spectrum import (RANGING_TOLERANCE_DA, CsrEstimate, Peak, RangedPeakSet,
+                       parse_composition, primary_counts, raw_csr, read_peaks_csv,
+                       state_label)
 
 UNEXPECTED_FRACTION_THRESHOLD = 1e-4
 CSR_MISMATCH_TOLERANCE = 0.05
@@ -343,7 +345,7 @@ class ResolutionReport:
 
 def _find_peak(peak_set: RangedPeakSet, mz_da: float) -> Peak:
     for peak in peak_set.peaks:
-        if abs(peak.mz_da - mz_da) <= peak_set.tolerance_da:
+        if abs(peak.mz_da - mz_da) <= RANGING_TOLERANCE_DA:
             return peak
     raise ConfigError(f"no ranged peak at {mz_da:g} Da")
 
@@ -359,7 +361,7 @@ def _config_value(mapping, key: str, convert, where: str):
 
 def _name_and_number(value) -> tuple[str, int]:
     name, number = value
-    return str(name), int(number)
+    return str(name), json_int(number)
 
 
 def _object_of(convert):
@@ -417,7 +419,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
         where = f"overlap {index}"
         case = OverlapCase(_config_value(raw_case, "shared_mz", float, where),
                            _config_value(raw_case, "anchor", _name_and_number, where),
-                           _config_value(raw_case, "partner_charge", int, where),
+                           _config_value(raw_case, "partner_charge", json_int, where),
                            _config_value(raw_case, "claimant", _name_and_number, where))
         anchor_species, anchor_charge = case.anchor
         if anchor_species not in fractions:
@@ -450,9 +452,6 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
         tuple(resolutions), flags)
 
 
-def load_pipeline_config(path: str | os.PathLike) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+def load_pipeline_config(path: str | os.PathLike):
+    """The JSON value in a pipeline config file; :func:`run_pipeline` checks it."""
+    return read_json(path, "pipeline config")

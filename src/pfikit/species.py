@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,16 +27,43 @@ def asset_path(name: str) -> Path:
     return path
 
 
+def read_text(path: str | os.PathLike, what: str) -> str:
+    """Text of the input file ``path``, read as UTF-8; a file that cannot be opened or
+    decoded raises ConfigError naming ``what`` it was to hold."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | os.PathLike, what: str):
+    """The JSON value in the input file ``path`` (see :func:`read_text`); text that does
+    not parse, or nests too deep to parse, raises ConfigError."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; a fraction, string, bool or null raises
+    TypeError, so no input is truncated or split into characters."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpeciesParams:
     """An atomic or cluster ion species.
 
-    ie_ladder_ev holds I_1..I_K in eV, strictly increasing; m_q is the
+    ie_ladder_ev holds I_1..I_K in eV, finite and strictly increasing; m_q is the
     principal quantum number of the tunneling electron.
     """
 
     name: str
-    cluster_size: int
     mass_amu: float
     ie_ladder_ev: tuple[float, ...]
     m_q: int
@@ -44,14 +72,15 @@ class SpeciesParams:
         object.__setattr__(self, "ie_ladder_ev", tuple(float(x) for x in self.ie_ladder_ev))
         if not self.name:
             raise ConfigError("species name must be non-empty")
-        if self.cluster_size < 1:
-            raise ConfigError(f"{self.name}: cluster_size must be >= 1")
-        if not self.mass_amu > 0.0:
-            raise ConfigError(f"{self.name}: mass must be > 0 amu")
+        if not 0.0 < self.mass_amu < math.inf:
+            raise ConfigError(f"{self.name}: mass must be positive and finite, "
+                              f"got {self.mass_amu} amu")
         if self.m_q < 1:
             raise ConfigError(f"{self.name}: m_q must be >= 1")
         if len(self.ie_ladder_ev) < 2:
             raise ConfigError(f"{self.name}: ie_ladder needs at least I_1 and I_2")
+        if not all(map(math.isfinite, self.ie_ladder_ev)):
+            raise ConfigError(f"{self.name}: ie_ladder entries must be finite")
         for lo, hi in zip(self.ie_ladder_ev, self.ie_ladder_ev[1:]):
             if not hi > lo:
                 raise ConfigError(f"{self.name}: ie_ladder must be strictly increasing")
@@ -78,12 +107,14 @@ class SpeciesParams:
 
 def _species_from_dict(entry: dict) -> SpeciesParams:
     try:
+        ladder = entry["ie_ladder_ev"]
+        if not isinstance(ladder, list):
+            raise TypeError(f"ie_ladder_ev must be a list, got {ladder!r}")
         return SpeciesParams(
             name=str(entry["name"]),
-            cluster_size=int(entry["cluster_size"]),
             mass_amu=float(entry["mass_amu"]),
-            ie_ladder_ev=tuple(float(x) for x in entry["ie_ladder_ev"]),
-            m_q=int(entry["m_q"]),
+            ie_ladder_ev=tuple(float(x) for x in ladder),
+            m_q=json_int(entry["m_q"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed species entry {entry!r}: {exc}") from exc
@@ -91,11 +122,7 @@ def _species_from_dict(entry: dict) -> SpeciesParams:
 
 def load_species_file(path: str | Path) -> list[SpeciesParams]:
     """Load a species JSON file: either one object or {"species": [...]}."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse species file {path}: {exc}") from exc
+    raw = read_json(path, "species file")
     entries = raw.get("species", [raw]) if isinstance(raw, dict) else raw
     if not (isinstance(entries, list) and entries):
         raise ConfigError(f"no species in {path}: expected an object, a list of objects "

@@ -11,7 +11,6 @@ counting-statistics uncertainty.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import re
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._numerics import nnls
 from .errors import ConfigError, DegenerateMatrixError, DomainError
-from .species import asset_path
+from .species import asset_path, json_int, read_json, read_text
 
 RANGING_TOLERANCE_DA = 0.25
 COLINEAR_COSINE = 1.0 - 1e-9
@@ -30,10 +29,9 @@ MAX_COUNTS = 2.0 ** 53  # largest count a double holds exactly; keeps the NNLS f
 
 @dataclass(frozen=True)
 class Isotope:
-    """One natural isotope: nominal mass number, isotopic mass, abundance."""
+    """One natural isotope: nominal mass number and abundance."""
 
     mass_number: int
-    mass_da: float
     abundance: float
 
 
@@ -51,11 +49,8 @@ class IsotopeTable:
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"element {name}: abundances sum to {total!r}, not 1")
             numbers = [iso.mass_number for iso in isotopes]
-            masses = [iso.mass_da for iso in isotopes]
             if any(b <= a for a, b in zip(numbers, numbers[1:])):
                 raise ConfigError(f"element {name}: mass numbers must strictly increase")
-            if any(b <= a for a, b in zip(masses, masses[1:])):
-                raise ConfigError(f"element {name}: masses must strictly increase")
             if any(iso.abundance < 0.0 for iso in isotopes):
                 raise ConfigError(f"element {name}: negative abundance")
 
@@ -70,14 +65,10 @@ def load_isotopes(path: str | os.PathLike | None = None) -> IsotopeTable:
     """Read the isotope asset (or a compatible JSON file)."""
     if path is None:
         path = asset_path("isotopes.json")
+    raw = read_json(path, "isotope file")
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse isotope file {path}: {exc}") from exc
-    try:
-        elements = {name: tuple(Isotope(int(r["mass_number"]), float(r["mass_da"]),
-                                        float(r["abundance"])) for r in rows)
+        elements = {name: tuple(Isotope(json_int(r["mass_number"]), float(r["abundance"]))
+                                for r in rows)
                     for name, rows in raw["elements"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed isotope file {path}: {exc}") from exc
@@ -166,21 +157,18 @@ class Peak:
 
 @dataclass(frozen=True)
 class RangedPeakSet:
-    """Peaks sorted by m/z; every assignment must sit within ranging tolerance."""
+    """Peaks sorted by m/z; every assignment must sit within RANGING_TOLERANCE_DA."""
 
     peaks: tuple[Peak, ...]
-    tolerance_da: float = RANGING_TOLERANCE_DA
 
     def __post_init__(self):
-        if self.tolerance_da <= 0.0:
-            raise DomainError(f"ranging tolerance {self.tolerance_da} Da must be positive")
         for peak in self.peaks:
             for a in peak.assignments:
                 nominal = a.mass_number / a.charge
-                if abs(peak.mz_da - nominal) > self.tolerance_da:
+                if abs(peak.mz_da - nominal) > RANGING_TOLERANCE_DA:
                     raise DomainError(
                         f"assignment {a} nominal m/z {nominal:g} Da misses the peak "
-                        f"at {peak.mz_da:g} Da by more than {self.tolerance_da} Da")
+                        f"at {peak.mz_da:g} Da by more than {RANGING_TOLERANCE_DA} Da")
 
     def total_counts(self) -> float:
         return sum(p.counts for p in self.peaks)
@@ -403,31 +391,28 @@ def write_peaks_csv(peak_set: RangedPeakSet, path: str | os.PathLike) -> None:
                              ";".join(str(a) for a in peak.assignments)])
 
 
-def read_peaks_csv(path: str | os.PathLike,
-                   tolerance_da: float = RANGING_TOLERANCE_DA) -> RangedPeakSet:
+def read_peaks_csv(path: str | os.PathLike) -> RangedPeakSet:
     peaks = []
+    reader = csv.reader(read_text(path, "peaks file").split("\n"))
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != PEAKS_CSV_HEADER:
-                raise ConfigError(f"{path}: expected header {','.join(PEAKS_CSV_HEADER)}")
-            for line in reader:
-                if not line:
-                    continue
-                if len(line) != 3:
-                    raise ConfigError(f"{path}:{reader.line_num}: bad row {line!r}")
-                mz, counts, assignments = line
-                try:
-                    mz_da, n = float(mz), float(counts)
-                    parsed = tuple(Assignment.parse(token)
-                                   for token in assignments.split(";") if token.strip())
-                except (ValueError, ConfigError) as exc:
-                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
-                peaks.append(Peak(mz_da, n, parsed))
-    except (OSError, UnicodeError, csv.Error) as exc:
+        if tuple(h.strip() for h in next(reader)) != PEAKS_CSV_HEADER:
+            raise ConfigError(f"{path}: expected header {','.join(PEAKS_CSV_HEADER)}")
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != 3:
+                raise ConfigError(f"{path}:{reader.line_num}: bad row {line!r}")
+            mz, counts, assignments = line
+            try:
+                mz_da, n = float(mz), float(counts)
+                parsed = tuple(Assignment.parse(token)
+                               for token in assignments.split(";") if token.strip())
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+            peaks.append(Peak(mz_da, n, parsed))
+    except csv.Error as exc:
         raise ConfigError(f"cannot read peaks file {path}: {exc}") from exc
     if not peaks:
         raise ConfigError(f"{path}: no data rows")
-    return RangedPeakSet(tuple(peaks), tolerance_da)
+    return RangedPeakSet(tuple(peaks))
 

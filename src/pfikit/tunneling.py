@@ -23,7 +23,6 @@ from .errors import ConfigError, DomainError, NumericalError
 from .geometry import CrossingGeometry, Environment, critical_distance
 from .kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 from .species import SpeciesParams
-from .units import mass_amu_to_me, to_hartree
 from .zmodel import ZModel
 
 TWO52 = 2.0 ** 2.5
@@ -57,7 +56,7 @@ def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
     """A^2 nu = I_{n+1} / (6 pi m_q e^(2/3)) in a.u. for step n -> n+1."""
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    return to_hartree(species.ie_ev(n + 1)) / (6.0 * math.pi * species.m_q * E23)
+    return species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev / (6.0 * math.pi * species.m_q * E23)
 
 
 def _critical_z_au(geo: CrossingGeometry):
@@ -75,7 +74,8 @@ def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: i
     if not (np.greater(z0_au, 0.0).all() and np.isfinite(field_vnm).all()):
         raise DomainError(f"z0 must be > 0 a.u. and the field finite, got {z0_au}, {field_vnm}")
     z_c = _critical_z_au(critical_distance(species, env, n, field_vnm))
-    return _rate_au(zmodel, n, to_hartree(species.ie_ev(n + 1)), prefactor_a2nu(species, n),
+    i_ha = species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+    return _rate_au(zmodel, n, i_ha, prefactor_a2nu(species, n),
                     np.asarray(field_vnm) / CONSTANTS.field_au_in_vnm, np.maximum(z0_au, z_c))
 
 
@@ -134,8 +134,8 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     fields = np.array(field_vnm, dtype=float, ndmin=1)
     if fields.ndim != 1 or not (np.isfinite(fields).all() and (fields > 0.0).all()):
         raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
-    per_step = np.array([(n, prefactor_a2nu(species, n), to_hartree(species.ie_ev(n + 1)))
-                         for n in steps])
+    per_step = np.array([(n, prefactor_a2nu(species, n),
+                          species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev) for n in steps])
     bohr, f_au = CONSTANTS.bohr_in_nm, fields / CONSTANTS.field_au_in_vnm
     # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
     # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
@@ -176,7 +176,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     # non-finite integral into a NumericalError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k_ev = kinetic_energy_unchecked(f_vnm, n, (), z * bohr, debt[step_of, field_of][:, None])
-        m_au = mass_amu_to_me(species.mass_amu)
+        m_au = species.mass_amu * CONSTANTS.amu_in_me
         u_au = np.sqrt(k_ev * (2.0 / (CONSTANTS.hartree_in_ev * m_au)))
         f = width * _rate_au(zmodel, n, i_ha, a2nu, f_au, z) / u_au
     # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a

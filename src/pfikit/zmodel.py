@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .species import read_json
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class ZModel:
 
     c0: float
     c1: float
-    note: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.c1 < math.inf:
@@ -34,16 +33,12 @@ class ZModel:
         return n + self.c0 + self.c1 / z0_au
 
 
-KINGHAM_Z = ZModel(c0=1.0, c1=4.5, note="default")
+KINGHAM_Z = ZModel(c0=1.0, c1=4.5)
 
 
-def load_zmodel(path: str | Path) -> ZModel:
-    path = Path(path)
+def load_zmodel(path: str | os.PathLike) -> ZModel:
+    raw = read_json(path, "Z-model file")
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse Z-model file {path}: {exc}") from exc
-    try:
-        return ZModel(c0=float(raw["c0"]), c1=float(raw["c1"]), note=str(raw.get("note", "")))
+        return ZModel(c0=float(raw["c0"]), c1=float(raw["c1"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed Z-model file {path}: {exc}") from exc

@@ -45,6 +45,7 @@ PIPELINE_CONFIG_FAULTS = (
     ("peaks", lambda c: c.update(peaks=-1)),
     ("overlaps", lambda c: c.update(overlaps=5)),
     ("nominal_fraction", lambda c: c.update(nominal_fraction="As")),
+    ("partner_charge", lambda c: c["overlaps"][1].update(partner_charge=1.9)),
 )
 
 
@@ -77,19 +78,28 @@ def test_config_validation_exits_2(fixtures_dir, tmp_path, capsys):
         assert f"'{key}'" in capsys.readouterr().err
 
 
+SI_ENTRY = '"name": "Si", "cluster_size": 1, "mass_amu": 28.085'
+
+
 @pytest.mark.parametrize("flag,text", [
     ("--zmodel", '{"c0": 1e999, "c1": 4.5}'),
     ("--zmodel", '{"c0": 1.0, "c1": NaN}'),
     ("--zmodel", '{"c0": -5, "c1": 4.5}'),
     ("--species", "-1"),
     ("--species", '{"species": 5}'),
-], ids=["infinite-c0", "nan-c1", "c0-below-minus-1", "species-number", "species-not-a-list"])
+    # a string ladder is not split into (7, 9), nor a fractional m_q truncated to 3
+    ("--species", '{%s, "ie_ladder_ev": "79", "m_q": 3}' % SI_ENTRY),
+    ("--species", '{%s, "ie_ladder_ev": [8.15, 16.35], "m_q": 3.9}' % SI_ENTRY),
+], ids=["infinite-c0", "nan-c1", "c0-below-minus-1", "species-number", "species-not-a-list",
+        "string-ladder", "fractional-m-q"])
 def test_malformed_model_files_exit_2(flag, text, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(text)
     species = [] if flag == "--species" else ["--species", "si"]
     assert main(["f50", *species, flag, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("pfikit: error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pfikit: error: ")
 
 
 def test_overflowing_model_exits_3_without_warnings(capsys):
@@ -139,16 +149,66 @@ def test_commands_reject_model_flags_they_ignore(argv):
      ["field", "--csr", "0.55", "--curve", "{path}"]),
     ("field_Vnm,f1,f2,f3,csr\n10,1,0,0,0.9\n11,0.4,0.6,0,0.6\n",
      ["field", "--csr", "0.7", "--curve", "{path}"]),
+    # a fractional mass number is not truncated to 28
+    ('{"elements": {"Si": [{"mass_number": 28.7, "mass_da": 27.977, "abundance": 0.9223}, '
+     '{"mass_number": 29, "mass_da": 28.976, "abundance": 0.0467}, '
+     '{"mass_number": 30, "mass_da": 29.974, "abundance": 0.031}]}}',
+     ["deconv", "--peaks", "{fixtures}/si2_overlap_peaks.csv", "--isotopes", "{path}"]),
 ], ids=["missing-peaks", "bad-mz", "short-curve-row", "missing-isotopes", "nan-mz",
-        "nan-counts", "inf-counts", "huge-counts", "curve-row-sum", "curve-csr-cell"])
-def test_unreadable_inputs_exit_2(text, argv, tmp_path, capsys):
+        "nan-counts", "inf-counts", "huge-counts", "curve-row-sum", "curve-csr-cell",
+        "fractional-mass-number"])
+def test_unreadable_inputs_exit_2(text, argv, fixtures_dir, tmp_path, capsys):
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)
-    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert main([arg.format(path=path, fixtures=fixtures_dir) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pfikit: error:" in captured.err
+
+
+# each file flag, and the command that reads it; {file} is the input under test
+FILE_FLAGS = {
+    "--config": ["resolve", "--config", "{file}"],
+    "--species": ["f50", "--species", "{file}"],
+    "--zmodel": ["f50", "--species", "si", "--zmodel", "{file}"],
+    "--isotopes": ["deconv", "--peaks", "{fixtures}/si2_overlap_peaks.csv",
+                   "--isotopes", "{file}"],
+    "--peaks": ["deconv", "--peaks", "{file}"],
+    "--curve": ["field", "--csr", "0.5", "--curve", "{file}"],
+}
+JSON_FLAGS = ("--config", "--species", "--zmodel", "--isotopes")
+FILE_CASES = [pytest.param(FILE_FLAGS[flag], kind, id=f"{flag[2:]}-{kind}")
+              for flag in FILE_FLAGS for kind in ("missing", "directory", "undecodable")
+              + (("deep",) if flag in JSON_FLAGS else ())]
+OUT_CASES = [
+    pytest.param(["kellogg", "--voltage", "5600", "--f0", "35", "--v0", "7000",
+                  "--out", "{tmp}/nodir/x.txt"], "out", id="kellogg-out-missing-dir"),
+    pytest.param(["f50", "--species", "si", "--out", "{tmp}/nodir/x"], "out",
+                 id="f50-out-missing-dir"),
+    pytest.param(["curves", "--species", "si", "--species", "si2", "--out", "{file}"],
+                 "existing-out", id="curves-out-existing-file"),
+]
+
+
+@pytest.mark.parametrize("argv,kind", FILE_CASES + OUT_CASES)
+def test_unreadable_files_and_unwritable_out_exit_2(argv, kind, fixtures_dir, tmp_path,
+                                                    capsys):
+    file = tmp_path / "input"
+    if kind == "directory":
+        file.mkdir()
+    elif kind == "undecodable":
+        file.write_bytes(b"\xff\xfe")
+    elif kind == "deep":
+        file.write_text("[" * 100000)
+    elif kind == "existing-out":
+        file.write_text("")
+    argv = [a.format(file=file, fixtures=fixtures_dir, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pfikit: error: ")
+    assert captured.err.count("\n") == 1
 
 
 # per command: arguments, the formats it writes (default first), and whether it

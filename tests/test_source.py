@@ -1,7 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module, and the
-package runs on numpy alone: no module imports scipy in any form (its root
-finder, interpolant and NNLS are ``pfikit._numerics``), and importing the CLI
-loads no scipy module."""
+"""Source hygiene: every name a module imports is used in that module; the
+package runs on numpy alone (no module imports scipy in any form: its root
+finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
+loads no scipy module); and only ``species.read_text``/``read_json`` read input files."""
 
 from __future__ import annotations
 
@@ -90,6 +90,51 @@ def test_guard_sees_vectorize():
     source = ("import numpy as np\nf = np.vectorize(abs)\nfrom numpy import vectorize\n"
               "g = vectorize(abs)\nnp.vectorized = 1\n")
     assert _vectorize_calls(source) == ["line 2", "line 3", "line 4"]
+
+
+READERS = ("read_text", "read_json")
+
+
+def _input_reads(source: str) -> list[str]:
+    """Lines outside ``read_text``/``read_json`` that read a file themselves: an ``open``
+    call without a literal write mode, ``json.load``/``json.loads``, or ``.read_text()``.
+    Writers open files with a mode that holds w, a or x."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in READERS
+              for node in ast.walk(fn)}
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" or (
+                isinstance(func, ast.Attribute) and func.attr == "open"):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax")
+                       for m in modes):
+                lines.add(node.lineno)
+        elif isinstance(func, ast.Attribute) and (
+                func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json"
+                or func.attr == "read_text"):
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_read_text_reads_input_files(path):
+    # one place turns a file that cannot be opened, decoded or parsed into exit 2
+    assert _input_reads(path.read_text()) == []
+
+
+def test_guard_sees_an_input_read():
+    source = ("import json\nfrom pathlib import Path\n"
+              "def read_text(path):\n    with open(path) as fh:\n        return fh.read()\n"
+              "def load(path):\n    with open(path, newline='') as fh:\n        json.load(fh)\n"
+              "    json.loads(Path(path).read_text())\n    Path(path).open('r')\n"
+              "def write(path):\n    with open(path, 'w', newline='') as fh:\n        pass\n"
+              "    open(path, mode='a')\n    read_text(path)\n")
+    assert _input_reads(source) == ["line 7", "line 8", "line 9", "line 10"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -107,9 +107,9 @@ def test_distribution_input_validation(isotopes):
 
 def test_isotope_table_validation():
     with pytest.raises(ConfigError, match="sum"):
-        IsotopeTable({"Q": (Isotope(10, 10.0, 0.6), Isotope(11, 11.0, 0.3))})
+        IsotopeTable({"Q": (Isotope(10, 0.6), Isotope(11, 0.3))})
     with pytest.raises(ConfigError, match="increase"):
-        IsotopeTable({"Q": (Isotope(11, 11.0, 0.5), Isotope(10, 10.0, 0.5))})
+        IsotopeTable({"Q": (Isotope(11, 0.5), Isotope(10, 0.5))})
 
 
 def test_parse_composition():
@@ -346,6 +346,5 @@ def test_peaks_csv_validation(tmp_path):
 def test_ranging_tolerance_is_enforced():
     with pytest.raises(DomainError, match="misses the peak"):
         RangedPeakSet((Peak(28.6, 10.0, (Assignment("Si", 1, 28),)),))
-    # the same peak passes with a looser window
-    RangedPeakSet((Peak(28.6, 10.0, (Assignment("Si", 1, 28),)),),
-                  tolerance_da=0.75)
+    # the same assignment passes inside the window
+    RangedPeakSet((Peak(28.2, 10.0, (Assignment("Si", 1, 28),)),))

@@ -28,7 +28,6 @@ from pfikit import tunneling
 from pfikit.cli import NAMED_ZMODELS
 from pfikit.species import asset_path
 from pfikit.tunneling import prefactor_a2nu
-from pfikit.units import to_hartree
 
 # the environment `pfikit curves` uses when no --phi is given
 CLI_ENV = Environment(work_function_ev=4.9)
@@ -44,7 +43,7 @@ def test_prefactor_matches_direct_formula(species_table):
     for name in ("si", "si3", "rh"):
         sp = species_table[name]
         for n in range(1, sp.max_charge):
-            i_ha = to_hartree(sp.ie_ladder_ev[n])
+            i_ha = sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
             expected = i_ha / (6.0 * math.pi * sp.m_q * math.e ** (2.0 / 3.0))
             assert prefactor_a2nu(sp, n) == pytest.approx(expected, rel=1e-14)
 
@@ -222,7 +221,7 @@ def test_si_csr_at_nominal_crossover(species_table, si_env):
 
 def _barrier_residual(sp, zmodel, n, field, z):
     """b(z) = I - Z(n, min(z, cap)) F / I - F z in Hartree, straight from its definition."""
-    i_ha = to_hartree(sp.ie_ev(n + 1))
+    i_ha = sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
     f_au = field / CONSTANTS.field_au_in_vnm
     return i_ha - zmodel.z(n, min(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z, i_ha
 
@@ -230,8 +229,8 @@ def _barrier_residual(sp, zmodel, n, field, z):
 def _clamp_distances(sp, zmodel, n, fields):
     """Floored z_c and the clamp distance z* (a.u.) of step n at an array of fields."""
     z_c = tunneling._critical_z_au(critical_distance(sp, CLI_ENV, n, fields))
-    f_au = fields / CONSTANTS.field_au_in_vnm
-    return z_c, tunneling._clamp_distance_au(zmodel, n, to_hartree(sp.ie_ev(n + 1)), f_au, z_c)
+    f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+    return z_c, tunneling._clamp_distance_au(zmodel, n, i_ha, f_au, z_c)
 
 
 def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels):
@@ -264,7 +263,7 @@ def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels
 def test_clamp_distance_without_c1_is_the_linear_root(species_table):
     # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so z* = I / F - (n + c0) / I
     si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
-    i_ha, f_au = to_hartree(si.ie_ev(2)), 30.0 / CONSTANTS.field_au_in_vnm
+    i_ha, f_au = si.ie_ev(2) / CONSTANTS.hartree_in_ev, 30.0 / CONSTANTS.field_au_in_vnm
     _, (z_star,) = _clamp_distances(si, zmodel, 1, np.array([30.0]))
     assert z_star < tunneling.Z_ARG_CAP_AU
     assert z_star == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)

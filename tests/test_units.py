@@ -1,12 +1,13 @@
-"""Unit conversions and the pinned constants."""
+"""The pinned constants, and the species checks on the values the step kernel converts
+to atomic units (a mass in amu, an ionization-energy ladder in eV)."""
 
 import math
 
 import pytest
 
-from pfikit import CONSTANTS
-from pfikit.errors import DomainError
-from pfikit.units import mass_amu_to_me, to_hartree
+from pfikit import CONSTANTS, ConfigError, SpeciesParams
+
+LADDER = (8.15, 16.35, 33.49)
 
 
 def test_image_coefficients():
@@ -18,18 +19,15 @@ def test_image_coefficients():
     assert f"{CONSTANTS.c_s:.6f}" == "1.199985"
 
 
-def test_known_conversion_values():
-    assert to_hartree(CONSTANTS.hartree_in_ev) == 1.0
-    assert mass_amu_to_me(1.0) == CONSTANTS.amu_in_me
-
-
 def test_nonfinite_rejected():
-    with pytest.raises(DomainError):
-        to_hartree(float("nan"))
-    with pytest.raises(DomainError):
-        mass_amu_to_me(float("inf"))
+    for mass, ladder in ((math.inf, LADDER), (math.nan, LADDER),
+                         (28.085, (8.15, 16.35, math.inf)), (28.085, (-math.inf, 16.35)),
+                         (28.085, (8.15, math.nan))):
+        with pytest.raises(ConfigError, match="finite"):
+            SpeciesParams("Si", mass, ladder, 3)
 
 
 def test_nonpositive_mass_rejected():
-    with pytest.raises(DomainError):
-        mass_amu_to_me(0.0)
+    for mass in (0.0, -28.085):
+        with pytest.raises(ConfigError, match="mass"):
+            SpeciesParams("Si", mass, LADDER, 3)
