@@ -246,9 +246,10 @@ def csr_to_field(curve: KinghamCurve, csr: float,
 def dump_curve_csv(curve: KinghamCurve, fh: TextIO) -> None:
     """Write the curve as CSV to an open text stream: a species comment line, then the
     header and one %.9g row per field, CRLF-terminated; a two-state species' f3 is 0."""
-    np.savetxt(fh, np.column_stack((curve.field_grid_vnm, curve.fractions, curve.csr)),
-               fmt="%.9g", delimiter=",", newline="\r\n", comments="",
-               header=f"# species: {curve.species_name}\n" + ",".join(CSV_HEADER))
+    table = np.column_stack((curve.field_grid_vnm, curve.fractions, curve.csr))
+    row = ",".join(["%.9g"] * len(CSV_HEADER)) + "\r\n"
+    fh.write(f"# species: {curve.species_name}\n{','.join(CSV_HEADER)}\r\n"
+             + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:

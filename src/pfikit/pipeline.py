@@ -21,7 +21,7 @@ import numpy as np
 from .curves import (FieldEstimate, KinghamCurve, csr_from_fractions, csr_to_field,
                      read_curve_csv)
 from .errors import ConfigError, DomainError
-from .species import json_int, read_json
+from .species import json_float, json_int, read_json
 from .spectrum import (RANGING_TOLERANCE_DA, CsrEstimate, Peak, RangedPeakSet,
                        parse_composition, primary_counts, raw_csr, read_peaks_csv,
                        state_label)
@@ -417,7 +417,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
                 if config.get("overlaps") else [])
     for index, raw_case in enumerate(overlaps):
         where = f"overlap {index}"
-        case = OverlapCase(_config_value(raw_case, "shared_mz", float, where),
+        case = OverlapCase(_config_value(raw_case, "shared_mz", json_float, where),
                            _config_value(raw_case, "anchor", _name_and_number, where),
                            _config_value(raw_case, "partner_charge", json_int, where),
                            _config_value(raw_case, "claimant", _name_and_number, where))
@@ -441,7 +441,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
                                  + resolution.remainder_counts)
         resolutions.append(resolution)
 
-    nominal = (_config_value(config, "nominal_fraction", _object_of(float), "the top level")
+    nominal = (_config_value(config, "nominal_fraction", _object_of(json_float), "the top level")
                if config.get("nominal_fraction") else None)
     flags = audit_consistency(peak_set, counts, fractions, tuple(resolutions), nominal,
                               compositions)

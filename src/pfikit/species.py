@@ -6,6 +6,8 @@ import dataclasses
 import json
 import math
 import os
+import reprlib
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,11 +50,20 @@ def read_json(path: str | os.PathLike, what: str):
 
 
 def json_int(value) -> int:
-    """``value`` if it is a JSON integer; a fraction, string, bool or null raises
-    TypeError, so no input is truncated or split into characters."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+    """``value`` if it is a JSON integer that a float can hold; a fraction, string, bool,
+    null or larger integer raises TypeError, so no input is truncated or split into
+    characters."""
+    if type(value) is not int or abs(value) > sys.float_info.max:
+        raise TypeError(f"expected an integer that a float can hold, got {reprlib.repr(value)}")
     return value
+
+
+def json_float(value) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool, string, null, list,
+    object, NaN, +-Infinity or an integer too large for a float raises TypeError."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"expected a finite number, got {reprlib.repr(value)}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,8 @@ def _species_from_dict(entry: dict) -> SpeciesParams:
             raise TypeError(f"ie_ladder_ev must be a list, got {ladder!r}")
         return SpeciesParams(
             name=str(entry["name"]),
-            mass_amu=float(entry["mass_amu"]),
-            ie_ladder_ev=tuple(float(x) for x in ladder),
+            mass_amu=json_float(entry["mass_amu"]),
+            ie_ladder_ev=tuple(map(json_float, ladder)),
             m_q=json_int(entry["m_q"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

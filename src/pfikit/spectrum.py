@@ -20,7 +20,7 @@ import numpy as np
 
 from ._numerics import nnls
 from .errors import ConfigError, DegenerateMatrixError, DomainError
-from .species import asset_path, json_int, read_json, read_text
+from .species import asset_path, json_float, json_int, read_json, read_text
 
 RANGING_TOLERANCE_DA = 0.25
 COLINEAR_COSINE = 1.0 - 1e-9
@@ -67,7 +67,7 @@ def load_isotopes(path: str | os.PathLike | None = None) -> IsotopeTable:
         path = asset_path("isotopes.json")
     raw = read_json(path, "isotope file")
     try:
-        elements = {name: tuple(Isotope(json_int(r["mass_number"]), float(r["abundance"]))
+        elements = {name: tuple(Isotope(json_int(r["mass_number"]), json_float(r["abundance"]))
                                 for r in rows)
                     for name, rows in raw["elements"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

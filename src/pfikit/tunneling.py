@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
@@ -30,8 +29,8 @@ E23 = math.exp(2.0 / 3.0)
 
 # Numerical constants of the step integral and the rate model.
 Z_MAX_AU = 200.0          # truncation of the z0 integral
-RULE_ORDER = 32           # Gauss-Legendre nodes per piece; half as many estimate the error
-P_TOL = 1e-6              # largest accepted |P(RULE_ORDER) - P(RULE_ORDER / 2)|
+RULE_ORDER = 15           # Gauss order n of the 2n+1-node Kronrod rule used on each piece
+P_TOL = 1e-6              # largest accepted |P(Kronrod) - P(its embedded Gauss rule)|
 NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 Z_FLOOR_AU = 0.05         # lower floor for critical distances
@@ -42,8 +41,9 @@ NOTE_HUMP = "launch at or below the hump; dwell diverges"
 
 @dataclass(frozen=True)
 class PfiStepResult:
-    """One PFI step n -> n+1: P, its integral and error estimate (floats or arrays like the
-    field), the nodes of the whole call, and the early-out every field took, else ""."""
+    """One PFI step n -> n+1: P, its integral by the Kronrod rule and the P error estimate
+    against the embedded Gauss rule (floats or arrays like the field), the nodes of the whole
+    call (2 RULE_ORDER + 1 per kept piece), and the early-out every field took, else ""."""
 
     p_t: float | np.ndarray
     integral_value: float | np.ndarray
@@ -115,15 +115,51 @@ def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au, z_c):
     return np.where(b_c <= 0.0, z_c, np.where(z_linear >= Z_ARG_CAP_AU, z_linear, z_quadratic))
 
 
-@functools.cache
-def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s in [0, 1] and weights w: integral_a^b f ~= (b - a) sum(w f(a + (b - a) s)).
+def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x in [-1, 1] of the (2n + 1)-point Gauss-Kronrod rule, its n Gauss nodes first,
+    with the Kronrod weights and the n-point Gauss weights on those first nodes.
 
-    Gauss-Legendre in t on [0, pi] with s = (1 - cos t)/2; its Jacobian cancels 1/sqrt ends.
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) extends the Legendre recurrence
+    coefficients b_k = k^2/(4k^2 - 1) (the a_k of a symmetric weight are all 0) by mixed
+    moments s, t to the Kronrod Jacobi matrix; eigh gives nodes and weights (Golub-Welsch,
+    with the weight's integral 2 over [-1, 1]).
     """
-    x, w = leggauss(order)
+    # b_k up to ceil(3n/2) are known; the second loop fills the rest of the 2n
+    k = np.arange(2 * n + 1)
+    b = np.where(k <= (3 * n + 1) // 2, k * k / (4.0 * k * k - 1.0), 0.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    jacobi = np.diag(np.sqrt(b[1:]), -1)
+    (x, v), (_, v_gauss) = np.linalg.eigh(jacobi), np.linalg.eigh(jacobi[:n, :n])
+    # the ascending Kronrod nodes alternate, and every second one is a Gauss node
+    gauss_first = np.r_[1:2 * n:2, 0:2 * n + 1:2]
+    return x[gauss_first], 2.0 * v[0, gauss_first] ** 2, 2.0 * v_gauss[0] ** 2
+
+
+@functools.cache
+def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s in [0, 1] of the ``_kronrod_rule(order)``, its Gauss nodes first, with the
+    Kronrod weights w and the Gauss weights on the first ``order`` nodes:
+    integral_a^b f ~= (b - a) sum(w f(a + (b - a) s)).
+
+    Both rules are in t on [0, pi] with s = (1 - cos t)/2; its Jacobian cancels 1/sqrt ends.
+    """
+    x, w_kronrod, w_gauss = _kronrod_rule(order)
     t = 0.5 * math.pi * (x + 1.0)
-    return 0.5 * (1.0 - np.cos(t)), 0.25 * math.pi * w * np.sin(t)
+    jacobian = 0.25 * math.pi * np.sin(t)
+    return 0.5 * (1.0 - np.cos(t)), jacobian * w_kronrod, jacobian[:order] * w_gauss
 
 
 def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: range,
@@ -170,8 +206,8 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
     n, a2nu, i_ha = per_step[step_of].T[:, :, None]
     f_vnm, f_au = fields[field_of][:, None], f_au[field_of][:, None]
-    (s_fine, w_fine), (s_coarse, w_coarse) = map(_cosine_rule, (RULE_ORDER, RULE_ORDER // 2))
-    z = lo + width * np.concatenate((s_fine, s_coarse))
+    s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
+    z = lo + width * s_nodes
     # extreme model inputs can overflow here; the check below turns a
     # non-finite integral into a NumericalError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -185,7 +221,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     owner = step_of * fields.size + field_of
     value, coarse = (np.where(hump, math.inf, np.bincount(owner, np.einsum(
         "pk,k->p", nodes, weights), hump.size).reshape(hump.shape))
-        for nodes, weights in ((f[:, :RULE_ORDER], w_fine), (f[:, RULE_ORDER:], w_coarse)))
+        for nodes, weights in ((f, w_kronrod), (f[:, :RULE_ORDER], w_gauss)))
     p_t = -np.expm1(-value)
     est_error = np.abs(np.expm1(-coarse) + p_t)
     resolved = early | np.isfinite(value) & (est_error <= P_TOL)
@@ -197,7 +233,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
             f"{est_error[s, i]:.2e} > {P_TOL:g})")
     if not np.ndim(field_vnm):
         p_t, value, est_error = p_t[:, 0].tolist(), value[:, 0].tolist(), est_error[:, 0].tolist()
-    evals = np.bincount(step_of, minlength=len(steps)) * (RULE_ORDER + RULE_ORDER // 2)
+    evals = np.bincount(step_of, minlength=len(steps)) * s_nodes.size
     # a call without fields took no early-out, although all() over no fields is true
     taken = fields.size > 0
     notes = [NOTE_EMPTY if taken and e else NOTE_HUMP if taken and h else ""

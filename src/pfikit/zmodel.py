@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .species import read_json
+from .species import json_float, read_json
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,6 @@ KINGHAM_Z = ZModel(c0=1.0, c1=4.5)
 def load_zmodel(path: str | os.PathLike) -> ZModel:
     raw = read_json(path, "Z-model file")
     try:
-        return ZModel(c0=float(raw["c0"]), c1=float(raw["c1"]))
+        return ZModel(c0=json_float(raw["c0"]), c1=json_float(raw["c1"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed Z-model file {path}: {exc}") from exc

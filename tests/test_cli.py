@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 from pfikit import builtin_species, read_curve_csv
 from pfikit.cli import main
+from pfikit.species import asset_path
 
 
 def test_f50_json(capsys):
@@ -100,6 +102,25 @@ def test_malformed_model_files_exit_2(flag, text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pfikit: error: ")
+
+
+def test_json_floats_must_be_finite_numbers(fixtures_dir, tmp_path, capsys):
+    # a 400-digit c0 used to overflow float() with a traceback, and a NaN abundance used
+    # to pass the isotope table and surface as "mass number 28 is not an isotopologue"
+    zmodel = tmp_path / "z.json"
+    zmodel.write_text('{"c0": 1%s, "c1": 1}' % ("0" * 400))
+    assert main(["f50", "--species", "si", "--zmodel", str(zmodel)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed Z-model file" in err and "got 1000000000" in err
+    with open(asset_path("isotopes.json")) as fh:
+        table = json.load(fh)
+    table["elements"]["Si"][0]["abundance"] = math.nan
+    isotopes = tmp_path / "isotopes.json"
+    isotopes.write_text(json.dumps(table))
+    assert main(["deconv", "--peaks", os.path.join(fixtures_dir, "si2_overlap_peaks.csv"),
+                 "--isotopes", str(isotopes)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed isotope file" in err and "got nan" in err
 
 
 def test_overflowing_model_exits_3_without_warnings(capsys):

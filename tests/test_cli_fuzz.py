@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -83,7 +84,7 @@ def _strict_json(text: str) -> None:
     json.loads(text, parse_constant=refuse)
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -94,7 +95,7 @@ def _run(argv: list[str]) -> str:
     lines = err.getvalue().splitlines()
     assert all(line.startswith("pfikit: error: ") for line in lines), (argv, lines)
     assert (code == 0) == (not lines), (argv, code, lines)
-    return out.getvalue() if code == 0 else ""
+    return code, out.getvalue(), err.getvalue()
 
 
 def _write(directory: str, name: str, text: str) -> str:
@@ -141,8 +142,8 @@ def test_field_on_mutated_curves_and_flags(data):
                 f"--csr={data.draw(st.one_of(FLOATS, st.floats(0.0, 1.0).map(repr)))}"]
         if data.draw(st.booleans()):
             argv.append(f"--two-sigma={data.draw(FLOATS)}")
-        stdout = _run(argv)
-    if stdout:
+        code, stdout, _ = _run(argv)
+    if code == 0:
         _strict_json(stdout)
 
 
@@ -197,6 +198,66 @@ def test_model_commands_on_mutated_flags_and_files(data):
             argv += [f"--target={data.draw(_plausible_or_any(10.0, 30.0))}",
                      f"--ie-index={data.draw(SMALL_INTS)}"]
         _run([command] + argv)
+
+
+# JSON leaf values that no number in an input file may take, each with how an error
+# message names it; Python's json reads and writes NaN and Infinity, RFC 8259 does not
+BAD_LEAVES = ((10 ** 400, "1000000000"), (math.nan, "nan"), (math.inf, "inf"),
+              (-math.inf, "-inf"), ("17.7", "'17.7'"), ([17.7], "[17.7]"),
+              ({"value": 17.7}, "{'value': 17.7}"))
+# the keys, and the keys of lists and objects, whose JSON values pfikit reads as floats
+FLOAT_KEYS = {"c0", "c1", "mass_amu", "ie_ladder_ev", "abundance", "shared_mz",
+              "nominal_fraction"}
+
+
+def _leaf_paths(value, path=()):
+    """Paths (keys and indices) to every non-container value inside a JSON value."""
+    items = (value.items() if isinstance(value, dict) else enumerate(value)
+             if isinstance(value, list) else None)
+    if items is None:
+        return [path]
+    return [leaf for key, item in items for leaf in _leaf_paths(item, path + (key,))]
+
+
+@st.composite
+def leaf_replaced(draw, text: str):
+    """``text`` with one leaf of its JSON value replaced by a bad value; also whether
+    the leaf is a float pfikit reads, and how a message names the bad value."""
+    root = json.loads(text)
+    path = draw(st.sampled_from(_leaf_paths(root)))
+    value, named = draw(st.sampled_from(BAD_LEAVES))
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    is_float = bool(FLOAT_KEYS & {k for k in path[-2:] if isinstance(k, str)})
+    return json.dumps(root), is_float, named
+
+
+# each JSON input file, how to read its shipped text, and the command that reads {file}
+JSON_INPUTS = (
+    ("rh.json", _packaged, ["f50", "--species={file}", "--phi=4.8"]),
+    ("z_kingham.json", _packaged, ["f50", "--species=si", "--zmodel={file}"]),
+    ("isotopes.json", _packaged,
+     ["deconv", "--peaks={fixtures}/si2_overlap_peaks.csv", "--isotopes={file}"]),
+    ("as_pipeline.json", _fixture, ["resolve", "--config={file}", "--base-dir={fixtures}"]),
+    ("consistent_pipeline.json", _fixture,
+     ["resolve", "--config={file}", "--base-dir={fixtures}"]),
+)
+
+
+@settings(FUZZ, max_examples=120)
+@given(st.data())
+def test_bad_json_leaf_values(data):
+    # a bad value where a float is read is refused with exit 2, and the message names it
+    name, read, command = data.draw(st.sampled_from(JSON_INPUTS))
+    text, is_float, named = data.draw(leaf_replaced(read(name)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, name, text)
+        argv = [arg.format(file=path, fixtures=FIXTURES) for arg in command]
+        code, _, stderr = _run(argv)
+    if is_float:
+        assert code == 2 and named in stderr, (argv, text, code, stderr)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

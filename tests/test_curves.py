@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import os
 
@@ -198,6 +199,31 @@ def test_curve_csv_round_trip(tmp_path, species_table, si_env):
     for row, orig in zip(back.fractions, curve.fractions):
         # construction already proved each row sums to 1 within 1e-12
         assert row[:len(orig)] == pytest.approx(orig, rel=1e-8, abs=1e-12)
+
+
+def test_curve_csv_bytes(tmp_path):
+    # an LF after the comment line, CRLF after every other line, %.9g cells, f3 = 0
+    two_state = KinghamCurve("Si", (10.0, 12.5), ((0.75, 0.25, 0.0), (1 / 3, 2 / 3, 0.0)),
+                             (0.25, 2 / 3))
+    three_state = KinghamCurve("Si2", (20.0, 21.25, 22.5),
+                               ((0.1, 0.7, 0.2), (1e-10, 0.5, 0.5 - 1e-10), (0.0, 0.0, 1.0)),
+                               (0.875, 0.9999999998, 1.0))
+    expected = (
+        (two_state, "# species: Si\nfield_Vnm,f1,f2,f3,csr\r\n"
+                    "10,0.75,0.25,0,0.25\r\n"
+                    "12.5,0.333333333,0.666666667,0,0.666666667\r\n"),
+        (three_state, "# species: Si2\nfield_Vnm,f1,f2,f3,csr\r\n"
+                      "20,0.1,0.7,0.2,0.875\r\n"
+                      "21.25,1e-10,0.5,0.5,1\r\n"
+                      "22.5,0,0,1,1\r\n"),
+    )
+    for curve, text in expected:
+        stream = io.StringIO(newline="")
+        curves.dump_curve_csv(curve, stream)
+        assert stream.getvalue() == text
+        path = tmp_path / f"{curve.species_name}.csv"
+        write_curve_csv(curve, path)
+        assert path.read_bytes() == text.encode()
 
 
 def test_reader_gives_each_rows_residue_to_its_largest_fraction(fixtures_dir):

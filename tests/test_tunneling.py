@@ -137,6 +137,37 @@ def test_step_probability_is_refinement_invariant(species_table, named_zmodels,
     assert abs(shipped[worst] - refined[worst]) <= 1e-9, worst
 
 
+def test_kronrod_rule_is_exact_interlaced_and_positive():
+    # Legendre polynomials, not monomials: x^k near degree 48 is too flat to show an error
+    n = tunneling.RULE_ORDER
+    x, w_kronrod, w_gauss = tunneling._kronrod_rule(n)
+    assert x.shape == w_kronrod.shape == (2 * n + 1,) and w_gauss.shape == (n,)
+    moments = np.polynomial.legendre.legvander(x, 3 * n + 3).T
+    exact = np.zeros(len(moments))
+    exact[0] = 2.0
+    # K31 is exact to degree 3n + 2 = 47, its embedded G15 to 2n - 1 = 29, and no further
+    kronrod, gauss = moments @ w_kronrod - exact, moments[:, :n] @ w_gauss - exact
+    assert np.abs(kronrod[:3 * n + 3]).max() <= 1e-14
+    assert np.abs(gauss[:2 * n]).max() <= 1e-14
+    assert abs(kronrod[3 * n + 3]) > 1e-6 and abs(gauss[2 * n]) > 1e-6
+    # the 15 Gauss nodes strictly interlace the 16 Kronrod-only nodes
+    order = np.argsort(x)
+    assert (np.diff(x[order]) > 0.0).all()
+    assert (order < n).tolist() == [k % 2 == 1 for k in range(2 * n + 1)]
+    assert (w_kronrod > 0.0).all() and (w_gauss > 0.0).all()
+
+
+def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_env):
+    nodes = 2 * tunneling.RULE_ORDER + 1
+    s, w_kronrod, w_gauss = tunneling._cosine_rule(tunneling.RULE_ORDER)
+    assert s.shape == w_kronrod.shape == (nodes,) and ((s > 0.0) & (s < 1.0)).all()
+    # the substitution s = (1 - cos t)/2 keeps the weights' sums at the interval length
+    assert math.fsum(w_kronrod) == pytest.approx(1.0, abs=1e-14)
+    assert math.fsum(w_gauss) == pytest.approx(1.0, abs=1e-14)
+    step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
+    assert step.n_evaluations > 0 and step.n_evaluations % nodes == 0
+
+
 def test_step_gate_raises_above_the_tolerance(species_table, rh_env, monkeypatch):
     step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
     assert 0.0 < step.est_error <= tunneling.P_TOL
