@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 
 from pfikit import (Environment, KINGHAM_Z, critical_distance, find_f50,
-                    kinetic_energy, pfi_step_probability, resolve_species)
+                    pfi_step_probability, resolve_species)
+from pfikit.kinematics import kinetic_energy_unchecked
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
     env = Environment(work_function_ev=args.phi)
 
     geometry = critical_distance(rh, env, 1, args.field)
-    k_ev = kinetic_energy(rh, args.field, 1, (), geometry.l_c_nm)
+    k_ev = kinetic_energy_unchecked(args.field, 1, (), geometry.l_c_nm)
     step = pfi_step_probability(rh, env, KINGHAM_Z, 1, args.field)
     crossover = find_f50(rh, env, KINGHAM_Z)
 

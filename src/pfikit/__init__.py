@@ -11,10 +11,9 @@ from .curves import (CrossoverResult, FieldEstimate, FieldGrid, KinghamCurve,
                      csr_from_fractions, csr_to_field, evaluate_csr, find_f50,
                      generate_curve, read_curve_csv, write_curve_csv)
 from .errors import (AmbiguityError, BracketError, ConfigError,
-                     DegenerateMatrixError, DomainError, FitRangeError,
-                     NonphysicalKinematicsError, NumericalError, PfiKitError)
-from .geometry import CrossingGeometry, Environment, critical_distance, hump_position
-from .kinematics import kinetic_energy
+                     DegenerateMatrixError, DomainError, FitRangeError, NumericalError,
+                     PfiKitError)
+from .geometry import CrossingGeometry, Environment, critical_distance
 from .pipeline import (FLAG_KINDS, ConsistencyFlag, OverlapCase, OverlapResolution,
                        ResolutionReport, audit_consistency, composition_by_element,
                        fraction_at, kellogg_field, load_pipeline_config,
@@ -26,8 +25,7 @@ from .spectrum import (Assignment, CsrEstimate, DeconvolutionResult, Isotope,
                        isotopologue_distribution, load_isotopes,
                        parse_composition, primary_counts, raw_csr, read_peaks_csv,
                        write_peaks_csv)
-from .tunneling import (PfiStepResult, charge_fractions, pfi_step_probability,
-                        rate_constant)
+from .tunneling import PfiStepResult, charge_fractions, pfi_step_probability
 from .zmodel import KINGHAM_Z, ZModel, load_zmodel
 
 __version__ = "0.1.0"

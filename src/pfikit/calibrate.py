@@ -5,11 +5,11 @@ additive offset c0 with the 1/z0 coefficient held fixed; the IE fit varies a
 single ladder entry within +/-30 % of its nominal value.  Multi-parameter
 simultaneous fits are out of scope.
 
-At extreme parameter values the 50 % crossover can stop existing: once the
-barrier vanishes below the crossing field, the CSR jumps over 0.5 instead of
-crossing it.  Fit brackets therefore retreat from an unevaluable bound toward
-the nominal value, and the reported achievable interval only spans F50 values
-that are proper crossings.
+At extreme parameter values the CSR can stay below 0.5 until nearly every ion is
+past 2+: f1 and f2 fall to 0, the empty 1+/2+ pair reads 1.0, and ``find_f50``
+refuses that flip from 0 to 1 as a discontinuous crossover.  Fit brackets
+therefore retreat from an unevaluable bound toward the nominal value, and the
+reported achievable interval only spans F50 values that are proper crossings.
 """
 
 from __future__ import annotations

@@ -183,8 +183,8 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
                           rtol=8.9e-16)
     achieved = g_root + 0.5
     if abs(achieved - 0.5) >= 1e-6:
-        # CSR can jump over 0.5 where the barrier vanishes below the
-        # crossing field; there is no proper 50 % crossover then.
+        # the CSR jumped over 0.5 inside the cell, as where f1 and f2 both fall
+        # to 0 and the empty pair reads 1.0; there is no proper 50 % crossover
         raise NumericalError(
             f"{species.name}: CSR jumps over 0.5 near {root:.3f} V/nm "
             f"(reaches {achieved:.4g}); the crossover is discontinuous")

@@ -25,12 +25,6 @@ class NumericalError(PfiKitError):
     exit_code = 3
 
 
-class NonphysicalKinematicsError(NumericalError):
-    """The ion cannot classically reach the requested position (kinetic energy < 0)."""
-
-    exit_code = 3
-
-
 class FitRangeError(PfiKitError):
     """A fit or crossover target is unreachable inside the search interval.
 

@@ -1,4 +1,4 @@
-"""Emitter environment, critical distances, and the Schottky-hump escape point.
+"""Emitter environment and a PFI step's crossing geometry: critical distances and hump.
 
 Energies in eV, lengths in nm, fields in V/nm throughout this module.
 """
@@ -46,29 +46,24 @@ class CrossingGeometry:
     barrier_vanished: bool
 
 
-def hump_position(field_vnm):
-    """Schottky hump L_i = 0.5*sqrt(W/F) in nm, a float or an array like the field."""
-    if not np.greater(field_vnm, 0.0).all():
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
-    l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / np.asarray(field_vnm, dtype=float))
-    return l_i if l_i.ndim else l_i.item()
-
-
 def critical_distance(species: SpeciesParams, env: Environment, n: int,
                       field_vnm) -> CrossingGeometry:
     """Critical distance for PFI step n -> n+1 at a field, a float or an array.
 
     L_c is the larger root of F*L^2 - (I_{n+1} - phi)*L + (2n+1)*W/4 = 0;
-    PFI is energetically allowed beyond it. An array field gives array members.
+    PFI is energetically allowed beyond it. The hump sits at L_i = 0.5*sqrt(W/F).
+    An array field gives array members.
     """
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    l_i = hump_position(field_vnm)
+    if not np.greater(field_vnm, 0.0).all():
+        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     field = np.asarray(field_vnm, dtype=float)
+    l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field)
     a = species.ie_ev(n + 1) - env.work_function_ev
     disc = a * a - (2 * n + 1) * field * CONSTANTS.w_image_evnm
     vanished = disc < 0.0
     l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field))
     z_c = np.where(vanished, 0.0, l_c - env.screening_length_nm)
-    members = (l_c, z_c, np.asarray(l_i), vanished)
+    members = (l_c, z_c, l_i, vanished)
     return CrossingGeometry(*(v if field.ndim else v.item() for v in members))

@@ -89,14 +89,13 @@ class OverlapCase:
 
 @dataclass(frozen=True)
 class OverlapResolution:
-    """Count budget of one shared peak.
+    """Count budget of the shared peak of one ``case``, named in the audit and narrative.
 
     ``predicted_counts`` is the raw partner prediction
     anchor * fraction_partner / fraction_anchor; ``assigned_counts`` caps it
     at the shared peak, ``remainder_counts`` goes to the claimant, and any
     ``deficit_counts`` (prediction exceeding the peak) is an inconsistency
-    surfaced by the audit.  assigned + remainder equals the shared counts
-    exactly.
+    surfaced by the audit.  assigned + remainder equals the shared counts exactly.
     """
 
     shared_counts: float
@@ -107,12 +106,12 @@ class OverlapResolution:
     assigned_counts: float
     remainder_counts: float
     deficit_counts: float
-    case: OverlapCase | None = None
+    case: OverlapCase
 
 
 def resolve_overlap(shared_counts: float, anchor_counts: float,
                     fraction_partner: float, fraction_anchor: float,
-                    case: OverlapCase | None = None) -> OverlapResolution:
+                    case: OverlapCase) -> OverlapResolution:
     """Split one shared peak between the anchor's partner state and the claimant."""
     if shared_counts < 0.0 or anchor_counts < 0.0:
         raise DomainError("counts must be nonnegative")
@@ -193,7 +192,7 @@ def audit_consistency(peak_set: RangedPeakSet,
                     (("measured", got), ("nominal", nominal))))
 
     for res in resolutions:
-        if res.deficit_counts > 0.0 and res.case is not None:
+        if res.deficit_counts > 0.0:
             species, _ = res.case.anchor
             label = state_label(species, res.case.partner_charge)
             flags.append(ConsistencyFlag(
@@ -229,11 +228,8 @@ def audit_consistency(peak_set: RangedPeakSet,
                     f"{state_label(species, charge)} but no peak is ranged for it",
                     (("fraction", predicted),)))
 
-    overlap_species = set()
-    for res in resolutions:
-        if res.case is not None:
-            overlap_species.add(res.case.anchor[0])
-            overlap_species.add(res.case.claimant[0])
+    overlap_species = {name for res in resolutions
+                       for name in (res.case.anchor[0], res.case.claimant[0])}
     for species in fractions:
         if species in overlap_species:
             continue
@@ -277,8 +273,6 @@ class ResolutionReport:
             f"{self.reference_csr.value:.4f} +/- {self.reference_csr.two_sigma:.4f} "
             f"puts the field at {self.field.field_vnm:.2f} V/nm."]
         for res in self.resolutions:
-            if res.case is None:
-                continue
             anchor = state_label(*res.case.anchor)
             partner = state_label(res.case.anchor[0], res.case.partner_charge)
             claimant = state_label(*res.case.claimant)

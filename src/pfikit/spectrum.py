@@ -25,6 +25,8 @@ from .species import asset_path, json_float, json_int, read_json, read_text
 RANGING_TOLERANCE_DA = 0.25
 COLINEAR_COSINE = 1.0 - 1e-9
 MAX_COUNTS = 2.0 ** 53  # largest count a double holds exactly; keeps the NNLS free of overflow
+MAX_MASS_NUMBER = 300   # above every known nuclide (A = 294); bounds the convolution span
+MAX_CLUSTER_SIZE = 100  # the convolution is quadratic in the cluster size
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ class IsotopeTable:
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"element {name}: abundances sum to {total!r}, not 1")
             numbers = [iso.mass_number for iso in isotopes]
+            if not all(1 <= a <= MAX_MASS_NUMBER for a in numbers):
+                raise ConfigError(f"element {name}: mass numbers {numbers} must lie in "
+                                  f"[1, {MAX_MASS_NUMBER}]")
             if any(b <= a for a, b in zip(numbers, numbers[1:])):
                 raise ConfigError(f"element {name}: mass numbers must strictly increase")
             if any(iso.abundance < 0.0 for iso in isotopes):
@@ -97,7 +102,8 @@ def isotopologue_distribution(isotopes: IsotopeTable, element: str,
 
 
 ASSIGNMENT_RE = re.compile(r"^(?P<species>[^:;,\s]+):(?P<charge>\d+):(?P<mass>\d+)$")
-COMPOSITION_RE = re.compile(r"^(?P<element>[A-Z][a-z]?)(?P<size>\d*)$")
+# a size of 10 digits or more is refused here, before int() (which refuses > 4300 digits)
+COMPOSITION_RE = re.compile(r"^(?P<element>[A-Z][a-z]?)(?P<size>\d{0,9})$")
 
 
 @dataclass(frozen=True)
@@ -130,13 +136,16 @@ def parse_composition(name: str, compositions: dict[str, tuple[str, int]] | None
     """Element symbol and cluster size of a species: its entry in ``compositions``,
     else parsed from names like Si, Si2, As4, In."""
     if compositions and name in compositions:
-        return compositions[name]
-    m = COMPOSITION_RE.match(name)
-    if m is None:
+        element, size = compositions[name]
+    elif m := COMPOSITION_RE.match(name):
+        element, size = m["element"], int(m["size"] or 1)
+    else:
         raise ConfigError(f"cannot infer element/cluster size from species {name!r}; "
                           "provide an explicit composition")
-    size = int(m["size"]) if m["size"] else 1
-    return m["element"], size
+    if not 1 <= size <= MAX_CLUSTER_SIZE:
+        raise DomainError(f"species {name!r}: cluster size {size} must lie in "
+                          f"[1, {MAX_CLUSTER_SIZE}]")
+    return element, size
 
 
 @dataclass(frozen=True)

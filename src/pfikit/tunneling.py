@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import CrossingGeometry, Environment, critical_distance
+from .geometry import Environment, critical_distance
 from .kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 from .species import SpeciesParams
 from .zmodel import ZModel
@@ -57,26 +57,6 @@ def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
     if not 1 <= n < species.max_charge:
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
     return species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev / (6.0 * math.pi * species.m_q * E23)
-
-
-def _critical_z_au(geo: CrossingGeometry):
-    """Floored critical distance (a.u.) of a ``critical_distance``; a vanished barrier's 0 too."""
-    return np.maximum(geo.z_c_nm / CONSTANTS.bohr_in_nm, Z_FLOOR_AU)
-
-
-def rate_constant(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                  field_vnm, z0_au):
-    """Corrected ionization rate constant R(z0) in a.u. for step n -> n+1.
-
-    field_vnm and z0_au are floats or arrays that broadcast together. Distances below
-    the critical distance evaluate at it (the rate is only consumed on [z_c, z_max]).
-    """
-    if not (np.greater(z0_au, 0.0).all() and np.isfinite(field_vnm).all()):
-        raise DomainError(f"z0 must be > 0 a.u. and the field finite, got {z0_au}, {field_vnm}")
-    z_c = _critical_z_au(critical_distance(species, env, n, field_vnm))
-    i_ha = species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
-    return _rate_au(zmodel, n, i_ha, prefactor_a2nu(species, n),
-                    np.asarray(field_vnm) / CONSTANTS.field_au_in_vnm, np.maximum(z0_au, z_c))
 
 
 def _rate_au(zmodel: ZModel, n, i_ha, a2nu, f_au, z_au):
@@ -180,7 +160,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     debt, hump, history_nm = np.empty(edges.shape[:2]), np.zeros(edges.shape[:2], bool), []
     for n in range(1, steps[-1] + 1):
         geo = critical_distance(species, env, n, fields)
-        z_c = _critical_z_au(geo)
+        z_c = np.maximum(geo.z_c_nm / bohr, Z_FLOOR_AU)
         if n in steps:
             s = n - steps[0]
             edges[s, :, 0], debt[s] = z_c, energy_debt_ev(fields, history_nm)

@@ -26,9 +26,7 @@ from pfikit import (
     critical_distance,
     deconvolve,
     generate_curve,
-    hump_position,
     isotopologue_distribution,
-    kinetic_energy,
     load_isotopes,
     load_pipeline_config,
     pfi_step_probability,
@@ -55,7 +53,7 @@ def test_c03_rh_critical_point_at_25(species_table, rh_env):
     rh = species_table["rh"]
     geo = critical_distance(rh, rh_env, 1, 25.0)
     assert geo.l_c_nm == pytest.approx(0.43, abs=0.005)
-    k = kinetic_energy(rh, 25.0, 1, (), geo.l_c_nm)
+    k = kinetic_energy_unchecked(25.0, 1, (), geo.l_c_nm)
     assert k == pytest.approx(5.58, abs=0.10)
 
 
@@ -111,7 +109,8 @@ def test_c08_model_invariants(species_table, si_env, rh_env):
 
     # the first-step kinetic energy has its double zero on the hump
     for field in (10.0, 20.0, 35.0):
-        assert abs(kinetic_energy_unchecked(field, 1, (), hump_position(field))) < 1e-9
+        l_i = critical_distance(si, si_env, 1, field).l_i_nm
+        assert abs(kinetic_energy_unchecked(field, 1, (), l_i)) < 1e-9
 
     # isotopologue distributions agree with brute-force enumeration (k = 4)
     isotopes = load_isotopes()

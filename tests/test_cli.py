@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import pfikit
 from pfikit import builtin_species, read_curve_csv
 from pfikit.cli import main
 from pfikit.species import asset_path
@@ -121,6 +125,31 @@ def test_json_floats_must_be_finite_numbers(fixtures_dir, tmp_path, capsys):
                  "--isotopes", str(isotopes)]) == 2
     err = capsys.readouterr().err
     assert "malformed isotope file" in err and "got nan" in err
+
+
+def test_isotope_mass_numbers_are_bounded(fixtures_dir, tmp_path, capsys):
+    # a mass number of 10**300 used to size the isotope convolution array and fail in
+    # numpy with a traceback
+    with open(asset_path("isotopes.json")) as fh:
+        table = json.load(fh)
+    table["elements"]["Si"][2]["mass_number"] = 10 ** 300
+    isotopes = tmp_path / "isotopes.json"
+    isotopes.write_text(json.dumps(table))
+    assert main(["deconv", "--peaks", os.path.join(fixtures_dir, "si2_overlap_peaks.csv"),
+                 "--isotopes", str(isotopes)]) == 2
+    assert f"mass numbers [28, 29, {10 ** 300}] must lie in [1, 300]" in capsys.readouterr().err
+
+
+def test_cluster_sizes_are_bounded(tmp_path):
+    # Si1000000 used to start a million-fold isotope convolution, quadratic in the size;
+    # a process with a deadline shows that it is refused up front
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("mz_Da,counts,assignments\n28000000,100,Si1000000:1:28000000\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pfikit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "pfikit.cli", "deconv", "--peaks", str(peaks)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert "cluster size 1000000 must lie in [1, 100]" in done.stderr
 
 
 def test_overflowing_model_exits_3_without_warnings(capsys):

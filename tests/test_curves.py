@@ -108,8 +108,8 @@ def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name
 
 
 def test_discontinuous_crossover_is_refused(species_table, si_env):
-    # push the second ionization energy up until the singles/doubles ratio
-    # jumps straight over 0.5 when the first-step barrier collapses
+    # with I2 pushed up the CSR stays near 0 until f1 and f2 both reach 0 at
+    # 32.737 V/nm, where the empty 1+/2+ pair reads 1.0: a jump, not a crossing
     stiff = species_table["si3"].with_ie(2, 18.72)
     with pytest.raises(NumericalError, match="discontinuous"):
         find_f50(stiff, si_env, KINGHAM_Z)

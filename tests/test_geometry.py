@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pfikit import CONSTANTS, Environment, critical_distance, hump_position
+from pfikit import CONSTANTS, Environment, critical_distance
 from pfikit.errors import ConfigError, DomainError
 
 
@@ -51,17 +51,20 @@ def test_quadratic_residual_below_1e9_ev(species_table, si_env, rh_env, name, n,
     assert abs(residual) < 1e-9
 
 
-def test_hump_position_formula():
-    for field in (5.0, 21.3, 45.0):
-        expected = 0.5 * math.sqrt(CONSTANTS.w_image_evnm / field)
-        assert hump_position(field) == pytest.approx(expected, rel=1e-14)
+def test_hump_position_formula(species_table, si_env):
+    # the hump depends on the field alone, not on the species or the step
+    for name, n in (("si", 1), ("si3", 2), ("rh", 1)):
+        for field in (5.0, 21.3, 45.0):
+            expected = 0.5 * math.sqrt(CONSTANTS.w_image_evnm / field)
+            l_i = critical_distance(species_table[name], si_env, n, field).l_i_nm
+            assert l_i == pytest.approx(expected, rel=1e-14)
 
 
-def test_hump_is_stationary_point_of_first_step_energy():
+def test_hump_is_stationary_point_of_first_step_energy(species_table, si_env):
     # complex-step derivative of k1(L) = F*L + C/L - c_s*sqrt(F) at the hump
     field = 21.3
     c = CONSTANTS.c_image_evnm
-    l_i = hump_position(field)
+    l_i = critical_distance(species_table["si"], si_env, 1, field).l_i_nm
     h = 1e-20
     k = field * complex(l_i, h) + c / complex(l_i, h) - CONSTANTS.c_s * math.sqrt(field)
     assert abs(k.imag / h) < 1e-9
@@ -94,12 +97,11 @@ def test_screening_length_shifts_z_c(species_table):
 
 def test_error_paths(species_table, si_env):
     si = species_table["si"]
-    with pytest.raises(DomainError):
-        critical_distance(si, si_env, 1, 0.0)
+    for bad in (0.0, -5.0, math.nan):
+        with pytest.raises(DomainError):
+            critical_distance(si, si_env, 1, bad)
     with pytest.raises(ConfigError):
         critical_distance(si, si_env, 3, 20.0)
-    with pytest.raises(DomainError):
-        hump_position(-5.0)
 
 
 def test_environment_rejects_nonfinite_values():

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pfikit import CONSTANTS, critical_distance, hump_position, kinetic_energy
-from pfikit.errors import DomainError, NonphysicalKinematicsError
+from pfikit import CONSTANTS, critical_distance
 from pfikit.kinematics import forbidden_gap_nm, kinetic_energy_unchecked
 
 
@@ -34,13 +33,13 @@ def telescoped_energy(field, history, l_nm):
 def test_rh_launch_energy_anchor(species_table, rh_env):
     rh = species_table["rh"]
     l_c = critical_distance(rh, rh_env, 1, 25.0).l_c_nm
-    k = kinetic_energy(rh, 25.0, 1, (), l_c)
+    k = kinetic_energy_unchecked(25.0, 1, (), l_c)
     assert k == pytest.approx(5.6094, abs=1e-3)
 
 
-def test_energy_vanishes_at_hump():
+def test_energy_vanishes_at_hump(species_table, si_env):
     for field in (10.0, 21.3, 35.0):
-        l_i = hump_position(field)
+        l_i = critical_distance(species_table["si"], si_env, 1, field).l_i_nm
         assert abs(kinetic_energy_unchecked(field, 1, (), l_i)) < 1e-9
 
 
@@ -55,23 +54,11 @@ def test_two_route_agreement(species_table, si_env):
         assert package == pytest.approx(oracle, abs=1e-9)
 
 
-def test_forbidden_region_raises(species_table, si_env):
-    # the first step is nonnegative everywhere (double zero at the hump), so
-    # a classically forbidden point needs a later step with its history debt
-    si3 = species_table["si3"]
-    field = 10.0
-    z1 = critical_distance(si3, si_env, 1, field).l_c_nm
-    l_min = 2.0 * math.sqrt(CONSTANTS.c_image_evnm / field)
-    assert kinetic_energy_unchecked(field, 2, (z1,), l_min) < 0.0
-    with pytest.raises(NonphysicalKinematicsError):
-        kinetic_energy(si3, field, 2, (z1,), l_min)
-
-
 def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     si3 = species_table["si3"]
     field = 10.0
     history = (critical_distance(si3, si_env, 1, field).l_c_nm,)
-    lo, hi = forbidden_gap_nm(field, 2, history)
+    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, history)
     l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
     k = kinetic_energy_unchecked(field, 2, history, l_nm)
     inside = (l_nm > lo) & (l_nm < hi)
@@ -79,21 +66,5 @@ def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     for root in (lo, hi):
         assert abs(kinetic_energy_unchecked(field, 2, history, root)) < 1e-9
     # the first step touches zero only at the hump: at most a rounding-wide gap
-    for field in (5.0, 10.0, 21.3, 35.0):
-        lo, hi = forbidden_gap_nm(field, 1, ())
-        assert hi - lo < 1e-6
-
-
-def test_history_length_checked(species_table):
-    with pytest.raises(DomainError):
-        kinetic_energy(species_table["si3"], 16.0, 2, (), 1.0)
-    with pytest.raises(DomainError):
-        kinetic_energy(species_table["si"], 16.0, 1, (0.4,), 1.0)
-
-
-def test_nonpositive_inputs_rejected(species_table):
-    si = species_table["si"]
-    with pytest.raises(DomainError):
-        kinetic_energy(si, -1.0, 1, (), 1.0)
-    with pytest.raises(DomainError):
-        kinetic_energy(si, 20.0, 1, (), 0.0)
+    lo, hi = forbidden_gap_nm(np.array([5.0, 10.0, 21.3, 35.0]), 1, ())
+    assert (hi - lo < 1e-6).all()

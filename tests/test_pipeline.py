@@ -28,6 +28,11 @@ from pfikit import (
 )
 
 
+# the first overlap of as_pipeline.json: As+ and As2 2+ share the 75 Da peak, and the
+# As 2+ anchor predicts its As+ partner
+CASE = OverlapCase(75.0, ("As", 2), 1, ("As2", 2))
+
+
 @pytest.fixture(scope="module")
 def as_report(fixtures_dir):
     config = load_pipeline_config(os.path.join(fixtures_dir, "as_pipeline.json"))
@@ -71,16 +76,17 @@ def test_fraction_at_interpolates_columns(fixtures_dir):
 
 
 def test_resolve_overlap_budget():
-    res = resolve_overlap(950.0, 1000.0, 0.2, 0.8)
+    res = resolve_overlap(950.0, 1000.0, 0.2, 0.8, CASE)
     assert res.predicted_counts == pytest.approx(250.0)
     assert res.assigned_counts == pytest.approx(250.0)
     assert res.remainder_counts == pytest.approx(700.0)
     assert res.deficit_counts == 0.0
     assert res.assigned_counts + res.remainder_counts == res.shared_counts
+    assert res.case is CASE
 
 
 def test_resolve_overlap_infeasible_prediction_is_clamped():
-    res = resolve_overlap(100.0, 1000.0, 0.9, 0.1)
+    res = resolve_overlap(100.0, 1000.0, 0.9, 0.1, CASE)
     assert res.predicted_counts == pytest.approx(9000.0)
     assert res.assigned_counts == 100.0
     assert res.remainder_counts == 0.0
@@ -89,18 +95,18 @@ def test_resolve_overlap_infeasible_prediction_is_clamped():
 
 def test_resolve_overlap_edge_cases():
     # nothing predicted: the claimant keeps the whole peak
-    res = resolve_overlap(500.0, 1000.0, 0.0, 0.8)
+    res = resolve_overlap(500.0, 1000.0, 0.0, 0.8, CASE)
     assert res.assigned_counts == 0.0
     assert res.remainder_counts == 500.0
     # an anchor with zero model fraction but observed counts cannot be scaled
     with pytest.raises(DomainError, match="saturates"):
-        resolve_overlap(500.0, 1000.0, 0.2, 0.0)
+        resolve_overlap(500.0, 1000.0, 0.2, 0.0, CASE)
     # unless the anchor is empty too
-    assert resolve_overlap(500.0, 0.0, 0.2, 0.0).predicted_counts == 0.0
+    assert resolve_overlap(500.0, 0.0, 0.2, 0.0, CASE).predicted_counts == 0.0
     with pytest.raises(DomainError):
-        resolve_overlap(-1.0, 0.0, 0.2, 0.8)
+        resolve_overlap(-1.0, 0.0, 0.2, 0.8, CASE)
     with pytest.raises(DomainError):
-        resolve_overlap(1.0, 0.0, 1.2, 0.8)
+        resolve_overlap(1.0, 0.0, 1.2, 0.8, CASE)
 
 
 def test_overlap_case_validation():

@@ -12,6 +12,7 @@ from pfikit import (
     KINGHAM_Z,
     Assignment,
     Environment,
+    OverlapCase,
     Peak,
     RangedPeakSet,
     build_overlap_matrix,
@@ -20,7 +21,6 @@ from pfikit import (
     critical_distance,
     csr_from_fractions,
     deconvolve,
-    hump_position,
     isotopologue_distribution,
     kellogg_field,
     load_isotopes,
@@ -49,7 +49,8 @@ def test_kellogg_is_homogeneous(voltage, f0, v0, scale):
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=1e-6, max_value=1.0))
 def test_resolve_overlap_invariants(shared, anchor, f_partner, f_anchor):
-    res = resolve_overlap(shared, anchor, f_partner, f_anchor)
+    res = resolve_overlap(shared, anchor, f_partner, f_anchor,
+                          OverlapCase(75.0, ("As", 2), 1, ("As2", 2)))
     assert res.assigned_counts + res.remainder_counts == res.shared_counts
     assert 0.0 <= res.assigned_counts <= res.shared_counts
     assert res.remainder_counts >= 0.0
@@ -118,7 +119,7 @@ def test_critical_distance_solves_its_quadratic(field):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=5.0, max_value=40.0))
 def test_first_step_energy_vanishes_at_the_hump(field):
-    l_i = hump_position(field)
+    l_i = critical_distance(SPECIES["si"], SI_ENV, 1, field).l_i_nm
     k = kinetic_energy_unchecked(field, 1, (), l_i)
     assert abs(k) < 1e-9
 
@@ -128,7 +129,7 @@ def test_first_step_energy_vanishes_at_the_hump(field):
        st.floats(min_value=0.02, max_value=2.0))
 def test_first_step_energy_is_a_perfect_square(field, l_nm):
     # k1(L) = (F/L) (L - L_i)^2: nonnegative with a double zero at the hump
-    l_i = hump_position(field)
+    l_i = critical_distance(SPECIES["si"], SI_ENV, 1, field).l_i_nm
     k = kinetic_energy_unchecked(field, 1, (), l_nm)
     expected = (field / l_nm) * (l_nm - l_i) ** 2
     assert abs(k - expected) <= 1e-9

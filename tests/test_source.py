@@ -1,13 +1,15 @@
 """Source hygiene: every name a module imports is used in that module; the
 package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
-loads no scipy module); and only ``species.read_text``/``read_json`` read input files."""
+loads no scipy module); only ``species.read_text``/``read_json`` read input files; and
+every public name has a user outside the tests."""
 
 from __future__ import annotations
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -165,3 +167,36 @@ def test_guard_sees_any_scipy_import():
               "__import__('scipy')\nimportlib.import_module('scipyx')\n")
     assert _imports_from(source, "scipy") == ["line 3", "line 4", "line 6", "line 7",
                                               "line 8"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the code that runs: the package's own modules, the scripts, the benchmark and the
+# fixture generator; tests do not count as users of a public name
+USERS = MODULES + sorted(p for d in ("scripts", "perfbench", "fixtures")
+                         for p in (ROOT / d).rglob("*.py"))
+
+
+def _unreferenced(names, sources: list[str]) -> list[str]:
+    """Names that no line of ``sources`` mentions as a word, apart from the unindented
+    line that defines them (``def``, ``class`` or an assignment)."""
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"(?:def|class) {re.escape(name)}\b|{re.escape(name)}\s*[:=]")
+        if not any(word.search(line) and not definition.match(line)
+                   for source in sources for line in source.splitlines()):
+            unused.append(name)
+    return unused
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    # a public name that only tests reach is surface to delete, not to keep
+    sources = [p.read_text() for p in USERS]
+    assert _unreferenced(pfikit.__all__, sources) == []
+
+
+def test_guard_sees_an_export_without_a_user():
+    sources = ["def used(x):\n    return x\n\n\ndef unused():\n    return used(1)\n",
+               "unused_too = 2\nx = unused_too_long\nfrom pkg import used\n"]
+    assert _unreferenced(["used", "unused", "unused_too"], sources) == ["unused",
+                                                                        "unused_too"]

@@ -110,6 +110,10 @@ def test_isotope_table_validation():
         IsotopeTable({"Q": (Isotope(10, 0.6), Isotope(11, 0.3))})
     with pytest.raises(ConfigError, match="increase"):
         IsotopeTable({"Q": (Isotope(11, 0.5), Isotope(10, 0.5))})
+    for number in (0, 301):
+        with pytest.raises(ConfigError, match=fr"mass numbers \[{number}\] must lie in"):
+            IsotopeTable({"Q": (Isotope(number, 1.0),)})
+    assert IsotopeTable({"Q": (Isotope(1, 0.5), Isotope(300, 0.5))}).element("Q")
 
 
 def test_parse_composition():
@@ -117,9 +121,16 @@ def test_parse_composition():
     assert parse_composition("Si2") == ("Si", 2)
     assert parse_composition("As4") == ("As", 4)
     assert parse_composition("In") == ("In", 1)
-    for bad in ("si2", "2Si", "", "Si-2"):
+    assert parse_composition("Si100") == ("Si", 100)
+    assert parse_composition("dimer", {"dimer": ("Si", 2)}) == ("Si", 2)
+    # cluster sizes outside [1, 100], from the name or from ``compositions``, and names
+    # whose size has too many digits to parse
+    for bad in ("si2", "2Si", "", "Si-2", "Si0", "Si101", "Si" + "9" * 5000):
         with pytest.raises(ConfigError):
             parse_composition(bad)
+    for size in (0, 101):
+        with pytest.raises(ConfigError, match=f"cluster size {size} must lie in"):
+            parse_composition("dimer", {"dimer": ("Si", size)})
 
 
 def test_assignment_round_trip():
