@@ -10,9 +10,11 @@ Usage: python scripts/deconvolve_overlap.py [--peaks fixtures/si2_overlap_peaks.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from pfikit import (build_overlap_matrix, compute_csr, deconvolve, load_isotopes,
                     raw_csr, read_peaks_csv)
+from pfikit.cli import run
 
 
 def main() -> None:
@@ -35,4 +37,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -11,7 +11,10 @@ Usage: python scripts/refit_z_and_ie.py
 
 from __future__ import annotations
 
+import sys
+
 from pfikit import Environment, KINGHAM_Z, fit_ie, fit_z_offset, resolve_species
+from pfikit.cli import run
 
 TARGETS_VNM = {"si3": 17.7, "si4": 17.0}
 SI4_NOTE = "target 17.0 V/nm is a stand-in, not a measured crossover"
@@ -35,4 +38,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

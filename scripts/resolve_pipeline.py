@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from pfikit import load_pipeline_config, run_pipeline
+from pfikit.cli import run
 
 
 def main() -> None:
@@ -27,4 +29,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

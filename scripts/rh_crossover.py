@@ -10,9 +10,11 @@ Usage: python scripts/rh_crossover.py [--field 25] [--phi 4.8]
 from __future__ import annotations
 
 import argparse
+import sys
 
 from pfikit import (Environment, KINGHAM_Z, critical_distance, find_f50,
                     pfi_step_probability, resolve_species)
+from pfikit.cli import run
 from pfikit.kinematics import kinetic_energy_unchecked
 
 
@@ -38,4 +40,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -10,8 +10,10 @@ Usage: python scripts/sensitivity_scan.py [--species si3]
 from __future__ import annotations
 
 import argparse
+import sys
 
 from pfikit import Environment, KINGHAM_Z, resolve_species, sensitivity_scan
+from pfikit.cli import run
 
 
 def main() -> None:
@@ -33,4 +35,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from pfikit import (Environment, FieldGrid, KINGHAM_Z, find_f50, generate_curve,
                     resolve_species, write_curve_csv)
+from pfikit.cli import run
 
 
 def main() -> None:
@@ -37,4 +39,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

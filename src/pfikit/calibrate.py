@@ -26,6 +26,8 @@ from .species import SpeciesParams
 from .zmodel import ZModel
 
 FIT_RESIDUAL_VNM = 0.05  # required |F50(fit) - target|
+FIT_XTOL = 1e-4         # bracket width at which the fitted parameter is taken
+BOUND_PROBES = 6        # bisections from an unevaluable bound toward the nominal value
 
 C0_BOUNDS = (0.01, 2.0)
 IE_REL_WINDOW = 0.30
@@ -56,8 +58,7 @@ class ScanPoint:
     f50_vnm: float
 
 
-def _usable_bound(f50_of, x_good: float, x_bound: float,
-                  max_iter: int = 6) -> tuple[float, float] | None:
+def _usable_bound(f50_of, x_good: float, x_bound: float) -> tuple[float, float] | None:
     """Farthest point toward ``x_bound`` where the F50 still evaluates.
 
     ``x_good`` is assumed evaluable.  Returns (x, f50) or None when every
@@ -69,7 +70,7 @@ def _usable_bound(f50_of, x_good: float, x_bound: float,
         pass
     lo, hi = x_good, x_bound
     best = None
-    for _ in range(max_iter):
+    for _ in range(BOUND_PROBES):
         mid = 0.5 * (lo + hi)
         try:
             best = (mid, f50_of(mid))
@@ -80,7 +81,7 @@ def _usable_bound(f50_of, x_good: float, x_bound: float,
 
 
 def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
-            target: float, xtol: float) -> tuple[float, float]:
+            target: float) -> tuple[float, float]:
     """Solve f50_of(x) == target for x inside ``bounds``; returns (x, F50 at x).
 
     A non-finite target raises DomainError before any F50 is solved.  The
@@ -115,7 +116,7 @@ def _fit_1d(f50_of, label: str, x_nominal: float, bounds: tuple[float, float],
     for (xa, fa), (xb, fb) in zip(points, points[1:]):
         if (fa - target) * (fb - target) <= 0.0:
             x, _ = brentq(lambda x: f(x) - target, xa, xb, fa - target, fb - target,
-                          xtol=xtol)
+                          xtol=FIT_XTOL)
             achieved = f(x)
             if abs(achieved - target) >= FIT_RESIDUAL_VNM:
                 raise NumericalError(f"{label}: residual {achieved - target:.4f} V/nm "
@@ -138,8 +139,7 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     def f50_of(c0: float) -> float:
         return find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm
 
-    c0, achieved = _fit_1d(f50_of, f"{species.name} z-offset fit", 1.0, C0_BOUNDS,
-                           target_f50_vnm, xtol=1e-4)
+    c0, achieved = _fit_1d(f50_of, f"{species.name} z-offset fit", 1.0, C0_BOUNDS, target_f50_vnm)
     return FitReport("z_offset", species.name, "c0", target_f50_vnm, achieved,
                      achieved - target_f50_vnm, c0, 1.0, c0 - 1.0, c0 - 1.0)
 
@@ -172,7 +172,7 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
         return find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm
 
     fitted, achieved = _fit_1d(f50_of, f"{species.name} I{ie_index} fit", nominal,
-                               (lo, hi), target_f50_vnm, xtol=1e-4)
+                               (lo, hi), target_f50_vnm)
     return FitReport("ie", species.name, f"I{ie_index}", target_f50_vnm, achieved,
                      achieved - target_f50_vnm, fitted, nominal, fitted - nominal,
                      (fitted - nominal) / nominal)

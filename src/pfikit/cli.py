@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
 
 from . import calibrate, curves, pipeline, spectrum
@@ -311,10 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(action: Callable[[], int | None]) -> int:
+    """Exit code of ``action()``: its return value (None reads 0), or, when it raises a
+    pfikit error or fails to write, the error's code after one line on stderr."""
     try:
+        return action() or 0
+    except PfiKitError as exc:
+        print(f"pfikit: error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 1)
+    except OSError as exc:
+        # input files are read through species.read_text, so this is a failed write
+        print(f"pfikit: error: cannot write output: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def command() -> int:
         if args.species_count is not None:
             _resolve_model(args)
             if args.dry_run:
@@ -323,13 +338,8 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 return 0
         return args.handler(args)
-    except PfiKitError as exc:
-        print(f"pfikit: error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 1)
-    except OSError as exc:
-        # input files are read through species.read_text, so this is a failed write
-        print(f"pfikit: error: cannot write output: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
+
+    return run(command)
 
 
 if __name__ == "__main__":

@@ -30,14 +30,13 @@ def kinetic_energy_unchecked(field_vnm, n, crossing_history_nm: Sequence, l_nm, 
     return n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm - debt_ev
 
 
-def forbidden_gap_nm(field_vnm, n: int, crossing_history_nm: Sequence):
+def forbidden_gap_nm(field_vnm, n: int, debt_ev):
     """L interval (nm) where k_n(L) < 0, or (0, 0) if k_n never goes negative; arrays like
-    the field and the crossing distances.
+    the field and ``debt_ev``, the ``energy_debt_ev`` of field and crossing history.
 
     k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
     """
-    debt = energy_debt_ev(field_vnm, crossing_history_nm)
-    disc = debt * debt - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
-    q = 0.5 * (debt + np.sqrt(np.maximum(disc, 0.0)))
+    disc = debt_ev * debt_ev - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
+    q = 0.5 * (debt_ev + np.sqrt(np.maximum(disc, 0.0)))
     return tuple(np.where(disc > 0.0, x, 0.0) for x in (n * n * CONSTANTS.c_image_evnm / q,
                                                          q / (n * field_vnm)))

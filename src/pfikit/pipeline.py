@@ -174,8 +174,8 @@ def audit_consistency(peak_set: RangedPeakSet,
                       ) -> tuple[ConsistencyFlag, ...]:
     """Advisory checks of the resolved spectrum against model and nominals.
 
-    Total function: returns flags in a deterministic order (kind by kind,
-    subjects in input order) and never raises.
+    Total function: returns flags kind by kind in FLAG_KINDS order, which is the
+    order of the checks below, subjects in input order; never raises.
     """
     flags: list[ConsistencyFlag] = []
 
@@ -246,9 +246,6 @@ def audit_consistency(peak_set: RangedPeakSet,
                 f"{species}: model CSR {predicted_csr:.4f} at the estimated field "
                 f"but the resolved spectrum gives {observed_csr:.4f}",
                 (("predicted", predicted_csr), ("observed", observed_csr))))
-
-    order = {kind: i for i, kind in enumerate(FLAG_KINDS)}
-    flags.sort(key=lambda fl: order[fl.kind])
     return tuple(flags)
 
 

@@ -92,8 +92,7 @@ def isotopologue_distribution(isotopes: IsotopeTable, element: str,
     base_number = table[0].mass_number
     span = table[-1].mass_number - base_number
     single = np.zeros(span + 1)
-    for iso in table:
-        single[iso.mass_number - base_number] = iso.abundance
+    single[[iso.mass_number - base_number for iso in table]] = [iso.abundance for iso in table]
     dist = single.copy()
     for _ in range(cluster_size - 1):
         dist = np.convolve(dist, single)
@@ -197,42 +196,33 @@ def state_label(species: str, charge: int) -> str:
     return f"{species}:{charge}+"
 
 
-def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
-                         compositions: dict[str, tuple[str, int]] | None = None
-                         ) -> OverlapMatrix:
+def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable) -> OverlapMatrix:
     """Expected relative abundance of every assigned (species, charge) per peak.
 
-    ``compositions`` maps species names to (element, cluster size); names not
-    listed are parsed as element symbol plus optional size suffix.  A species
-    whose ranged peaks capture zero isotopologue probability makes its column
-    degenerate.
+    Columns follow the first appearance of each (species, charge).  Species names
+    are parsed as an element symbol plus an optional cluster-size suffix (Si, Si2,
+    As4).  A species whose ranged peaks capture zero isotopologue probability makes
+    its column degenerate.
     """
-    columns: list[tuple[str, int]] = []
+    index: dict[tuple[str, int], int] = {}
     for peak in peak_set.peaks:
         for a in peak.assignments:
-            key = (a.species, a.charge)
-            if key not in columns:
-                columns.append(key)
-    if not columns:
+            index.setdefault((a.species, a.charge), len(index))
+    if not index:
         raise DegenerateMatrixError("no assignments anywhere; nothing to deconvolve")
-
-    distributions: dict[str, dict[int, float]] = {}
-    for species, _ in columns:
-        if species not in distributions:
-            element, size = parse_composition(species, compositions)
-            distributions[species] = dict(
-                isotopologue_distribution(isotopes, element, size))
+    columns = tuple(index)
+    distributions = {species: dict(isotopologue_distribution(isotopes, *parse_composition(species)))
+                     for species in dict.fromkeys(species for species, _ in columns)}
 
     values = np.zeros((len(peak_set.peaks), len(columns)))
     for i, peak in enumerate(peak_set.peaks):
         for a in peak.assignments:
-            j = columns.index((a.species, a.charge))
             prob = distributions[a.species].get(a.mass_number)
             if prob is None:
                 raise ConfigError(
                     f"assignment {a}: mass number {a.mass_number} is not an "
                     f"isotopologue of {a.species}")
-            values[i, j] += prob
+            values[i, index[(a.species, a.charge)]] += prob
 
     for column, total in zip(columns, values.sum(axis=0).tolist()):
         if total <= 0.0:
@@ -243,7 +233,7 @@ def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable,
             raise ConfigError(
                 f"column {state_label(*column)} coverage {total} exceeds 1; "
                 "duplicated assignments?")
-    return OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks), tuple(columns), values)
+    return OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks), columns, values)
 
 
 @dataclass(eq=False)
@@ -263,20 +253,12 @@ class DeconvolutionResult:
 
 
 def _colinear_columns(matrix: OverlapMatrix) -> tuple[str, ...]:
+    """Labels of the columns of each colinear pair, pairs in (i < j) order, each label once."""
     a = matrix.values
     norms = np.linalg.norm(a, axis=0)
-    unit = a / np.where(norms == 0.0, 1.0, norms)
-    gram = np.abs(unit.T @ unit)
-    flagged: list[str] = []
-    n = len(matrix.columns)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i, j] >= COLINEAR_COSINE:
-                for k in (i, j):
-                    label = state_label(*matrix.columns[k])
-                    if label not in flagged:
-                        flagged.append(label)
-    return tuple(flagged)
+    unit = a / np.where(norms == 0.0, 1.0, norms)  # a zero column would divide 0 by 0
+    pairs = np.argwhere(np.triu(np.abs(unit.T @ unit) >= COLINEAR_COSINE, 1))
+    return tuple(dict.fromkeys(state_label(*matrix.columns[k]) for k in pairs.ravel()))
 
 
 def deconvolve(peak_set: RangedPeakSet, matrix: OverlapMatrix) -> DeconvolutionResult:
@@ -295,33 +277,21 @@ def deconvolve(peak_set: RangedPeakSet, matrix: OverlapMatrix) -> DeconvolutionR
             columns=flagged)
     solution, residual = nnls(a, counts, start)
 
+    # a peak the fit does not reach keeps its counts unassigned; the others split theirs
     model = a @ solution
-    per_peak: list[dict[tuple[str, int], float]] = []
-    unassigned: list[float] = []
-    for i, peak in enumerate(peak_set.peaks):
-        row: dict[tuple[str, int], float] = {}
-        if model[i] > 0.0:
-            contributions = a[i, :] * solution
-            shares = contributions / model[i]
-            redistributed = peak.counts * shares
-            # force the exact per-peak sum; the largest contributor absorbs
-            # float rounding
-            drift = peak.counts - float(redistributed.sum())
-            redistributed[int(np.argmax(redistributed))] += drift
-            for j, column in enumerate(matrix.columns):
-                if a[i, j] > 0.0:
-                    row[column] = float(redistributed[j])
-            unassigned.append(0.0)
-        else:
-            unassigned.append(peak.counts)
-        per_peak.append(row)
+    reached = model > 0.0
+    kept = np.where(reached, counts, 0.0)
+    split = np.zeros_like(a)
+    split[reached] = kept[reached, None] * (a[reached] * solution / model[reached, None])
+    # force the exact per-peak sum; the largest contributor absorbs float rounding
+    split[np.arange(len(a)), split.argmax(axis=1)] += kept - split.sum(axis=1)
 
-    totals = {column: math.fsum(row.get(column, 0.0) for row in per_peak)
-              for column in matrix.columns}
-    solver_totals = {column: float(solution[j])
-                     for j, column in enumerate(matrix.columns)}
-    return DeconvolutionResult(totals, solver_totals, tuple(per_peak), tuple(unassigned),
-                               float(residual))
+    holds = ((a > 0.0) & reached[:, None]).tolist()
+    per_peak = tuple({column: v for column, v, h in zip(matrix.columns, row, row_holds) if h}
+                     for row, row_holds in zip(split.tolist(), holds))
+    totals = {column: math.fsum(col) for column, col in zip(matrix.columns, split.T.tolist())}
+    return DeconvolutionResult(totals, dict(zip(matrix.columns, solution.tolist())), per_peak,
+                               tuple((counts - kept).tolist()), float(residual))
 
 
 @dataclass(frozen=True)
@@ -367,11 +337,9 @@ def primary_counts(peak_set: RangedPeakSet) -> dict[tuple[str, int], float]:
     (first-listed) assignment."""
     counts: dict[tuple[str, int], float] = {}
     for peak in peak_set.peaks:
-        if not peak.assignments:
-            continue
-        a = peak.assignments[0]
-        key = (a.species, a.charge)
-        counts[key] = counts.get(key, 0.0) + peak.counts
+        if peak.assignments:
+            key = (peak.assignments[0].species, peak.assignments[0].charge)
+            counts[key] = counts.get(key, 0.0) + peak.counts
     return counts
 
 

@@ -170,7 +170,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
                 l_i = geo.l_i_nm / bohr
                 hump[s] = (z_c <= l_i) & (l_i < Z_MAX_AU)
             else:
-                edges[s, :, 3], edges[s, :, 4] = forbidden_gap_nm(fields, n, history_nm)
+                edges[s, :, 3], edges[s, :, 4] = forbidden_gap_nm(fields, n, debt[s])
         history_nm.append(z_c * bohr)
     edges[..., 1] = _clamp_distance_au(zmodel, per_step[:, :1], per_step[:, 2:], f_au,
                                        edges[..., 0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfikit import CONSTANTS, critical_distance
-from pfikit.kinematics import forbidden_gap_nm, kinetic_energy_unchecked
+from pfikit.kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 
 
 def telescoped_energy(field, history, l_nm):
@@ -58,7 +58,7 @@ def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     si3 = species_table["si3"]
     field = 10.0
     history = (critical_distance(si3, si_env, 1, field).l_c_nm,)
-    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, history)
+    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, energy_debt_ev(field, history))
     l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
     k = kinetic_energy_unchecked(field, 2, history, l_nm)
     inside = (l_nm > lo) & (l_nm < hi)
@@ -66,5 +66,6 @@ def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     for root in (lo, hi):
         assert abs(kinetic_energy_unchecked(field, 2, history, root)) < 1e-9
     # the first step touches zero only at the hump: at most a rounding-wide gap
-    lo, hi = forbidden_gap_nm(np.array([5.0, 10.0, 21.3, 35.0]), 1, ())
+    fields = np.array([5.0, 10.0, 21.3, 35.0])
+    lo, hi = forbidden_gap_nm(fields, 1, energy_debt_ev(fields, ()))
     assert (hi - lo < 1e-6).all()

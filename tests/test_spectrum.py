@@ -26,6 +26,7 @@ from pfikit import (
     parse_composition,
     raw_csr,
     read_peaks_csv,
+    spectrum,
     write_peaks_csv,
 )
 
@@ -191,20 +192,6 @@ def test_matrix_rejects_impossible_mass_numbers(isotopes):
         build_overlap_matrix(RangedPeakSet(peaks), isotopes)
 
 
-def test_matrix_accepts_explicit_compositions(isotopes):
-    # a species name that does not parse still works with a composition map
-    peaks = (Peak(56.0, 10.0, (Assignment("dimer", 1, 56),)),
-             Peak(57.0, 1.0, (Assignment("dimer", 1, 57),)),
-             Peak(58.0, 0.7, (Assignment("dimer", 1, 58),)),
-             Peak(59.0, 0.03, (Assignment("dimer", 1, 59),)),
-             Peak(60.0, 0.01, (Assignment("dimer", 1, 60),)))
-    matrix = build_overlap_matrix(RangedPeakSet(peaks), isotopes,
-                                  compositions={"dimer": ("Si", 2)})
-    expected = dict(isotopologue_distribution(isotopes, "Si", 2))
-    for mz, row in zip(matrix.peak_mz_da, matrix.values):
-        assert row[0] == pytest.approx(expected[int(mz)], abs=1e-15)
-
-
 def test_colinear_columns_are_refused(isotopes):
     # two monoisotopic species claiming one peak are indistinguishable
     peaks = (Peak(75.0, 100.0, (Assignment("As", 1, 75),
@@ -277,6 +264,89 @@ def test_poisson_sampling_keeps_estimates_unbiased():
         assert abs(mean - SI_TRUTH[column]) <= 4.0 * std / math.sqrt(trials)
         # and roughly Gaussian: at most one 3-sigma outlier in 100 draws
         assert int(np.count_nonzero(np.abs(arr - mean) > 3.0 * std)) <= 1
+
+
+def _colinear_walk(matrix):
+    """The pairwise loop that ``spectrum._colinear_columns`` replaces, as its reference."""
+    a = matrix.values
+    norms = np.linalg.norm(a, axis=0)
+    unit = a / np.where(norms == 0.0, 1.0, norms)
+    gram = np.abs(unit.T @ unit)
+    flagged = []
+    n = len(matrix.columns)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i, j] >= spectrum.COLINEAR_COSINE:
+                for k in (i, j):
+                    label = spectrum.state_label(*matrix.columns[k])
+                    if label not in flagged:
+                        flagged.append(label)
+    return tuple(flagged)
+
+
+def _redistribution_loop(peak_set, matrix, solution):
+    """The per-peak loop that ``deconvolve`` replaces, as its reference: the per-peak
+    split, the unassigned counts and the totals for a given NNLS solution."""
+    a = matrix.values
+    model = a @ solution
+    per_peak, unassigned = [], []
+    for i, peak in enumerate(peak_set.peaks):
+        row = {}
+        if model[i] > 0.0:
+            redistributed = peak.counts * (a[i, :] * solution / model[i])
+            drift = peak.counts - float(redistributed.sum())
+            redistributed[int(np.argmax(redistributed))] += drift
+            row = {column: float(redistributed[j])
+                   for j, column in enumerate(matrix.columns) if a[i, j] > 0.0}
+            unassigned.append(0.0)
+        else:
+            unassigned.append(peak.counts)
+        per_peak.append(row)
+    totals = {column: math.fsum(row.get(column, 0.0) for row in per_peak)
+              for column in matrix.columns}
+    return tuple(per_peak), tuple(unassigned), totals
+
+
+def _random_spectra(rng, n):
+    """Sparse nonnegative matrices of up to 12 columns with their peak sets; some have a
+    colinear pair or more columns than peaks, some a peak that no column reaches."""
+    for _ in range(n):
+        m, c = int(rng.integers(1, 20)), int(rng.integers(1, 13))
+        a = rng.random((m, c)) * (rng.random((m, c)) < rng.uniform(0.2, 1.0))
+        if c > 1 and rng.random() < 0.25:
+            a[:, -1] = a[:, 0] * rng.uniform(0.1, 3.0)
+        if rng.random() < 0.3:
+            a[rng.integers(m)] = 0.0
+        counts = np.round(10.0 ** rng.uniform(0.0, 5.0, m)) * (rng.random(m) < 0.9)
+        peak_set = RangedPeakSet(tuple(Peak(i + 1.0, float(x)) for i, x in enumerate(counts)))
+        columns = tuple((f"X{j}", 1 + j % 2) for j in range(c))
+        yield peak_set, spectrum.OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks),
+                                               columns, a)
+
+
+def test_deconvolution_matches_the_loops_it_replaces():
+    seen = {"solved": 0, "wide": 0, "zero_model": 0, "colinear": 0, "no_pair": 0}
+    with np.errstate(all="raise"):
+        for peak_set, matrix in _random_spectra(np.random.default_rng(11), 400):
+            flagged = _colinear_walk(matrix)
+            assert spectrum._colinear_columns(matrix) == flagged
+            try:
+                result = deconvolve(peak_set, matrix)
+            except DegenerateMatrixError as exc:
+                assert exc.columns == flagged
+                assert str(exc).endswith(", ".join(flagged) or "(no single colinear pair)")
+                seen["colinear" if flagged else "no_pair"] += 1
+                continue
+            solution = np.array(list(result.solver_totals.values()))
+            per_peak, unassigned, totals = _redistribution_loop(peak_set, matrix, solution)
+            assert repr(result.per_peak) == repr(per_peak)
+            assert repr(result.unassigned) == repr(unassigned)
+            assert repr(result.totals) == repr(totals)
+            seen["solved"] += 1
+            seen["wide"] += len(matrix.columns) > 8
+            seen["zero_model"] += any(not row and (values > 0.0).any() for row, values
+                                      in zip(result.per_peak, matrix.values))
+    assert all(seen.values()), seen
 
 
 def _two_state_result(n_plus, n_2plus):
