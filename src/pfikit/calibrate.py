@@ -11,11 +11,10 @@ lone nominal point that meets it is the fit).  Brent's last F50 minus the target
 is the residual; the achieved F50 is the target plus that residual, so no F50 is
 solved twice.
 
-At extreme parameter values the CSR can stay below 0.5 until nearly every ion is
-past 2+: f1 and f2 fall to 0, the empty 1+/2+ pair reads 1.0, and ``find_f50``
-refuses that flip from 0 to 1 as a discontinuous crossover.  Fit brackets
-therefore retreat from an unevaluable bound toward the nominal value, and the
-reported achievable interval only spans F50 values that are proper crossings.
+At extreme parameter values the CSR can stay below 0.5 until every ion is past 2+,
+and ``find_f50`` refuses that empty 1+/2+ pair as an unreachable bracket after one
+probe call.  Fit brackets retreat from such a bound toward the nominal value, so
+the achievable interval spans only F50 values that are proper crossings.
 """
 
 from __future__ import annotations

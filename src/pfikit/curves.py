@@ -27,6 +27,7 @@ CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
 FIELD_BLOCK = 64  # fields per charge_fractions call in a curve; bounds the node arrays' memory
 MAX_GRID_POINTS = 200_000  # largest field grid; a finer --grid step is a typo, not a curve
 F50_PROBES = 17  # fields of the one charge_fractions call that brackets an F50, ends included
+EMPTY_PAIR_FLOOR = 1e-12  # f1 + f2 below this: every ion is past 2+, the 1+/2+ pair is empty
 # How far a curve CSV row may stray from the curve it was written from.  A %.9g
 # cell v in [0, 1] reads back within 5e-10 of v and within a relative 5e-9, so
 # three fractions that summed to 1 within 1e-12 read back summing to 1 within
@@ -74,7 +75,8 @@ def csr_from_fractions(fractions):
     them; empty pair -> 1.
 
     The 0/0 case means every ion has been promoted past both states of the
-    pair, so the higher state wins by convention.
+    pair, so the higher state wins by convention.  Below EMPTY_PAIR_FLOOR, f_1 + f_2
+    is rounding residue: ``find_f50`` and ``csr_to_field`` use no such ratio.
     """
     f_lo, f_hi = fractions[0], fractions[1]
     total = np.add(f_lo, f_hi)
@@ -164,28 +166,36 @@ def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
              search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> CrossoverResult:
     """Lowest field in ``search_vnm`` where the CSR crosses 0.5 upward: one call on
-    F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0, and
-    Brent's method solves in that cell, the reported bracket, from the call's values."""
+    F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0 before
+    the first probe whose 1+/2+ pair is empty (none there: BracketError), and Brent's
+    method solves in that cell, the reported bracket, from the call's values."""
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
 
     probes = np.linspace(lo, hi, F50_PROBES)
-    csr = csr_from_fractions(charge_fractions(species, env, zmodel, probes))
+    fractions = charge_fractions(species, env, zmodel, probes)
+    csr = csr_from_fractions(fractions)
+    empty = np.flatnonzero(fractions[0] + fractions[1] < EMPTY_PAIR_FLOOR)
+    n = empty[0] if empty.size else F50_PROBES  # probes before the first empty pair
+    if n < F50_PROBES and not (csr[:n] >= 0.5).any():
+        reached = f"reaches at most {csr[:n].max():.4g}" if n else "has no value"
+        raise BracketError(f"{species.name}: CSR {reached} below {probes[n]:g} V/nm, where "
+                           "the 1+/2+ pair empties; no 0.5 crossing to bracket",
+                           achievable=(float(csr[:n].min()), float(csr[:n].max())) if n else None)
     if not csr[0] < 0.5 < csr[-1]:
         raise BracketError(
             f"{species.name}: CSR is {csr[0]:.4g} at {lo} V/nm and "
             f"{csr[-1]:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
             achievable=(float(csr[0]), float(csr[-1])))
-    k = np.flatnonzero((csr[:-1] < 0.5) & (csr[1:] >= 0.5))[0]
+    k = np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))[0]
     cell = float(probes[k]), float(probes[k + 1])
     root, g_root = brentq(lambda f_vnm: evaluate_csr(species, env, zmodel, f_vnm) - 0.5, *cell,
                           float(csr[k]) - 0.5, float(csr[k + 1]) - 0.5, xtol=1e-9)
     achieved = g_root + 0.5
     if abs(achieved - 0.5) >= 1e-6:
-        # the CSR jumped over 0.5 inside the cell: where f1 and f2 both fall to 0 and
-        # the empty pair reads 1.0, or where P(1->2) leaps to 1 as the launch reaches
-        # the hump (slow hopping, huge m_q); there is no proper 50 % crossover
+        # both cell ends hold a full 1+/2+ pair, yet the CSR leapt over 0.5: P(1->2) jumps
+        # to 1 as the launch reaches the hump (slow hopping, huge m_q); no proper crossover
         raise NumericalError(
             f"{species.name}: CSR jumps over 0.5 near {root:.3f} V/nm "
             f"(reaches {achieved:.4g}); the crossover is discontinuous")
@@ -194,12 +204,12 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def _monotone_runs(values: np.ndarray) -> np.ndarray:
     """Index pairs [i, j] of the maximal strictly monotone runs, shape (runs, 2); runs
-    that meet share their end index, and flat steps belong to none."""
+    that meet share their end index; flat steps and steps next to a NaN belong to none."""
     sign = np.sign(np.diff(values))
     # run bounds: both ends (the NaN pads) and each index where the step's sign changes
     bounds = np.flatnonzero(np.diff(sign, prepend=np.nan, append=np.nan))
     runs = np.column_stack((bounds[:-1], bounds[1:]))
-    return runs[sign[runs[:, 0]] != 0.0]
+    return runs[np.abs(sign[runs[:, 0]]) == 1.0]
 
 
 def _invert_on_run(curve: KinghamCurve, i: int, j: int, value: float) -> float:
@@ -214,14 +224,20 @@ def csr_to_field(curve: KinghamCurve, csr: float,
     """Invert the curve at ``csr``; shape-preserving monotone interpolation.
 
     With ``two_sigma`` the interval is the field image of csr +/- two_sigma,
-    clamped to the grid ends where the band leaves the tabulated range.
+    clamped to the grid ends where the band leaves the tabulated range.  No row with an
+    empty 1+/2+ pair, nor a grid cell that touches one, is inverted.
     """
-    lo, hi = curve.csr.min(), curve.csr.max()
-    if not lo <= csr <= hi:
-        raise DomainError(
-            f"csr {csr} outside the curve's range [{lo:.4g}, {hi:.4g}]; refusing "
-            "to extrapolate")
-    runs = _monotone_runs(curve.csr)
+    full = curve.fractions[:, 0] + curve.fractions[:, 1] >= EMPTY_PAIR_FLOOR
+    usable = curve.csr[full]
+    if not (usable.size and usable.min() <= csr <= usable.max()):
+        lo, hi = curve.csr.min(), curve.csr.max()
+        if not lo <= csr <= hi:
+            raise DomainError(
+                f"csr {csr} outside the curve's range [{lo:.4g}, {hi:.4g}]; refusing "
+                "to extrapolate")
+        raise DomainError(f"csr {csr} is reached only where the 1+/2+ pair is empty, from "
+                          f"{curve.field_grid_vnm[full.argmin()]:g} V/nm; refusing to invert")
+    runs = _monotone_runs(np.where(full, curve.csr, np.nan))
     spans = np.sort(curve.csr[runs], axis=1)  # lowest and highest CSR of each run
     hits = (spans[:, 0] <= csr) & (csr <= spans[:, 1])
     if not hits.any():

@@ -14,6 +14,7 @@ from pfikit import (
     fit_z_offset,
     sensitivity_scan,
 )
+from pfikit import curves
 from pfikit.calibrate import _fit_1d
 
 
@@ -69,6 +70,21 @@ def test_ie_fit_si3(species_table, si_env):
     assert report.fitted_value == pytest.approx(15.737, abs=0.01)
     assert report.relative_shift == pytest.approx(0.0928, abs=2e-3)
     assert abs(report.residual_vnm) < 0.05
+
+
+def test_ie_fit_refuses_empty_pair_probes_in_one_call(species_table, si_env, monkeypatch):
+    # the upper I2 bound and its first bisections have an empty 1+/2+ pair below any
+    # crossing; each such probe costs its one bracket call, not a Brent solve
+    calls, charge_fractions = [], curves.charge_fractions
+
+    def counted(*args):
+        calls.append(args[-1])
+        return charge_fractions(*args)
+
+    monkeypatch.setattr(curves, "charge_fractions", counted)
+    report = fit_ie(species_table["si3"], si_env, KINGHAM_Z, 17.7)
+    assert round(report.fitted_value, 2) == 15.74
+    assert len(calls) <= 70
 
 
 def test_ie_fit_recovers_the_nominal_ladder(species_table, si_env, f50):

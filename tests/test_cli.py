@@ -401,6 +401,18 @@ def test_scan_reports_a_crossover_jump(capsys):
                             "(reaches 0.1751); the crossover is discontinuous\n")
 
 
+def test_f50_on_an_empty_pair_exits_4(tmp_path, capsys):
+    # Si3 with I2 = 18.72 eV: the CSR stays near 0 until the 1+/2+ pair empties
+    path = tmp_path / "si3_stiff.json"
+    path.write_text('{"name": "Si3", "cluster_size": 3, "mass_amu": 84.255, '
+                    '"ie_ladder_ev": [8.22, 18.72, 20.18], "m_q": 3}')
+    assert main(["f50", "--species", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pfikit: error: Si3: CSR reaches at most ")
+    assert captured.err.count("\n") == 1 and "pair empties" in captured.err
+
+
 def test_deconv_fixture(fixtures_dir, capsys):
     peaks = os.path.join(fixtures_dir, "si2_overlap_peaks.csv")
     assert main(["deconv", "--peaks", peaks]) == 0

@@ -108,12 +108,31 @@ def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name
     assert np.size(calls[0]) == curves.F50_PROBES
 
 
-def test_discontinuous_crossover_is_refused(species_table, si_env):
-    # with I2 pushed up the CSR stays near 0 until f1 and f2 both reach 0 at
-    # 32.737 V/nm, where the empty 1+/2+ pair reads 1.0: a jump, not a crossing
+def test_empty_pair_is_an_unreachable_bracket(species_table, si_env, monkeypatch):
+    # with I2 pushed up the CSR peaks near 0.02, and by the 32.5 V/nm probe f1 + f2 has
+    # fallen below EMPTY_PAIR_FLOOR; the empty pair's 0 -> 1 flip is no crossing, so the
+    # bracket call alone refuses it and Brent's method never runs
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return charge_fractions(*args)
+
+    monkeypatch.setattr(curves, "charge_fractions", counted)
     stiff = species_table["si3"].with_ie(2, 18.72)
-    with pytest.raises(NumericalError, match="discontinuous"):
+    with pytest.raises(BracketError, match=r"^Si3: CSR reaches at most 0\.02219 below 32\.5 "
+                       r"V/nm, where the 1\+/2\+ pair empties; no 0\.5 crossing") as exc_info:
         find_f50(stiff, si_env, KINGHAM_Z)
+    assert len(calls) == 1
+    lo, hi = exc_info.value.achievable
+    assert 0.0 <= lo < hi == pytest.approx(0.02219, abs=1e-5)
+
+
+def test_empty_pair_at_the_first_probe_is_refused(species_table, si_env):
+    stiff = species_table["si3"].with_ie(2, 18.72)
+    with pytest.raises(BracketError, match=r"CSR has no value below 40 V/nm") as exc_info:
+        find_f50(stiff, si_env, KINGHAM_Z, search_vnm=(40.0, 45.0))
+    assert exc_info.value.achievable is None
 
 
 def test_crossover_jump_of_a_full_pair_is_refused(species_table, si_env):
@@ -126,6 +145,22 @@ def test_crossover_jump_of_a_full_pair_is_refused(species_table, si_env):
     with pytest.raises(NumericalError, match=r"^Si3: CSR jumps over 0\.5 near 20\.892 V/nm "
                        r"\(reaches 0\.1751\); the crossover is discontinuous$"):
         find_f50(slow, si_env, KINGHAM_Z)
+
+
+def test_inversion_skips_an_empty_pair(species_table, si_env):
+    # the CSR peaks at 0.318 and the pair empties from 28.0 V/nm, where its 0 -> 1 flip
+    # would otherwise invert as a branch at 28.45 V/nm
+    curve = generate_curve(species_table["si3"].with_ie(2, 17.64), si_env, KINGHAM_Z)
+    full = curve.fractions[:, 0] + curve.fractions[:, 1] >= curves.EMPTY_PAIR_FLOOR
+    assert curve.csr[full].max() == pytest.approx(0.318, abs=1e-3)
+    assert curve.field_grid_vnm[full.argmin()] == pytest.approx(28.0)
+    for csr in (0.5, 0.99):
+        with pytest.raises(DomainError, match=r"only where the 1\+/2\+ pair is empty, from 28 "):
+            csr_to_field(curve, csr, 0.01)
+    # 0.2 lies on the rise and the fall before 28 V/nm, not on the flip
+    with pytest.raises(AmbiguityError) as exc_info:
+        csr_to_field(curve, 0.2)
+    assert len(exc_info.value.branches) == 2 and exc_info.value.branches[-1][1] < 28.0
 
 
 def test_grid_halving_leaves_inversion_stable(species_table, si_env):
