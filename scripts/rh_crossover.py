@@ -15,7 +15,7 @@ import sys
 from pfikit import (Environment, KINGHAM_Z, critical_distance, find_f50,
                     pfi_step_probability, resolve_species)
 from pfikit.cli import run
-from pfikit.kinematics import kinetic_energy_unchecked
+from pfikit.kinematics import energy_debt_ev, kinetic_energy_unchecked
 
 
 def main() -> None:
@@ -28,14 +28,15 @@ def main() -> None:
     env = Environment(work_function_ev=args.phi)
 
     geometry = critical_distance(rh, env, 1, args.field)
-    k_ev = kinetic_energy_unchecked(args.field, 1, (), geometry.l_c_nm)
-    step = pfi_step_probability(rh, env, KINGHAM_Z, 1, args.field)
+    debt_ev = energy_debt_ev(args.field, ())[0]
+    k_ev = kinetic_energy_unchecked(args.field, 1, geometry.l_c_nm, debt_ev)
+    p_t = pfi_step_probability(rh, env, KINGHAM_Z, 1, args.field)
     crossover = find_f50(rh, env, KINGHAM_Z)
 
     print(f"field            {args.field:8.3f} V/nm")
     print(f"L_c              {geometry.l_c_nm:8.4f} nm")
     print(f"K(L_c)           {k_ev:8.4f} eV")
-    print(f"P(1->2)          {step.p_t:8.4f}")
+    print(f"P(1->2)          {p_t:8.4f}")
     print(f"F50              {crossover.f50_vnm:8.4f} V/nm")
 
 

@@ -25,7 +25,7 @@ from .spectrum import (Assignment, CsrEstimate, DeconvolutionResult, Isotope,
                        isotopologue_distribution, load_isotopes,
                        parse_composition, primary_counts, raw_csr, read_peaks_csv,
                        write_peaks_csv)
-from .tunneling import PfiStepResult, charge_fractions, pfi_step_probability
+from .tunneling import charge_fractions, pfi_step_probability
 from .zmodel import KINGHAM_Z, ZModel, load_zmodel
 
 __version__ = "0.1.0"

@@ -32,38 +32,37 @@ class Environment:
 
 @dataclass(frozen=True)
 class CrossingGeometry:
-    """Critical-distance geometry for one PFI step n -> n+1.
+    """Critical-distance geometry of PFI step n -> n+1, floats or arrays (see critical_distance).
 
     l_c_nm is measured from the image plane, z_c_nm from the model surface
     (z_c = L_c - lambda); l_i_nm is the Schottky hump position. When the
-    discriminant is negative the crossing vanishes and both distances are 0
-    with barrier_vanished set.
+    discriminant is negative the crossing vanishes and both distances are 0.
     """
 
     l_c_nm: float
     z_c_nm: float
     l_i_nm: float
-    barrier_vanished: bool
 
 
-def critical_distance(species: SpeciesParams, env: Environment, n: int,
+def critical_distance(species: SpeciesParams, env: Environment, n,
                       field_vnm) -> CrossingGeometry:
-    """Critical distance for PFI step n -> n+1 at a field, a float or an array.
+    """Critical distance for PFI step n -> n+1 at a field: n is an int or an int array, the
+    field a float or an array, and the two broadcast together.
 
     L_c is the larger root of F*L^2 - (I_{n+1} - phi)*L + (2n+1)*W/4 = 0;
     PFI is energetically allowed beyond it. The hump sits at L_i = 0.5*sqrt(W/F).
-    An array field gives array members.
+    Array arguments give array members.
     """
-    if not 1 <= n < species.max_charge:
+    steps = np.asarray(n)
+    if not ((1 <= steps) & (steps < species.max_charge)).all():
         raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
     if not np.greater(field_vnm, 0.0).all():
         raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
     field = np.asarray(field_vnm, dtype=float)
     l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field)
-    a = species.ie_ev(n + 1) - env.work_function_ev
+    a = np.array(species.ie_ladder_ev)[n] - env.work_function_ev
     disc = a * a - (2 * n + 1) * field * CONSTANTS.w_image_evnm
     vanished = disc < 0.0
     l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field))
     z_c = np.where(vanished, 0.0, l_c - env.screening_length_nm)
-    members = (l_c, z_c, l_i, vanished)
-    return CrossingGeometry(*(v if field.ndim else v.item() for v in members))
+    return CrossingGeometry(*(v if v.ndim else v.item() for v in (l_c, z_c, l_i)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +33,6 @@ P_TOL = 1e-6              # largest accepted |P(Kronrod) - P(its embedded Gauss 
 NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 Z_FLOOR_AU = 0.05         # lower floor for critical distances
-
-NOTE_EMPTY = "integration window empty (z_c >= z_max)"
-NOTE_HUMP = "launch at or below the hump; dwell diverges"
-
-
-@dataclass(frozen=True)
-class PfiStepResult:
-    """One PFI step n -> n+1: P, its integral by the Kronrod rule and the P error estimate
-    against the embedded Gauss rule (floats or arrays like the field), the nodes of the whole
-    call (2 RULE_ORDER + 1 per kept piece), and the early-out every field took, else ""."""
-
-    p_t: float | np.ndarray
-    integral_value: float | np.ndarray
-    est_error: float | np.ndarray
-    n_evaluations: int
-    note: str = ""
 
 
 def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
@@ -142,56 +125,54 @@ def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(t)), jacobian * w_kronrod, jacobian[:order] * w_gauss
 
 
-def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: range,
-               field_vnm) -> list[PfiStepResult]:
-    """The steps n -> n+1, n in ``steps``, at a float or 1-D array of fields: array
-    geometry over (steps, fields) cuts [z_c, z_max] into a (steps, fields, 5) layout of
-    pieces, and the kept pieces of every step and field go through one node pass."""
+def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: int,
+               field_vnm):
+    """P of the steps 1 -> 2 ... last -> last+1 at a float or 1-D array of fields: one float
+    per step, or a (last, fields) array. One array geometry pass over (steps, fields) cuts
+    [z_c, z_max] into a (steps, fields, 5) layout of pieces, and the kept pieces of every
+    step and field go through one node pass."""
     fields = np.array(field_vnm, dtype=float, ndmin=1)
     if fields.ndim != 1 or not (np.isfinite(fields).all() and (fields > 0.0).all()):
         raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
     per_step = np.array([(n, prefactor_a2nu(species, n),
-                          species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev) for n in steps])
+                          species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev)
+                         for n in range(1, last + 1)])
+    steps = per_step[:, :1]  # float, as an int n would make each array operation cast it
     bohr, f_au = CONSTANTS.bohr_in_nm, fields / CONSTANTS.field_au_in_vnm
-    # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
-    # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
-    edges = np.zeros((len(steps), fields.size, 6))
-    edges[..., 2], edges[..., 5] = Z_ARG_CAP_AU, Z_MAX_AU
-    debt, hump, history_nm = np.empty(edges.shape[:2]), np.zeros(edges.shape[:2], bool), []
-    for n in range(1, steps[-1] + 1):
-        geo = critical_distance(species, env, n, fields)
-        z_c = np.maximum(geo.z_c_nm / bohr, Z_FLOOR_AU)
-        if n in steps:
-            s = n - steps[0]
-            edges[s, :, 0], debt[s] = z_c, energy_debt_ev(fields, history_nm)
-            if n == 1:
-                # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no forbidden gap, but a launch at or
-                # below the hump stalls there, the dwell diverges, and ionization is certain
-                l_i = geo.l_i_nm / bohr
-                hump[s] = (z_c <= l_i) & (l_i < Z_MAX_AU)
-            else:
-                edges[s, :, 3], edges[s, :, 4] = forbidden_gap_nm(fields, n, debt[s])
-        history_nm.append(z_c * bohr)
-    edges[..., 1] = _clamp_distance_au(zmodel, per_step[:, :1], per_step[:, 2:], f_au,
-                                       edges[..., 0])
-    gap = edges[..., 3:5] = edges[..., 3:5] / bohr
-    # z_c >= z_max empties the window; a cut outside [z_c, z_max] leaves an empty piece
-    empty = edges[..., 0] >= Z_MAX_AU
-    early = empty | hump
-    edges = np.sort(np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU), axis=-1)
-    lo, hi = edges[..., :-1], edges[..., 1:]
-    # keep the non-empty pieces outside the forbidden gap, of fields without an early out
-    keep = (hi > lo) & ((lo < gap[..., :1]) | (hi > gap[..., 1:])) & ~early[..., None]
-    step_of, field_of, _ = np.nonzero(keep)
-    lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
-    n, a2nu, i_ha = per_step[step_of].T[:, :, None]
-    f_vnm, f_au = fields[field_of][:, None], f_au[field_of][:, None]
-    s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
-    z = lo + width * s_nodes
-    # extreme model inputs can overflow here; the check below turns a
-    # non-finite integral into a NumericalError, so numpy need not warn
+    # extreme model inputs can overflow from here on: an infinite z_c empties the window,
+    # an infinite z* is clipped to z_max, and the check below turns a non-finite integral
+    # into a NumericalError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k_ev = kinetic_energy_unchecked(f_vnm, n, (), z * bohr, debt[step_of, field_of][:, None])
+        geo = critical_distance(species, env, steps.astype(int), fields)
+        # a step's energy debt counts the floored z_c of the steps before it
+        z_c = np.maximum(geo.z_c_nm / bohr, Z_FLOOR_AU)
+        debt = energy_debt_ev(fields, z_c[:-1] * bohr)
+        # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
+        # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
+        edges = np.empty(z_c.shape + (6,))
+        edges[..., 0], edges[..., 2], edges[..., 5] = z_c, Z_ARG_CAP_AU, Z_MAX_AU
+        edges[..., 1] = _clamp_distance_au(zmodel, steps, per_step[:, 2:], f_au, z_c)
+        gap = forbidden_gap_nm(fields, steps, debt) / bohr
+        # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no forbidden gap, but a launch at or
+        # below the hump stalls there, the dwell diverges, and ionization is certain
+        gap[:, 0] = 0.0
+        l_i = geo.l_i_nm / bohr
+        hump = (steps == 1) & (z_c <= l_i) & (l_i < Z_MAX_AU)
+        edges[..., 3], edges[..., 4] = gap
+        # z_c >= z_max empties the window; a cut outside [z_c, z_max] leaves an empty piece
+        early = (z_c >= Z_MAX_AU) | hump
+        edges = np.sort(np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU), axis=-1)
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        # keep the non-empty pieces outside the forbidden gap, of fields without an early out
+        gap_lo, gap_hi = gap[..., None]
+        keep = (hi > lo) & ((lo < gap_lo) | (hi > gap_hi)) & ~early[..., None]
+        step_of, field_of, _ = np.nonzero(keep)
+        lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
+        n, a2nu, i_ha = per_step[step_of].T[:, :, None]
+        f_vnm, f_au = fields[field_of][:, None], f_au[field_of][:, None]
+        s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
+        z = lo + width * s_nodes
+        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt[step_of, field_of][:, None])
         m_au = species.mass_amu * CONSTANTS.amu_in_me
         u_au = np.sqrt(k_ev * (2.0 / (CONSTANTS.hartree_in_ev * m_au)))
         f = width * _rate_au(zmodel, n, i_ha, a2nu, f_au, z) / u_au
@@ -208,27 +189,18 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, steps: 
     if not resolved.all():
         s, i = np.argwhere(~resolved)[0]
         raise NumericalError(
-            f"{species.name} step {steps[s]}->{steps[s] + 1} at {fields[i].item()} V/nm: "
+            f"{species.name} step {s + 1}->{s + 2} at {fields[i].item()} V/nm: "
             f"step integral {value[s, i]:.6e} not resolved (P error estimate "
             f"{est_error[s, i]:.2e} > {P_TOL:g})")
-    if not np.ndim(field_vnm):
-        p_t, value, est_error = p_t[:, 0].tolist(), value[:, 0].tolist(), est_error[:, 0].tolist()
-    evals = np.bincount(step_of, minlength=len(steps)) * s_nodes.size
-    # a call without fields took no early-out, although all() over no fields is true
-    taken = fields.size > 0
-    notes = [NOTE_EMPTY if taken and e else NOTE_HUMP if taken and h else ""
-             for e, h in zip(empty.all(axis=1).tolist(), hump.all(axis=1).tolist())]
-    return [PfiStepResult(*step) for step in zip(p_t, value, est_error, evals.tolist(), notes)]
+    return p_t if np.ndim(field_vnm) else p_t[:, 0].tolist()
 
 
 def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,
-                         field_vnm) -> PfiStepResult:
-    """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max]).
-
-    field_vnm is a float or a 1-D array of fields, and P, its integral and error estimate
-    are floats or arrays like it; the note is the early-out every field took, else "".
-    """
-    return _pfi_steps(species, env, zmodel, range(n, n + 1), field_vnm)[0]
+                         field_vnm):
+    """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max]),
+    a float or an array like the field (a float or a 1-D array of fields)."""
+    prefactor_a2nu(species, n)  # a step outside the ladder raises ConfigError here
+    return _pfi_steps(species, env, zmodel, n, field_vnm)[n - 1]
 
 
 def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
@@ -236,9 +208,8 @@ def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
     """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
     the last state absorbs the tail. All steps go through one ``_pfi_steps`` call."""
     fractions, survive = [], 1.0
-    for step in _pfi_steps(species, env, zmodel, range(1, min(species.max_charge, 3)),
-                           field_vnm):
-        fractions.append(survive * (1.0 - step.p_t))
-        survive *= step.p_t
+    for p_t in _pfi_steps(species, env, zmodel, min(species.max_charge, 3) - 1, field_vnm):
+        fractions.append(survive * (1.0 - p_t))
+        survive *= p_t
     fractions.append(survive)
     return tuple(fractions)

@@ -160,6 +160,21 @@ def test_overflowing_model_exits_3_without_warnings(capsys):
     assert "not resolved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ladder,code,f50", [([7.0, 1e200], 4, None),
+                                             ([7.0, 16.0, 1e308], 0, 18.879500828002666)])
+def test_extreme_ladder_f50_without_warnings(tmp_path, capsys, ladder, code, f50):
+    # I_{n+1} near the float limit overflows the step geometry; its crossing lies at infinity
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"name": "X", "mass_amu": 28.0, "ie_ladder_ev": ladder, "m_q": 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["f50", "--species", str(path), "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    assert "Warning" not in err
+    if f50 is not None:
+        assert json.loads(out)["X"]["f50_vnm"] == f50
+
+
 def test_resolve_needs_a_json_object(tmp_path, capsys):
     for text in ("-1", "[1, 2]", "\"peaks\""):
         path = tmp_path / "config.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pfikit import CONSTANTS, Environment, critical_distance
@@ -21,7 +22,6 @@ def quadratic_roots(species, env, n: int, field: float) -> tuple[float, float]:
 def test_rh_critical_distance_anchor(species_table, rh_env):
     geometry = critical_distance(species_table["rh"], rh_env, 1, 25.0)
     assert geometry.l_c_nm == pytest.approx(0.4310, abs=1e-3)
-    assert not geometry.barrier_vanished
 
 
 def test_larger_root_selected(species_table, si_env):
@@ -82,9 +82,24 @@ def test_barrier_vanishes_above_threshold(species_table, si_env):
         3.0 * CONSTANTS.w_image_evnm)
     below = critical_distance(si, si_env, 1, threshold - 0.5)
     above = critical_distance(si, si_env, 1, threshold + 0.5)
-    assert not below.barrier_vanished
-    assert above.barrier_vanished
+    assert below.l_c_nm > 0.0
     assert above.l_c_nm == 0.0 and above.z_c_nm == 0.0
+
+
+def test_step_and_field_arrays_match_scalar_calls(species_table, si_env):
+    # a column of steps broadcasts against a row of fields, bit for bit, the vanished
+    # crossing above the Si threshold included
+    si3 = species_table["si3"]
+    steps, fields = np.array([[1], [2]]), np.array([10.0, 14.4, 40.0])
+    batch = critical_distance(si3, si_env, steps, fields)
+    assert batch.l_c_nm.shape == batch.z_c_nm.shape == (2, 3)
+    for n in (1, 2):
+        for i, field in enumerate(fields.tolist()):
+            single = critical_distance(si3, si_env, n, field)
+            assert (batch.l_c_nm[n - 1, i], batch.z_c_nm[n - 1, i], batch.l_i_nm[i]) == (
+                single.l_c_nm, single.z_c_nm, single.l_i_nm)
+    with pytest.raises(ConfigError):
+        critical_distance(si3, si_env, np.array([[1], [3]]), fields)
 
 
 def test_screening_length_shifts_z_c(species_table):

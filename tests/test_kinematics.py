@@ -33,14 +33,14 @@ def telescoped_energy(field, history, l_nm):
 def test_rh_launch_energy_anchor(species_table, rh_env):
     rh = species_table["rh"]
     l_c = critical_distance(rh, rh_env, 1, 25.0).l_c_nm
-    k = kinetic_energy_unchecked(25.0, 1, (), l_c)
+    k = kinetic_energy_unchecked(25.0, 1, l_c, energy_debt_ev(25.0, ())[0])
     assert k == pytest.approx(5.6094, abs=1e-3)
 
 
 def test_energy_vanishes_at_hump(species_table, si_env):
     for field in (10.0, 21.3, 35.0):
         l_i = critical_distance(species_table["si"], si_env, 1, field).l_i_nm
-        assert abs(kinetic_energy_unchecked(field, 1, (), l_i)) < 1e-9
+        assert abs(kinetic_energy_unchecked(field, 1, l_i, energy_debt_ev(field, ())[0])) < 1e-9
 
 
 def test_two_route_agreement(species_table, si_env):
@@ -48,24 +48,31 @@ def test_two_route_agreement(species_table, si_env):
     field = 16.0
     z1 = critical_distance(si3, si_env, 1, field).l_c_nm
     z2 = critical_distance(si3, si_env, 2, field).l_c_nm
+    # one call gives the debt of every step, each that of its own history
+    debts = energy_debt_ev(field, (z1, z2))
     for n, history, l_nm in [(1, (), 0.8), (2, (z1,), 1.2), (3, (z1, z2), 2.0)]:
-        package = kinetic_energy_unchecked(field, n, history, l_nm)
+        assert debts[n - 1] == energy_debt_ev(field, history)[-1]
+        package = kinetic_energy_unchecked(field, n, l_nm, debts[n - 1])
         oracle = telescoped_energy(field, history, l_nm)
         assert package == pytest.approx(oracle, abs=1e-9)
+    # a history per field: crossings along the first axis, fields along the second
+    fields = np.array([field, 2.0 * field])
+    rows = energy_debt_ev(fields, np.array([[z1, z1], [z2, z2]]))
+    assert rows.shape == (3, 2) and rows[:, 0].tolist() == debts.tolist()
 
 
 def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     si3 = species_table["si3"]
     field = 10.0
-    history = (critical_distance(si3, si_env, 1, field).l_c_nm,)
-    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, energy_debt_ev(field, history))
+    debt = energy_debt_ev(field, (critical_distance(si3, si_env, 1, field).l_c_nm,))[1]
+    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, debt)
     l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
-    k = kinetic_energy_unchecked(field, 2, history, l_nm)
+    k = kinetic_energy_unchecked(field, 2, l_nm, debt)
     inside = (l_nm > lo) & (l_nm < hi)
     assert np.all(k[inside] < 0.0) and np.all(k[~inside] >= -1e-12)
     for root in (lo, hi):
-        assert abs(kinetic_energy_unchecked(field, 2, history, root)) < 1e-9
+        assert abs(kinetic_energy_unchecked(field, 2, root, debt)) < 1e-9
     # the first step touches zero only at the hump: at most a rounding-wide gap
     fields = np.array([5.0, 10.0, 21.3, 35.0])
-    lo, hi = forbidden_gap_nm(fields, 1, energy_debt_ev(fields, ()))
+    lo, hi = forbidden_gap_nm(fields, 1, energy_debt_ev(fields, ())[0])
     assert (hi - lo < 1e-6).all()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pfikit import (
     Environment,
     FieldGrid,
     NumericalError,
+    SpeciesParams,
     ZModel,
     charge_fractions,
     critical_distance,
@@ -128,7 +130,7 @@ def test_step_probability_is_refinement_invariant(species_table, named_zmodels,
     fields = [float(f) for f in range(5, 46)]
 
     def table():
-        return {(sp.name, zname, n, f): pfi_step_probability(sp, CLI_ENV, zmodel, n, f).p_t
+        return {(sp.name, zname, n, f): pfi_step_probability(sp, CLI_ENV, zmodel, n, f)
                 for sp in species_table.values()
                 for zname, zmodel in named_zmodels.items()
                 for n in range(1, min(sp.max_charge, 3))
@@ -161,45 +163,51 @@ def test_kronrod_rule_is_exact_interlaced_and_positive():
     assert (w_kronrod > 0.0).all() and (w_gauss > 0.0).all()
 
 
-def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_env):
+def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_env,
+                                                             monkeypatch):
     nodes = 2 * tunneling.RULE_ORDER + 1
     s, w_kronrod, w_gauss = tunneling._cosine_rule(tunneling.RULE_ORDER)
     assert s.shape == w_kronrod.shape == (nodes,) and ((s > 0.0) & (s < 1.0)).all()
     # the substitution s = (1 - cos t)/2 keeps the weights' sums at the interval length
     assert math.fsum(w_kronrod) == pytest.approx(1.0, abs=1e-14)
     assert math.fsum(w_gauss) == pytest.approx(1.0, abs=1e-14)
-    step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
-    assert step.n_evaluations > 0 and step.n_evaluations % nodes == 0
+    # the one node pass evaluates the rate on a (kept pieces, nodes) array
+    shapes = []
+
+    def rate_au(zmodel, n, i_ha, a2nu, f_au, z_au):
+        shapes.append(np.shape(z_au))
+        return real_rate_au(zmodel, n, i_ha, a2nu, f_au, z_au)
+
+    real_rate_au = tunneling._rate_au
+    monkeypatch.setattr(tunneling, "_rate_au", rate_au)
+    pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
+    assert len(shapes) == 1 and shapes[0][0] > 0 and shapes[0][1] == nodes
 
 
 def test_step_gate_raises_above_the_tolerance(species_table, rh_env, monkeypatch):
-    step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
-    assert 0.0 < step.est_error <= tunneling.P_TOL
-    monkeypatch.setattr(tunneling, "P_TOL", 0.5 * step.est_error)
+    rh = species_table["rh"]
+    assert 0.0 < pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, 25.0) < 1.0
+    # an integrated step always has some Kronrod-Gauss difference
+    monkeypatch.setattr(tunneling, "P_TOL", 0.0)
     with pytest.raises(NumericalError, match="not resolved"):
-        pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
+        pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, 25.0)
 
 
 def test_rh_step_probability_at_25(species_table, rh_env):
-    step = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
-    assert step.p_t == pytest.approx(0.5826, abs=1e-3)
-    assert 0.0 < step.p_t < 1.0
-    assert step.integral_value > 0.0
-    assert step.n_evaluations > 0
+    p_t = pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
+    assert p_t == pytest.approx(0.5826, abs=1e-3)
+    assert 0.0 < p_t < 1.0
 
 
 def test_vanished_barrier_saturates_first_step(species_table, si_env):
     # above the barrier-collapse field the launch site sits at the floor,
     # below the potential hump, and the dwell time there diverges
-    step = pfi_step_probability(species_table["si4"], si_env, KINGHAM_Z, 1, 30.0)
-    assert step.p_t == 1.0
-    assert math.isinf(step.integral_value)
-    assert "hump" in step.note
+    assert pfi_step_probability(species_table["si4"], si_env, KINGHAM_Z, 1, 30.0) == 1.0
 
 
 def test_step_probability_monotone_in_field(species_table, si_env):
     si = species_table["si"]
-    probs = [pfi_step_probability(si, si_env, KINGHAM_Z, 1, f).p_t
+    probs = [pfi_step_probability(si, si_env, KINGHAM_Z, 1, f)
              for f in (16.0, 18.0, 20.0, 22.0)]
     assert all(0.0 <= p <= 1.0 for p in probs)
     assert all(a < b for a, b in zip(probs, probs[1:]))
@@ -211,7 +219,7 @@ def test_window_is_wide_enough(species_table, si_env, monkeypatch):
     base = pfi_step_probability(si, si_env, KINGHAM_Z, 1, 19.6)
     monkeypatch.setattr(tunneling, "Z_MAX_AU", 2.0 * tunneling.Z_MAX_AU)
     wide = pfi_step_probability(si, si_env, KINGHAM_Z, 1, 19.6)
-    assert wide.p_t == pytest.approx(base.p_t, abs=1e-6)
+    assert wide == pytest.approx(base, abs=1e-6)
 
 
 def test_fractions_sum_to_one(species_table, si_env, rh_env):
@@ -324,7 +332,7 @@ def test_fractions_are_built_from_the_step_probabilities(species_table, named_zm
         for zmodel in named_zmodels.values():
             rebuilt, survive = [], 1.0
             for n in range(1, min(sp.max_charge, 3)):
-                p_t = pfi_step_probability(sp, CLI_ENV, zmodel, n, fields).p_t
+                p_t = pfi_step_probability(sp, CLI_ENV, zmodel, n, fields)
                 rebuilt.append(survive * (1.0 - p_t))
                 survive = survive * p_t
             rebuilt.append(survive)
@@ -332,48 +340,49 @@ def test_fractions_are_built_from_the_step_probabilities(species_table, named_zm
             assert all(np.array_equal(a, b) for a, b in zip(fractions, rebuilt)), sp.name
 
 
-def test_float_field_keeps_float_results_and_notes(species_table, si_env):
+def test_float_field_keeps_float_results(species_table, si_env):
+    # one float per step, integrated, stalled at the hump (P = 1) or with an empty window (P = 0)
     si, si4 = species_table["si"], species_table["si4"]
-    for sp, field, note in ((si, 20.0, ""),
-                            (si4, 30.0, "launch at or below the hump; dwell diverges"),
-                            (si, 1.0, "integration window empty (z_c >= z_max)")):
-        step = pfi_step_probability(sp, si_env, KINGHAM_Z, 1, field)
-        assert step.note == note
-        assert all(type(v) is float for v in (step.p_t, step.integral_value, step.est_error))
-        assert type(step.n_evaluations) is int
-        assert (step.n_evaluations > 0) == (note == "")
+    for sp, field, p_t in ((si, 20.0, None), (si4, 30.0, 1.0), (si, 1.0, 0.0)):
+        steps = tunneling._pfi_steps(sp, si_env, KINGHAM_Z, 2, field)
+        assert type(steps) is list and len(steps) == 2
+        assert all(type(p) is float for p in steps)
+        assert steps[0] == pfi_step_probability(sp, si_env, KINGHAM_Z, 1, field)
+        if p_t is not None:
+            assert steps[0] == p_t
 
 
-def test_batch_note_and_evaluations_cover_the_call(species_table, si_env):
-    si = species_table["si"]
-    fields = [1.0, 20.0, 21.0]
-    batch = pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array(fields))
-    singles = [pfi_step_probability(si, si_env, KINGHAM_Z, 1, f) for f in fields]
-    assert batch.note == ""
-    assert batch.n_evaluations == sum(s.n_evaluations for s in singles)
-    assert batch.p_t.tolist() == [s.p_t for s in singles]
-    empty = pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array([0.5, 1.0]))
-    assert empty.note.startswith("integration window empty")
-    assert empty.p_t.tolist() == [0.0, 0.0]
-    # two different early-outs share no note
-    mixed = pfi_step_probability(species_table["si4"], si_env, KINGHAM_Z, 1, np.array([0.5, 30.0]))
-    assert mixed.note == ""
-    assert mixed.p_t.tolist() == [0.0, 1.0]
-    assert mixed.integral_value.tolist() == [0.0, math.inf]
-    assert mixed.n_evaluations == 0
-    assert pfi_step_probability(si, si_env, KINGHAM_Z, 1, np.array([])).note == ""
+def test_batch_equals_its_singles(species_table, si_env):
+    # bit for bit, early outs included: an empty window gives P = 0, a hump launch P = 1
+    for sp, fields in ((species_table["si"], [1.0, 20.0, 21.0]),
+                       (species_table["si4"], [0.5, 30.0, 12.0])):
+        batch = tunneling._pfi_steps(sp, si_env, KINGHAM_Z, 2, np.array(fields))
+        assert batch.shape == (2, len(fields))
+        singles = [tunneling._pfi_steps(sp, si_env, KINGHAM_Z, 2, f) for f in fields]
+        assert batch.T.tolist() == singles
+    assert batch[0, :2].tolist() == [0.0, 1.0]
+    empty = tunneling._pfi_steps(species_table["si"], si_env, KINGHAM_Z, 2, np.array([]))
+    assert empty.shape == (2, 0)
 
 
 def test_batch_gate_names_the_first_failing_field(species_table, rh_env, monkeypatch):
+    # the empty window at 1 V/nm needs no integral; every integrated field fails P_TOL = 0
     rh = species_table["rh"]
-    fields = np.array([10.0, 22.0, 25.0, 28.0])
-    errors = pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, fields).est_error
-    tolerance = 0.5 * errors[2]
-    first = fields[np.argmax(errors > tolerance)]
-    assert first > fields[0]
-    monkeypatch.setattr(tunneling, "P_TOL", tolerance)
-    with pytest.raises(NumericalError, match=f"Rh step 1->2 at {first} V/nm"):
+    fields = np.array([1.0, 22.0, 25.0])
+    monkeypatch.setattr(tunneling, "P_TOL", 0.0)
+    with pytest.raises(NumericalError, match="Rh step 1->2 at 22.0 V/nm"):
         pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, fields)
+
+
+def test_extreme_ladder_gives_fractions_without_warnings(si_env):
+    # an infinite z_c empties the window of a step whose I_{n+1} is near the float limit
+    for ladder, field, expected in (((7.0, 1e200), 20.0, (1.0, 0.0)),
+                                    ((7.0, 16.0, 1e308), 20.0,
+                                     (0.1169381606010712, 0.8830618393989288, 0.0))):
+        sp = SpeciesParams("X", 28.0, ladder, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert charge_fractions(sp, si_env, KINGHAM_Z, field) == expected
 
 
 def test_step_rejects_bad_fields(species_table, si_env):
