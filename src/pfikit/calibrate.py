@@ -5,16 +5,19 @@ additive offset c0 with the 1/z0 coefficient held fixed; the IE fit varies a
 single ladder entry within +/-30 % of its nominal value.  Multi-parameter
 simultaneous fits are out of scope.
 
-``_fit_1d`` solves the F50 at the nominal value and at each bound, then runs
-Brent's method between the neighbouring points that straddle the target (a
-lone nominal point that meets it is the fit).  Brent's last F50 minus the target
-is the residual; the achieved F50 is the target plus that residual, so no F50 is
-solved twice.
+Where the CSR rises with field up to the target T, F50(x) = T exactly when
+CSR(T; x) = 0.5.  So ``_fit_1d`` evaluates the CSR at T for the nominal value and
+each bound and runs Brent's method between the neighbouring points that straddle
+0.5 (a lone nominal point that meets it is the fit), so each Brent step is one
+one-field kernel call.  One F50 solved at the root is the achieved F50, and its
+distance from T, the residual, must be below FIT_RESIDUAL_VNM.  An empty 1+/2+
+pair reads CSR 1, the right side of 0.5 at a fixed field.
 
-At extreme parameter values the CSR can stay below 0.5 until every ion is past 2+,
-and ``find_f50`` refuses that empty 1+/2+ pair as an unreachable bracket after one
-probe call.  Fit brackets retreat from such a bound toward the nominal value, so
-the achievable interval spans only F50 values that are proper crossings.
+Only a fit this route cannot make solves the F50 at the nominal value and at each
+bound, retreating from a bound without a proper crossover toward the nominal
+value.  Those F50s span the achievable interval: a target outside it is a fit
+range error, one inside it a numerical error, since the F50 then jumps over the
+target somewhere in the bracket.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ._numerics import brentq
-from .curves import F50_SEARCH_VNM, find_f50
+from .curves import F50_SEARCH_VNM, evaluate_csr, find_f50
 from .errors import BracketError, DomainError, FitRangeError, NumericalError
 from .geometry import Environment
 from .species import SpeciesParams
@@ -85,43 +88,53 @@ def _usable_bound(f50_of, x_good: float, x_bound: float) -> tuple[float, float] 
     return best
 
 
-def _fit_1d(f50_of, label: str, kind: str, species_name: str, parameter: str,
-            x_nominal: float, bounds: tuple[float, float], target: float) -> FitReport:
-    """Solve f50_of(x) == target for x inside ``bounds`` and report the fit.
+def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: str,
+            species_name: str, parameter: str, x_nominal: float,
+            bounds: tuple[float, float], target: float) -> FitReport:
+    """Solve f50_of(x) == target for x inside ``bounds`` through csr_of(x), the CSR at
+    the target field, and report the fit.
 
-    A non-finite target raises DomainError before any F50 is solved.  The
-    nominal point must evaluate; unevaluable bounds retreat toward it.
-    Raises FitRangeError with the achievable F50 interval when the target
-    falls outside what the usable bracket can reach, and NumericalError when
-    the F50 at the root misses the target by FIT_RESIDUAL_VNM or more.
+    A non-finite target raises DomainError before any F50 is solved.  Brent's method
+    solves csr_of(x) == 0.5 between the neighbours among the nominal value and the
+    bounds that straddle it, and one F50 at the root must meet the target within
+    FIT_RESIDUAL_VNM.  Otherwise the F50s at the nominal value (which must evaluate)
+    and the usable bounds span the achievable interval: FitRangeError when the target
+    lies outside it, NumericalError when inside.
     """
     if not math.isfinite(target):
         raise DomainError(f"{label}: target F50 {target} V/nm must be finite")
-    points = [(x_nominal, f50_of(x_nominal))]
-    for bound in bounds:
-        usable = _usable_bound(f50_of, x_nominal, bound)
-        if usable is not None:
-            points.append(usable)
-    f_values = [v for _, v in points]
-    achievable = (min(f_values), max(f_values))
-    if not achievable[0] <= target <= achievable[1]:
-        raise FitRangeError(
-            f"{label}: target F50 {target:g} V/nm outside the achievable "
-            f"interval [{achievable[0]:.3f}, {achievable[1]:.3f}] V/nm",
-            achievable=achievable)
+    points = []
+    if search_vnm[0] <= target <= search_vnm[1]:  # no F50 lies outside the search range
+        for x in (x_nominal, *bounds):
+            try:
+                points.append((x, csr_of(x) - 0.5))
+            except (BracketError, NumericalError):
+                pass
     points.sort()
-    # two neighbours straddle a target in [min, max]; a lone point meets it exactly
-    (xa, fa), (xb, fb) = next((a, b) for a, b in zip(points, points[1:] or points)
-                              if (a[1] - target) * (b[1] - target) <= 0.0)
-    x, residual = brentq(lambda x: f50_of(x) - target, xa, xb, fa - target, fb - target,
-                         xtol=FIT_XTOL)
-    if abs(residual) >= FIT_RESIDUAL_VNM:
-        raise NumericalError(f"{label}: residual {residual:.4f} V/nm exceeds {FIT_RESIDUAL_VNM}")
-    # target + residual is F50(x) bit for bit: F50(x) and the target lie within a factor
-    # 2 of each other, so their difference was exact (Sterbenz's lemma)
-    shift = x - x_nominal
-    return FitReport(kind, species_name, parameter, target, target + residual, residual,
-                     x, x_nominal, shift, shift / x_nominal)
+    # two neighbours straddle 0.5; a lone point (the nominal one) must meet it exactly
+    pair = next(((a, b) for a, b in zip(points, points[1:] or points)
+                 if a[1] * b[1] <= 0.0), None)
+    f50 = math.inf  # no root yet
+    if pair is not None:
+        (xa, ga), (xb, gb) = pair
+        try:
+            x = brentq(lambda x: csr_of(x) - 0.5, xa, xb, ga, gb, xtol=FIT_XTOL)[0]
+            f50 = f50_of(x)
+        except (BracketError, NumericalError):
+            pass
+    if abs(f50 - target) < FIT_RESIDUAL_VNM:
+        shift = x - x_nominal
+        return FitReport(kind, species_name, parameter, target, f50, f50 - target,
+                         x, x_nominal, shift, shift / x_nominal)
+    ends = (_usable_bound(f50_of, x_nominal, bound) for bound in bounds)
+    f_values = [f50_of(x_nominal)] + [end[1] for end in ends if end is not None]
+    lo, hi = min(f_values), max(f_values)
+    if not lo <= target <= hi:
+        raise FitRangeError(f"{label}: target F50 {target:g} V/nm outside the achievable "
+                            f"interval [{lo:.3f}, {hi:.3f}] V/nm", achievable=(lo, hi))
+    raise NumericalError(f"{label}: the F50s at the bracket's points span [{lo:.3f}, "
+                         f"{hi:.3f}] V/nm, but no value was found whose CSR at {target:g} "
+                         "V/nm is 0.5 and whose F50 is there; the F50 jumps over the target")
 
 
 def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float,
@@ -132,11 +145,10 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     F50 falls as c0 grows (more screening promotes ionization), so the target
     must lie between the F50 values reachable at the two c0 endpoints.
     """
-    def f50_of(c0: float) -> float:
-        return find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm
-
-    return _fit_1d(f50_of, f"{species.name} z-offset fit", "z_offset", species.name, "c0",
-                   1.0, C0_BOUNDS, target_f50_vnm)
+    return _fit_1d(lambda c0: evaluate_csr(species, env, ZModel(c0, c1), target_f50_vnm),
+                   lambda c0: find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm,
+                   search_vnm, f"{species.name} z-offset fit", "z_offset", species.name,
+                   "c0", 1.0, C0_BOUNDS, target_f50_vnm)
 
 
 def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
@@ -163,11 +175,11 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
             f"{species.name}: I{ie_index} window empty after keeping the ladder "
             "strictly increasing")
 
-    def f50_of(ie: float) -> float:
-        return find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm
-
-    return _fit_1d(f50_of, f"{species.name} I{ie_index} fit", "ie", species.name,
-                   f"I{ie_index}", nominal, (lo, hi), target_f50_vnm)
+    return _fit_1d(
+        lambda ie: evaluate_csr(species.with_ie(ie_index, ie), env, zmodel, target_f50_vnm),
+        lambda ie: find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm,
+        search_vnm, f"{species.name} I{ie_index} fit", "ie", species.name, f"I{ie_index}",
+        nominal, (lo, hi), target_f50_vnm)
 
 
 def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,

@@ -54,11 +54,13 @@ def critical_distance(species: SpeciesParams, env: Environment, n,
     Array arguments give array members.
     """
     steps = np.asarray(n)
-    if not ((1 <= steps) & (steps < species.max_charge)).all():
-        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    if not np.greater(field_vnm, 0.0).all():
-        raise DomainError(f"field must be > 0 V/nm, got {field_vnm}")
+    outside = steps[(steps < 1) | (steps >= species.max_charge)].tolist()
+    if outside:
+        raise ConfigError(f"step {outside[0]}->{outside[0] + 1} needs I_{outside[0] + 1} "
+                          f"in the {species.name} ladder")
     field = np.asarray(field_vnm, dtype=float)
+    if not (field > 0.0).all():
+        raise DomainError(f"field must be > 0 V/nm, got {field[~(field > 0.0)].flat[0]}")
     l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field)
     a = np.array(species.ie_ladder_ev)[n] - env.work_function_ev
     disc = a * a - (2 * n + 1) * field * CONSTANTS.w_image_evnm

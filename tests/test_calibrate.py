@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from pfikit import (
@@ -10,12 +12,15 @@ from pfikit import (
     DomainError,
     FitRangeError,
     FitReport,
+    NumericalError,
+    find_f50,
     fit_ie,
     fit_z_offset,
     sensitivity_scan,
 )
 from pfikit import curves
 from pfikit.calibrate import _fit_1d
+from pfikit.cli import main
 
 
 def test_z_offset_fit_si3(species_table, si_env):
@@ -50,17 +55,24 @@ def test_z_offset_fit_reports_achievable_window(species_table, si_env):
 
 
 def test_fit_meets_a_target_only_the_nominal_point_reaches():
-    # both bounds fail to evaluate, so the nominal point is the whole bracket; its
-    # F50 equals the target, which the fit therefore meets with residual 0
-    def f50_of(x):
-        if x != 1.0:
-            raise BracketError("no crossing to bracket")
-        return 20.0
+    # both bounds fail to evaluate, so the nominal point is the whole bracket; at 20 V/nm
+    # its CSR is 0.5 and its F50 the target, which the fit therefore meets with residual
+    # 0; at 20.5 V/nm its CSR is past 0.5, and the refusal names the F50 interval
+    def nominal_only(value):
+        def of(x):
+            if x != 1.0:
+                raise BracketError("no crossing to bracket")
+            return value
+        return of
 
-    report = _fit_1d(f50_of, "Si z-offset fit", "z_offset", "Si", "c0", 1.0, (0.01, 2.0), 20.0)
-    assert report == FitReport("z_offset", "Si", "c0", 20.0, 20.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    def fit(csr, target):
+        return _fit_1d(nominal_only(csr), nominal_only(20.0), (5.0, 45.0), "Si z-offset fit",
+                       "z_offset", "Si", "c0", 1.0, (0.01, 2.0), target)
+
+    assert fit(0.5, 20.0) == FitReport("z_offset", "Si", "c0", 20.0, 20.0, 0.0, 1.0, 1.0,
+                                       0.0, 0.0)
     with pytest.raises(FitRangeError, match=r"outside the achievable interval \[20\.000, "):
-        _fit_1d(f50_of, "Si z-offset fit", "z_offset", "Si", "c0", 1.0, (0.01, 2.0), 20.5)
+        fit(0.6, 20.5)
 
 
 def test_ie_fit_si3(species_table, si_env):
@@ -72,9 +84,8 @@ def test_ie_fit_si3(species_table, si_env):
     assert abs(report.residual_vnm) < 0.05
 
 
-def test_ie_fit_refuses_empty_pair_probes_in_one_call(species_table, si_env, monkeypatch):
-    # the upper I2 bound and its first bisections have an empty 1+/2+ pair below any
-    # crossing; each such probe costs its one bracket call, not a Brent solve
+def _counting_calls(monkeypatch) -> list:
+    """The field of every ``charge_fractions`` call from here on."""
     calls, charge_fractions = [], curves.charge_fractions
 
     def counted(*args):
@@ -82,9 +93,52 @@ def test_ie_fit_refuses_empty_pair_probes_in_one_call(species_table, si_env, mon
         return charge_fractions(*args)
 
     monkeypatch.setattr(curves, "charge_fractions", counted)
+    return calls
+
+
+def test_ie_fit_refuses_empty_pair_probes_in_one_call(species_table, si_env, monkeypatch):
+    # an upper I2 bound whose 1+/2+ pair is empty below any crossing costs one bracket
+    # call, not a Brent solve; such F50 probes run only when a fit is refused, and the
+    # fit itself solves the CSR at the target field
+    calls = _counting_calls(monkeypatch)
     report = fit_ie(species_table["si3"], si_env, KINGHAM_Z, 17.7)
     assert round(report.fitted_value, 2) == 15.74
     assert len(calls) <= 70
+
+
+@pytest.mark.parametrize("fit", ["c0", "I2"])
+def test_fits_solve_the_csr_at_the_target_field(species_table, si_env, monkeypatch, fit):
+    # one one-field call per Brent step and one F50 at the root, not an F50 per step
+    calls = _counting_calls(monkeypatch)
+    if fit == "c0":
+        report = fit_z_offset(species_table["si3"], si_env, 17.7)
+    else:
+        report = fit_ie(species_table["si3"], si_env, KINGHAM_Z, 17.7)
+    assert abs(report.residual_vnm) < 0.05
+    assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("name,ie_index,target,fitted", [
+    ("rh", 2, 34.0, 21.044),     # some I2 in the bracket have no F50 at all
+    ("si4", 3, 13.2, 16.093),    # F50 is not monotone in I3: the bracket's ends miss 13.2
+    ("si4", 2, 21.0, 16.837),    # the upper bound retreats to an F50 short of 21.0
+])
+def test_ie_fit_meets_targets_the_f50_bracket_missed(species_table, si_env, capsys, name,
+                                                    ie_index, target, fitted):
+    assert main(["fit-ie", "--species", name, "--ie-index", str(ie_index),
+                 "--target", str(target)]) == 0
+    x = json.loads(capsys.readouterr().out)["fitted_value"]
+    assert x == pytest.approx(fitted, abs=2e-3)
+    check = find_f50(species_table[name].with_ie(ie_index, x), si_env, KINGHAM_Z)
+    assert abs(check.f50_vnm - target) < 0.05
+
+
+def test_ie_fit_refuses_a_target_the_f50_jumps_over(species_table, si_env):
+    # Si's F50 runs from 8.1 to 35.0 V/nm over the I2 bracket, but where the CSR at 30.1
+    # V/nm is 0.5 it falls back below 0.5 before 45 V/nm, so that I2 has no F50 at all
+    with pytest.raises(NumericalError, match=r"span \[8\.122, 35\.047\] V/nm, .* the F50 "
+                       r"jumps over the target"):
+        fit_ie(species_table["si"], si_env, KINGHAM_Z, 30.1)
 
 
 def test_ie_fit_recovers_the_nominal_ladder(species_table, si_env, f50):

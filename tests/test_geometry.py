@@ -98,8 +98,11 @@ def test_step_and_field_arrays_match_scalar_calls(species_table, si_env):
             single = critical_distance(si3, si_env, n, field)
             assert (batch.l_c_nm[n - 1, i], batch.z_c_nm[n - 1, i], batch.l_i_nm[i]) == (
                 single.l_c_nm, single.z_c_nm, single.l_i_nm)
-    with pytest.raises(ConfigError):
+    # a bad entry of an array is named alone, on one line
+    with pytest.raises(ConfigError, match=r"^step 3->4 needs I_4 in the Si3 ladder$"):
         critical_distance(si3, si_env, np.array([[1], [3]]), fields)
+    with pytest.raises(DomainError, match=r"^field must be > 0 V/nm, got -1\.0$"):
+        critical_distance(si3, si_env, steps, np.array([10.0, -1.0, 0.0]))
 
 
 def test_screening_length_shifts_z_c(species_table):

@@ -1,12 +1,15 @@
 """Source hygiene: every name a module imports is used in that module; the
 package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
-loads no scipy module); only ``species.read_text``/``read_json`` read input files; and
-every public name has a user outside the tests."""
+loads no scipy module); only ``species.read_text``/``read_json`` read input files;
+every public name has a user outside the tests; and every name the benchmark's tracer
+patches exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -200,3 +203,25 @@ def test_guard_sees_an_export_without_a_user():
                "unused_too = 2\nx = unused_too_long\nfrom pkg import used\n"]
     assert _unreferenced(["used", "unused", "unused_too"], sources) == ["unused",
                                                                         "unused_too"]
+
+
+def _unresolved(wrapped) -> list[str]:
+    """``module.attr`` of the ``(module, attr, ...)`` entries that the imported pfikit
+    modules lack."""
+    return [f"{key}.{attr}" for key, attr, *_ in wrapped
+            if not hasattr(importlib.import_module(f"pfikit.{key}"), attr)]
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer replaces each WRAPPED name with getattr, so a renamed or deleted
+    # one (such as calibrate.find_f50) would otherwise fail only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED and _unresolved(spans.WRAPPED) == []
+
+
+def test_guard_sees_an_unresolved_traced_name():
+    wrapped = (("curves", "find_f50", "curves.f50", None),
+               ("calibrate", "f50_of", "curves.f50", None))
+    assert _unresolved(wrapped) == ["calibrate.f50_of"]
