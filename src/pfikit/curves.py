@@ -183,12 +183,12 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
         raise BracketError(f"{species.name}: CSR {reached} below {probes[n]:g} V/nm, where "
                            "the 1+/2+ pair empties; no 0.5 crossing to bracket",
                            achievable=(float(csr[:n].min()), float(csr[:n].max())) if n else None)
-    if not csr[0] < 0.5 < csr[-1]:
+    k = next(iter(np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))), None)
+    if k is None:
         raise BracketError(
             f"{species.name}: CSR is {csr[0]:.4g} at {lo} V/nm and "
             f"{csr[-1]:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
             achievable=(float(csr[0]), float(csr[-1])))
-    k = np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))[0]
     cell = float(probes[k]), float(probes[k + 1])
     root, g_root = brentq(lambda f_vnm: evaluate_csr(species, env, zmodel, f_vnm) - 0.5, *cell,
                           float(csr[k]) - 0.5, float(csr[k + 1]) - 0.5, xtol=1e-9)

@@ -61,10 +61,15 @@ def critical_distance(species: SpeciesParams, env: Environment, n,
     field = np.asarray(field_vnm, dtype=float)
     if not (field > 0.0).all():
         raise DomainError(f"field must be > 0 V/nm, got {field[~(field > 0.0)].flat[0]}")
-    l_i = 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field)
-    a = np.array(species.ie_ladder_ev)[n] - env.work_function_ev
-    disc = a * a - (2 * n + 1) * field * CONSTANTS.w_image_evnm
-    vanished = disc < 0.0
-    l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field))
+    vanished, l_c, l_i = _crossing_nm(np.array(species.ie_ladder_ev)[n], env, n, field)
     z_c = np.where(vanished, 0.0, l_c - env.screening_length_nm)
     return CrossingGeometry(*(v if v.ndim else v.item() for v in (l_c, z_c, l_i)))
+
+
+def _crossing_nm(ie_ev, env: Environment, n, field_vnm):
+    """critical_distance's unchecked body: vanished mask, L_c (0 if vanished) and L_i in nm."""
+    a = ie_ev - env.work_function_ev
+    disc = a * a - (2 * n + 1) * field_vnm * CONSTANTS.w_image_evnm
+    vanished = disc < 0.0
+    l_c = np.where(vanished, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field_vnm))
+    return vanished, l_c, 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field_vnm)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import Environment, critical_distance
+from .geometry import Environment, _crossing_nm
 from .kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 from .species import SpeciesParams
 from .zmodel import ZModel
@@ -51,16 +51,18 @@ def _rate_au(zmodel: ZModel, n, i_ha, a2nu, f_au, z_au):
     i32 = i_ha ** 1.5
     pre = a2nu * 6.0 * math.pi * f_au
     zs2i = z_eff * np.sqrt(2.0 / i_ha)
-    arg = -TWO52 * i32 / (3.0 * f_au) + zs2i / 3.0
+    f3 = 3.0 * f_au
+    arg = np.asarray(-TWO52 * i32 / f3 + zs2i / 3.0)
     b32 = b * np.sqrt(b)
     denom = TWO52 * (i32 - b32)
     if (denom <= 0.0).any():
         raise NumericalError("barrier denominator <= 0; clamp invariant violated")
     # one exponential; the barrier zone adds its terms, weight and WKB denominator
     near = b > 0.0
-    rate = pre * np.exp(np.where(near, arg + (TWO52 * b32 / (3.0 * f_au)
-                                              + zs2i * np.log(16.0 * i_ha * i_ha / zf)), arg))
-    return np.where(near, NEAR_ZONE_WEIGHT * rate / denom, rate / (TWO52 * i32))[()]
+    np.add(arg, TWO52 * b32 / f3 + zs2i * np.log(16.0 * i_ha * i_ha / zf), out=arg, where=near)
+    rate = pre * np.exp(arg)
+    return np.divide(NEAR_ZONE_WEIGHT * rate, denom, out=np.asarray(rate / (TWO52 * i32)),
+                     where=near)[()]
 
 
 def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au, z_c):
@@ -132,66 +134,64 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
     [z_c, z_max] into a (steps, fields, 5) layout of pieces, and the kept pieces of every
     step and field go through one node pass."""
     fields = np.array(field_vnm, dtype=float, ndmin=1)
-    if fields.ndim != 1 or not (np.isfinite(fields).all() and (fields > 0.0).all()):
+    if fields.ndim != 1 or not ((fields > 0.0) & (fields < math.inf)).all():
         raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
-    per_step = np.array([(n, prefactor_a2nu(species, n),
-                          species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev)
-                         for n in range(1, last + 1)])
-    steps = per_step[:, :1]  # float, as an int n would make each array operation cast it
-    bohr, f_au = CONSTANTS.bohr_in_nm, fields / CONSTANTS.field_au_in_vnm
-    # extreme model inputs can overflow from here on: an infinite z_c empties the window,
-    # an infinite z* is clipped to z_max, and the check below turns a non-finite integral
-    # into a NumericalError, so numpy need not warn
+    # (steps, fields) planes of n (a float, which no operation casts), A^2 nu, I_{n+1} in Ha
+    # and eV, the field in V/nm and a.u. and the debt: equal shapes beat broadcasting in numpy
+    plane = np.empty((7, last, fields.size))
+    plane[:4] = np.array([(n, prefactor_a2nu(species, n), ie / CONSTANTS.hartree_in_ev, ie)
+                          for n, ie in enumerate(species.ie_ladder_ev[1:last + 1], 1)]).T[..., None]
+    plane[4], plane[5] = fields, fields / CONSTANTS.field_au_in_vnm
+    n, _, i_ha, i_ev, f_vnm, f_au, debt = plane
+    bohr, m_au = CONSTANTS.bohr_in_nm, species.mass_amu * CONSTANTS.amu_in_me
+    # extreme inputs may overflow from here on: an infinite z_c empties the window, an infinite
+    # z* is clipped to z_max, a non-finite integral fails the check below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        geo = critical_distance(species, env, steps.astype(int), fields)
-        # a step's energy debt counts the floored z_c of the steps before it
-        z_c = np.maximum(geo.z_c_nm / bohr, Z_FLOOR_AU)
-        debt = energy_debt_ev(fields, z_c[:-1] * bohr)
+        # a vanished crossing (L_c = 0) has z_c at the floor; debts count the floored z_c
+        _, l_c, l_i = _crossing_nm(i_ev, env, n, f_vnm)
+        z_c = np.maximum((l_c - env.screening_length_nm) / bohr, Z_FLOOR_AU)
+        debt[...] = energy_debt_ev(fields, z_c[:-1] * bohr)
         # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
         # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
         edges = np.empty(z_c.shape + (6,))
-        edges[..., 0], edges[..., 2], edges[..., 5] = z_c, Z_ARG_CAP_AU, Z_MAX_AU
-        edges[..., 1] = _clamp_distance_au(zmodel, steps, per_step[:, 2:], f_au, z_c)
-        gap = forbidden_gap_nm(fields, steps, debt) / bohr
-        # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no forbidden gap, but a launch at or
-        # below the hump stalls there, the dwell diverges, and ionization is certain
-        gap[:, 0] = 0.0
-        l_i = geo.l_i_nm / bohr
-        hump = (steps == 1) & (z_c <= l_i) & (l_i < Z_MAX_AU)
-        edges[..., 3], edges[..., 4] = gap
-        # z_c >= z_max empties the window; a cut outside [z_c, z_max] leaves an empty piece
-        early = (z_c >= Z_MAX_AU) | hump
-        edges = np.sort(np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU), axis=-1)
-        lo, hi = edges[..., :-1], edges[..., 1:]
-        # keep the non-empty pieces outside the forbidden gap, of fields without an early out
-        gap_lo, gap_hi = gap[..., None]
-        keep = (hi > lo) & ((lo < gap_lo) | (hi > gap_hi)) & ~early[..., None]
-        step_of, field_of, _ = np.nonzero(keep)
+        edges[..., 0], edges[..., 1] = z_c, _clamp_distance_au(zmodel, n, i_ha, f_au, z_c)
+        edges[..., 2:] = Z_ARG_CAP_AU, 0.0, 0.0, Z_MAX_AU
+        # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no gap (ends stay 0), but a launch at or below the
+        # hump stalls, and P = 1; z_c >= z_max, like a cut outside [z_c, z_max], keeps no piece
+        if last > 1:
+            np.divide(forbidden_gap_nm(f_vnm[1:], n[1:], debt[1:]).transpose(1, 2, 0), bohr,
+                      out=edges[1:, :, 3:5])
+        l_i = l_i[0] / bohr
+        hump = (z_c[0] <= l_i) & (l_i < Z_MAX_AU)
+        cuts = np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU)
+        cuts.sort()
+        cuts[0, hump] = Z_MAX_AU  # a stalled launch integrates nothing
+        # the non-empty pieces outside the forbidden gap; owner: their flat (step, field)
+        lo, hi = cuts[..., :-1], cuts[..., 1:]
+        keep = (hi > lo) & ((lo < edges[..., 3:4]) | (hi > edges[..., 4:5]))
+        owner, _ = np.nonzero(keep.reshape(z_c.size, 5))
         lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
-        n, a2nu, i_ha = per_step[step_of].T[:, :, None]
-        f_vnm, f_au = fields[field_of][:, None], f_au[field_of][:, None]
+        n, a2nu, i_ha, _, f_vnm, f_au, debt = plane.reshape(7, -1)[:, owner, None]
         s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
         z = lo + width * s_nodes
-        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt[step_of, field_of][:, None])
-        m_au = species.mass_amu * CONSTANTS.amu_in_me
+        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
         u_au = np.sqrt(k_ev * (2.0 / (CONSTANTS.hartree_in_ev * m_au)))
         f = width * _rate_au(zmodel, n, i_ha, a2nu, f_au, z) / u_au
     # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
     # field gets the same P in every call; each field's pieces add up in ascending order.
-    # An empty window leaves P = 0; a stalled launch has an infinite integral and P = 1.
-    owner = step_of * fields.size + field_of
-    value, coarse = (np.where(hump, math.inf, np.bincount(owner, np.einsum(
-        "pk,k->p", nodes, weights), hump.size).reshape(hump.shape))
-        for nodes, weights in ((f, w_kronrod), (f[:, :RULE_ORDER], w_gauss)))
-    p_t = -np.expm1(-value)
+    # An empty window leaves P = 0; a stalled launch, whose integral is infinite, P = 1.
+    value, coarse = (np.bincount(owner, np.einsum("pk,k->p", nodes, weights),
+                                 z_c.size).reshape(z_c.shape)
+                     for nodes, weights in ((f, w_kronrod), (f[:, :RULE_ORDER], w_gauss)))
+    p_t = -np.expm1(np.negative(value, dtype=float))  # bincount sums no pieces as ints
     est_error = np.abs(np.expm1(-coarse) + p_t)
-    resolved = early | np.isfinite(value) & (est_error <= P_TOL)
+    resolved = np.isfinite(value) & (est_error <= P_TOL)
     if not resolved.all():
         s, i = np.argwhere(~resolved)[0]
-        raise NumericalError(
-            f"{species.name} step {s + 1}->{s + 2} at {fields[i].item()} V/nm: "
-            f"step integral {value[s, i]:.6e} not resolved (P error estimate "
-            f"{est_error[s, i]:.2e} > {P_TOL:g})")
+        raise NumericalError(f"{species.name} step {s + 1}->{s + 2} at {fields[i].item()} V/nm: "
+                             f"step integral {value[s, i]:.6e} not resolved (P error estimate "
+                             f"{est_error[s, i]:.2e} > {P_TOL:g})")
+    p_t[0, hump] = 1.0
     return p_t if np.ndim(field_vnm) else p_t[:, 0].tolist()
 
 
@@ -211,5 +211,4 @@ def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
     for p_t in _pfi_steps(species, env, zmodel, min(species.max_charge, 3) - 1, field_vnm):
         fractions.append(survive * (1.0 - p_t))
         survive *= p_t
-    fractions.append(survive)
-    return tuple(fractions)
+    return (*fractions, survive)

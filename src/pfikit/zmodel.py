@@ -6,9 +6,7 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .species import json_float, read_json
 
 
@@ -27,9 +25,7 @@ class ZModel:
             raise ConfigError(f"ZModel c0 must be finite and > -1, got {self.c0}")
 
     def z(self, n: int, z0_au):
-        """Z for source charge state n at distance z0 (a.u.), a float or an array."""
-        if not np.greater(z0_au, 0.0).all():
-            raise DomainError(f"z0 must be > 0 a.u., got {z0_au}")
+        """Z for source charge state n at distance z0 > 0 (a.u.), a float or an array."""
         return n + self.c0 + self.c1 / z0_au
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pfikit import (
     KINGHAM_Z,
@@ -12,7 +14,9 @@ from pfikit import (
     DomainError,
     FitRangeError,
     FitReport,
-    NumericalError,
+    charge_fractions,
+    csr_from_fractions,
+    evaluate_csr,
     find_f50,
     fit_ie,
     fit_z_offset,
@@ -133,12 +137,20 @@ def test_ie_fit_meets_targets_the_f50_bracket_missed(species_table, si_env, caps
     assert abs(check.f50_vnm - target) < 0.05
 
 
-def test_ie_fit_refuses_a_target_the_f50_jumps_over(species_table, si_env):
-    # Si's F50 runs from 8.1 to 35.0 V/nm over the I2 bracket, but where the CSR at 30.1
-    # V/nm is 0.5 it falls back below 0.5 before 45 V/nm, so that I2 has no F50 at all
-    with pytest.raises(NumericalError, match=r"span \[8\.122, 35\.047\] V/nm, .* the F50 "
-                       r"jumps over the target"):
-        fit_ie(species_table["si"], si_env, KINGHAM_Z, 30.1)
+def test_ie_fit_meets_a_target_past_which_the_csr_falls_back(species_table, si_env):
+    # where the Si CSR at 30.1 V/nm is 0.5 it falls back below 0.5 before 45 V/nm; the F50
+    # is still the lowest upward crossing, so the fit meets its target
+    report = fit_ie(species_table["si"], si_env, KINGHAM_Z, 30.1)
+    assert report.fitted_value == pytest.approx(19.8147, abs=2e-3)
+    assert abs(report.residual_vnm) < 1e-4
+    fitted = species_table["si"].with_ie(2, report.fitted_value)
+    assert evaluate_csr(fitted, si_env, KINGHAM_Z, 45.0) < 0.5
+    assert find_f50(fitted, si_env, KINGHAM_Z).f50_vnm == pytest.approx(30.1, abs=1e-4)
+    # and, independently of find_f50, the CSR first reaches 0.5 at 30.1 V/nm
+    fields = np.linspace(5.0, 30.0, 501)
+    assert (csr_from_fractions(charge_fractions(fitted, si_env, KINGHAM_Z, fields)) < 0.5).all()
+    assert brentq(lambda f: evaluate_csr(fitted, si_env, KINGHAM_Z, f) - 0.5, 30.0, 30.2,
+                  xtol=1e-9) == pytest.approx(30.1, abs=1e-4)
 
 
 def test_ie_fit_recovers_the_nominal_ladder(species_table, si_env, f50):

@@ -93,6 +93,20 @@ def test_f50_is_the_lowest_upward_crossing(species_table):
     assert lo < 24.8553 < hi
 
 
+def test_f50_ignores_a_fall_back_below_half_before_the_range_ends(species_table, si_env):
+    # with I2 = 19.0 eV the Si CSR crosses 0.5 upward near 27.5 V/nm, the only upward
+    # crossing, and falls back to about 2e-4 by 42.5 V/nm with its 1+/2+ pair full
+    si = species_table["si"].with_ie(2, 19.0)
+    fields = np.linspace(5.0, 45.0, 801)
+    fractions = charge_fractions(si, si_env, KINGHAM_Z, fields)
+    csr = csr_from_fractions(fractions)
+    assert (fractions[0] + fractions[1] > 0.99).all() and csr[-1] < 1e-3
+    assert np.flatnonzero((csr[:-1] < 0.5) & (csr[1:] >= 0.5)).tolist() == [449]
+    result = find_f50(si, si_env, KINGHAM_Z)
+    assert result.f50_vnm == pytest.approx(27.4995, abs=5e-5)
+    assert result.bracket_vnm == (25.0, 27.5)
+
+
 @pytest.mark.parametrize("name", ["si", "si2", "si3", "rh"])
 def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name):
     # one batched bracket call, then Brent's steps inside its cell

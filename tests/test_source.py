@@ -2,8 +2,8 @@
 package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
 loads no scipy module); only ``species.read_text``/``read_json`` read input files;
-every public name has a user outside the tests; and every name the benchmark's tracer
-patches exists."""
+every public name has a user outside the tests; every name the benchmark's tracer
+patches exists; and no library path calls the step the tracer cannot read."""
 
 from __future__ import annotations
 
@@ -225,3 +225,27 @@ def test_guard_sees_an_unresolved_traced_name():
     wrapped = (("curves", "find_f50", "curves.f50", None),
                ("calibrate", "f50_of", "curves.f50", None))
     assert _unresolved(wrapped) == ["calibrate.f50_of"]
+
+
+def _references(source: str, name: str) -> list[str]:
+    """Lines that call or reference ``name``, by itself or as an attribute; its ``def`` and
+    its import are neither."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == name)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_library_path_calls_the_traced_step(path):
+    # perfbench's tracer reads .note and .n_evaluations from what pfi_step_probability
+    # returns, now a float: a library call of it would end a traced run in AttributeError
+    assert _references(path.read_text(), "pfi_step_probability") == []
+
+
+def test_guard_sees_a_call_of_the_traced_step():
+    source = ("from .tunneling import pfi_step_probability\n"
+              "def pfi_step_probability(x):\n    return x\n"
+              "p = pfi_step_probability(1)\nq = tunneling.pfi_step_probability(2)\n"
+              "f = pfi_step_probability\npfi_step_probability_x = 3\n")
+    assert _references(source, "pfi_step_probability") == ["line 4", "line 5", "line 6"]
