@@ -1,12 +1,13 @@
 """Ionization rate constant R(z0), per-step PFI probability, and charge-state fractions.
 
-The rate model: inside the residual-barrier zone (b = I - ZF/I - F*z0 > 0,
-Hartree units) the corrected WKB expression carries the Coulomb power factor
-(16 I^2 / ZF)^(Z sqrt(2/I)) and a constant near-zone weight; beyond the clamp
-distance the barrier term is clamped to zero and both the Coulomb factor and
-the weight are gated off, leaving a z0-free plateau. The Z-model argument is
-capped at 100 a.u. (the polynomial's fit range), which makes the plateau
-exactly independent of z0.
+The rate model: inside the residual-barrier zone, where b = I - ZF/I - F*z0 > 0
+(Hartree units), the corrected WKB expression carries the barrier term, the
+Coulomb power factor (16 I^2 / ZF)^(Z sqrt(2/I)) and a constant near-zone weight;
+outside it all three are off, leaving a plateau. The step integral cuts its
+window at both ends of the zone, so a piece lies wholly inside or outside it,
+and the zone's terms are evaluated on the zone's pieces only. The Z-model
+argument is capped at 100 a.u. (the polynomial's fit range), which makes the
+plateau beyond the cap exactly independent of z0.
 """
 
 from __future__ import annotations
@@ -42,42 +43,65 @@ def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
     return species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev / (6.0 * math.pi * species.m_q * E23)
 
 
-def _rate_au(zmodel: ZModel, n, i_ha, a2nu, f_au, z_au):
-    """R at distances z_au >= z_c for step n with I_{n+1} = i_ha (Hartree) and A^2 nu = a2nu,
-    at fields f_au (a.u.); all broadcast together."""
+def _step_constants(species: SpeciesParams, last: int) -> np.ndarray:
+    """Rows n (a float, which no operation casts), I_{n+1} in eV and in Hartree, and the
+    rate's 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 of the steps 1 .. last, one column each.
+    These are Python floats first: numpy rounds each operation alike, at a higher cost."""
+    rows = []
+    for n, ie in enumerate(species.ie_ladder_ev[1:last + 1], 1):
+        i_ha = ie / CONSTANTS.hartree_in_ev
+        rows.append((n, ie, i_ha, prefactor_a2nu(species, n) * 6.0 * math.pi,
+                     math.sqrt(2.0 / i_ha), 16.0 * i_ha * i_ha))
+    return np.array(rows).T
+
+
+def _rate_au(zmodel: ZModel, step, f_au, z_au, zone: int):
+    """R at distances z_au >= z_c and fields f_au (a.u.) of the steps whose
+    ``_step_constants`` are the rows of ``step``; all broadcast together, and their first
+    ``zone`` rows lie in the barrier zone b = I - Z F / I - F z > 0, the other rows beyond it."""
+    n, _, i_ha, pre, root_2_i, i16 = step
     z_eff = zmodel.z(n, np.minimum(z_au, Z_ARG_CAP_AU))
     zf = z_eff * f_au
-    b = np.maximum(i_ha - zf / i_ha - f_au * z_au, 0.0)
     i32 = i_ha ** 1.5
-    pre = a2nu * 6.0 * math.pi * f_au
-    zs2i = z_eff * np.sqrt(2.0 / i_ha)
     f3 = 3.0 * f_au
-    arg = np.asarray(-TWO52 * i32 / f3 + zs2i / 3.0)
+    # node-sized results overwrite spent arrays (here and in the node pass that calls this):
+    # a fresh array costs about as much as the arithmetic that fills it
+    zs2i = np.multiply(z_eff, root_2_i, out=z_eff)
+    arg = zs2i / 3.0
+    arg += -TWO52 * i32 / f3
+    # the barrier zone adds its terms, the weight and the WKB denominator; b > 0 there up to
+    # the rounding of the zone's ends, where it is floored at 0
+    i_b, zf_b = i_ha[:zone], zf[:zone]
+    b = np.maximum(i_b - zf_b / i_b - f_au[:zone] * z_au[:zone], 0.0)
     b32 = b * np.sqrt(b)
-    denom = TWO52 * (i32 - b32)
+    denom = TWO52 * (i32[:zone] - b32)
     if (denom <= 0.0).any():
         raise NumericalError("barrier denominator <= 0; clamp invariant violated")
-    # one exponential; the barrier zone adds its terms, weight and WKB denominator
-    near = b > 0.0
-    np.add(arg, TWO52 * b32 / f3 + zs2i * np.log(16.0 * i_ha * i_ha / zf), out=arg, where=near)
-    rate = pre * np.exp(arg)
-    return np.divide(NEAR_ZONE_WEIGHT * rate, denom, out=np.asarray(rate / (TWO52 * i32)),
-                     where=near)[()]
+    arg[:zone] += TWO52 * b32 / f3[:zone] + zs2i[:zone] * np.log(i16[:zone] / zf_b)
+    rate = np.exp(arg, out=arg)
+    rate *= pre * f_au
+    np.divide(NEAR_ZONE_WEIGHT * rate[:zone], denom, out=rate[:zone])
+    rate[zone:] /= TWO52 * i32[zone:]
+    return rate
 
 
-def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au, z_c):
-    """Distance z* >= z_c (a.u., arrays alike) where b(z) = I - Z(n, z) F / I - F z reaches 0.
+def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au):
+    """Ends z_lo, z_hi (a.u., arrays alike) of the barrier zone, where b(z) = I - Z(n, z) F / I
+    - F z > 0: both NaN where b < 0 at every z (numpy flags the invalid square root), and
+    z_lo >= z_hi where the zone would lie above the cap.
 
-    Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and
-    z* is its larger root; above the cap b is linear in z. z* = z_c where b(z_c) <= 0.
+    Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and the zone
+    lies between its roots; above the cap b is linear in z and falls to 0 at z_linear. So
+    the zone ends at z_linear where b(cap) > 0, else at the larger root, clipped to the cap.
     """
     z_fixed = n + zmodel.c0
-    b_c = i_ha - (z_fixed + zmodel.c1 / np.minimum(z_c, Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z_c
     z_linear = i_ha / f_au - (z_fixed + zmodel.c1 / Z_ARG_CAP_AU) / i_ha
     slope = i_ha - z_fixed * f_au / i_ha
     disc = slope * slope - 4.0 * zmodel.c1 * f_au * f_au / i_ha
-    z_quadratic = (slope + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * f_au)
-    return np.where(b_c <= 0.0, z_c, np.where(z_linear >= Z_ARG_CAP_AU, z_linear, z_quadratic))
+    root, two_f = np.sqrt(disc), 2.0 * f_au
+    z_quadratic = (slope + root) / two_f
+    z_hi = np.where(z_linear >= Z_ARG_CAP_AU, z_linear, np.minimum(z_quadratic, Z_ARG_CAP_AU))
+    return (slope - root) / two_f, z_hi
 
 
 def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,54 +155,65 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
                field_vnm):
     """P of the steps 1 -> 2 ... last -> last+1 at a float or 1-D array of fields: one float
     per step, or a (last, fields) array. One array geometry pass over (steps, fields) cuts
-    [z_c, z_max] into a (steps, fields, 5) layout of pieces, and the kept pieces of every
-    step and field go through one node pass."""
+    [z_c, z_max] into a (6, steps, fields) layout of pieces; the kept pieces of every step
+    and field, those in the barrier zone first, go through one node pass."""
     fields = np.array(field_vnm, dtype=float, ndmin=1)
     if fields.ndim != 1 or not ((fields > 0.0) & (fields < math.inf)).all():
         raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
-    # (steps, fields) planes of n (a float, which no operation casts), A^2 nu, I_{n+1} in Ha
-    # and eV, the field in V/nm and a.u. and the debt: equal shapes beat broadcasting in numpy
-    plane = np.empty((7, last, fields.size))
-    plane[:4] = np.array([(n, prefactor_a2nu(species, n), ie / CONSTANTS.hartree_in_ev, ie)
-                          for n, ie in enumerate(species.ie_ladder_ev[1:last + 1], 1)]).T[..., None]
-    plane[4], plane[5] = fields, fields / CONSTANTS.field_au_in_vnm
-    n, _, i_ha, i_ev, f_vnm, f_au, debt = plane
+    # (steps, fields) planes of the step constants, the field in V/nm and a.u. and the debt:
+    # equal shapes beat broadcasting in numpy
+    plane = np.empty((9, last, fields.size))
+    plane[:6] = _step_constants(species, last)[..., None]
+    plane[6], plane[7] = fields, fields / CONSTANTS.field_au_in_vnm
+    n, i_ev, i_ha, _, _, _, f_vnm, f_au, debt = plane
     bohr, m_au = CONSTANTS.bohr_in_nm, species.mass_amu * CONSTANTS.amu_in_me
     # extreme inputs may overflow from here on: an infinite z_c empties the window, an infinite
-    # z* is clipped to z_max, a non-finite integral fails the check below; numpy need not warn
+    # zone end is clipped to z_max, a non-finite integral fails the check below, and a field
+    # without a barrier zone has NaN zone ends, which fmax and fmin pass over; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a vanished crossing (L_c = 0) has z_c at the floor; debts count the floored z_c
         _, l_c, l_i = _crossing_nm(i_ev, env, n, f_vnm)
         z_c = np.maximum((l_c - env.screening_length_nm) / bohr, Z_FLOOR_AU)
         debt[...] = energy_debt_ev(fields, z_c[:-1] * bohr)
-        # edges: z_c, then the cuts at the clamp distance (the near-zone weight switches
-        # off), the Z argument cap (a kink) and the roots of k_n (1/sqrt(k) end points)
-        edges = np.empty(z_c.shape + (6,))
-        edges[..., 0], edges[..., 1] = z_c, _clamp_distance_au(zmodel, n, i_ha, f_au, z_c)
-        edges[..., 2:] = Z_ARG_CAP_AU, 0.0, 0.0, Z_MAX_AU
+        # edges, along a new first axis: z_c, both ends of the barrier zone (its terms and
+        # weight switch on and off), the Z argument cap (a kink), the roots of k_n (1/sqrt(k)
+        # end points) and z_max
+        edges = np.empty((7,) + z_c.shape)
+        edges[0] = z_c
+        edges[1], edges[2] = _clamp_distance_au(zmodel, n, i_ha, f_au)
+        edges[3], edges[4:6], edges[6] = Z_ARG_CAP_AU, 0.0, Z_MAX_AU
         # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no gap (ends stay 0), but a launch at or below the
         # hump stalls, and P = 1; z_c >= z_max, like a cut outside [z_c, z_max], keeps no piece
         if last > 1:
-            np.divide(forbidden_gap_nm(f_vnm[1:], n[1:], debt[1:]).transpose(1, 2, 0), bohr,
-                      out=edges[1:, :, 3:5])
+            np.divide(forbidden_gap_nm(f_vnm[1:], n[1:], debt[1:]), bohr, out=edges[4:6, 1:])
         l_i = l_i[0] / bohr
         hump = (z_c[0] <= l_i) & (l_i < Z_MAX_AU)
-        cuts = np.minimum(np.maximum(edges, edges[..., :1]), Z_MAX_AU)
-        cuts.sort()
-        cuts[0, hump] = Z_MAX_AU  # a stalled launch integrates nothing
-        # the non-empty pieces outside the forbidden gap; owner: their flat (step, field)
-        lo, hi = cuts[..., :-1], cuts[..., 1:]
-        keep = (hi > lo) & ((lo < edges[..., 3:4]) | (hi > edges[..., 4:5]))
-        owner, _ = np.nonzero(keep.reshape(z_c.size, 5))
-        lo, width = lo[keep][:, None], (hi - lo)[keep][:, None]
-        n, a2nu, i_ha, _, f_vnm, f_au, debt = plane.reshape(7, -1)[:, owner, None]
+        edges[0, 0][hump] = Z_MAX_AU  # a stalled launch integrates nothing
+        cuts = np.fmin(np.fmax(edges, edges[0]), Z_MAX_AU)
+        cuts.sort(axis=0)
+        # the non-empty pieces outside the forbidden gap, those inside the barrier zone first,
+        # each part in (piece, step, field) order, which puts a field's pieces in ascending z
+        # within each part; at: a piece's flat index in cuts, owner: its flat (step, field)
+        lo, hi = cuts[:-1], cuts[1:]
+        keep = (hi > lo) & ((lo < edges[4]) | (hi > edges[5]))
+        near = keep & (lo >= edges[1]) & (hi <= edges[2])
+        at = np.concatenate((near, keep > near)).ravel().nonzero()[0] % keep.size
+        owner = at % z_c.size
+        lo = cuts.take(at)[:, None]
+        width = cuts.take(at + z_c.size)[:, None] - lo
+        *step, f_vnm, f_au, debt = plane.reshape(9, -1)[:, owner, None]
         s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
-        z = lo + width * s_nodes
-        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
-        u_au = np.sqrt(k_ev * (2.0 / (CONSTANTS.hartree_in_ev * m_au)))
-        f = width * _rate_au(zmodel, n, i_ha, a2nu, f_au, z) / u_au
+        z = width * s_nodes
+        z += lo
+        k_ev = kinetic_energy_unchecked(f_vnm, step[0], z * bohr, debt)
+        k_ev *= 2.0 / (CONSTANTS.hartree_in_ev * m_au)
+        u_au = np.sqrt(k_ev, out=k_ev)
+        f = _rate_au(zmodel, step, f_au, z, np.count_nonzero(near))
+        f *= width
+        f /= u_au
     # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
-    # field gets the same P in every call; each field's pieces add up in ascending order.
+    # field gets the same P in every call; each field's zone pieces add up first, then its
+    # others, each in ascending z, which is ascending overall unless the zone begins above z_c.
     # An empty window leaves P = 0; a stalled launch, whose integral is infinite, P = 1.
     value, coarse = (np.bincount(owner, np.einsum("pk,k->p", nodes, weights),
                                  z_c.size).reshape(z_c.shape)
@@ -191,7 +226,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
         raise NumericalError(f"{species.name} step {s + 1}->{s + 2} at {fields[i].item()} V/nm: "
                              f"step integral {value[s, i]:.6e} not resolved (P error estimate "
                              f"{est_error[s, i]:.2e} > {P_TOL:g})")
-    p_t[0, hump] = 1.0
+    p_t[0][hump] = 1.0
     return p_t if np.ndim(field_vnm) else p_t[:, 0].tolist()
 
 

@@ -352,6 +352,17 @@ def test_curves_to_directory_and_determinism(tmp_path, capsys):
         assert list(curve.csr) == sorted(curve.csr)
 
 
+def test_screened_rh_curve_evaluates_and_its_csr_never_falls(tmp_path, capsys):
+    # Rh at phi 4.5 eV and lambda 0.1 nm: near 41 V/nm the barrier zone begins above z_c,
+    # and until both of its ends were cuts, K31 and G15 disagreed there (exit 3)
+    out = tmp_path / "rh.csv"
+    assert main(["curves", "--species", "rh", "--phi", "4.5", "--lambda", "0.1",
+                 "--out", str(out)]) == 0
+    curve = read_curve_csv(out)
+    assert len(curve.csr) == 401
+    assert list(curve.csr) == sorted(curve.csr)
+
+
 def test_curves_multiple_species_need_out(capsys):
     assert main(["curves", "--species", "si", "--species", "si2"]) == 2
     assert "--out" in capsys.readouterr().err

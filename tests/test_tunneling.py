@@ -43,11 +43,18 @@ def _floored_z_c(sp, env, n, field):
 
 def _rate(sp, env, zmodel, n, field, z0):
     """R(z0) of step n as the step kernel evaluates it, at z0 raised to the floored z_c;
-    field and z0 broadcast together."""
-    i_ha = sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
-    return tunneling._rate_au(zmodel, n, i_ha, prefactor_a2nu(sp, n),
-                              np.asarray(field) / CONSTANTS.field_au_in_vnm,
-                              np.maximum(z0, _floored_z_c(sp, env, n, field)))
+    field and z0 broadcast together. The kernel takes its barrier-zone pieces as the
+    leading rows, so each point goes in as a row of its own, those with b > 0 first."""
+    f_vnm, z = np.broadcast_arrays(np.asarray(field, dtype=float),
+                                   np.maximum(z0, _floored_z_c(sp, env, n, field)))
+    shape, f_vnm, z = z.shape, f_vnm.reshape(-1, 1), z.reshape(-1, 1)
+    near = _barrier_residual(sp, zmodel, n, f_vnm, z)[:, 0] > 0.0
+    order = np.argsort(~near, kind="stable")
+    step = tunneling._step_constants(sp, n)[:, n - 1, None, None] * np.ones((z.size, 1))
+    rates = np.empty(z.size)
+    rates[order] = tunneling._rate_au(zmodel, step, f_vnm[order] / CONSTANTS.field_au_in_vnm,
+                                      z[order], np.count_nonzero(near))[:, 0]
+    return rates.reshape(shape)[()]
 
 
 @pytest.fixture(scope="module")
@@ -175,14 +182,55 @@ def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_e
     # the one node pass evaluates the rate on a (kept pieces, nodes) array
     shapes = []
 
-    def rate_au(zmodel, n, i_ha, a2nu, f_au, z_au):
-        shapes.append(np.shape(z_au))
-        return real_rate_au(zmodel, n, i_ha, a2nu, f_au, z_au)
+    def rate_au(zmodel, step, f_au, z_au, zone):
+        shapes.append((np.shape(z_au), zone))
+        return real_rate_au(zmodel, step, f_au, z_au, zone)
 
     real_rate_au = tunneling._rate_au
     monkeypatch.setattr(tunneling, "_rate_au", rate_au)
     pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
-    assert len(shapes) == 1 and shapes[0][0] > 0 and shapes[0][1] == nodes
+    ((pieces, width), zone), = shapes
+    assert pieces > zone > 0 and width == nodes
+
+
+def _leading_rows(sp, env, zmodel, fields, monkeypatch):
+    """Step n, field (V/nm) and nodes z of every row of the one node pass of charge_fractions
+    on fields, and the number of leading rows that it evaluates as barrier zone."""
+    calls = []
+
+    def rate_au(zmodel, step, f_au, z_au, zone):
+        calls.append((step[0][:, 0].astype(int), f_au[:, 0], z_au, zone))
+        return real_rate_au(zmodel, step, f_au, z_au, zone)
+
+    real_rate_au = tunneling._rate_au
+    with monkeypatch.context() as patch:
+        patch.setattr(tunneling, "_rate_au", rate_au)
+        charge_fractions(sp, env, zmodel, fields)
+    (n, f_au, z, zone), = calls
+    # each row's field, found back from the kernel's own a.u. value of it
+    at = np.searchsorted(fields / CONSTANTS.field_au_in_vnm, f_au)
+    assert (fields[at] / CONSTANTS.field_au_in_vnm == f_au).all()
+    return n[:, None], fields[at][:, None], z, zone
+
+
+def test_barrier_zone_rows_are_the_nodes_with_a_residual_barrier(species_table, named_zmodels,
+                                                                 monkeypatch):
+    # the pieces are cut at both zone ends, so the leading rows hold every node with b > 0
+    # and no other: a node's regime follows from its piece, and a field's P keeps its bits
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    leading = trailing = 0
+    for sp in species_table.values():
+        for zmodel in named_zmodels.values():
+            for phi in (4.5, 4.9, 5.3):
+                for lam in (0.0, 0.1):
+                    n, field, z, zone = _leading_rows(sp, Environment(phi, lam), zmodel, fields,
+                                                      monkeypatch)
+                    b = _barrier_residual(sp, zmodel, n, field, z)
+                    key = (sp.name, zmodel, phi, lam)
+                    assert (b[:zone] > 0.0).all(), key
+                    assert (b[zone:] <= 0.0).all(), key
+                    leading, trailing = leading + zone, trailing + len(b) - zone
+    assert leading > 0 and trailing > 0
 
 
 def test_step_gate_raises_above_the_tolerance(species_table, rh_env, monkeypatch):
@@ -262,55 +310,99 @@ def test_si_csr_at_nominal_crossover(species_table, si_env):
     assert csr == pytest.approx(0.5, abs=0.02)
 
 
-
 def _barrier_residual(sp, zmodel, n, field, z):
-    """b(z) = I - Z(n, min(z, cap)) F / I - F z in Hartree, straight from its definition."""
-    i_ha = sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+    """b(z) = I - Z(n, min(z, cap)) F / I - F z in Hartree, straight from its definition; the
+    step n (an int or an int array), the field and z broadcast together."""
+    i_ha = np.array(sp.ie_ladder_ev)[n] / CONSTANTS.hartree_in_ev
     f_au = field / CONSTANTS.field_au_in_vnm
-    return i_ha - zmodel.z(n, min(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z, i_ha
+    return i_ha - zmodel.z(n, np.minimum(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z
 
 
-def _clamp_distances(sp, zmodel, n, fields):
-    """Floored z_c and the clamp distance z* (a.u.) of step n at an array of fields."""
-    z_c = _floored_z_c(sp, CLI_ENV, n, fields)
+def _zone_ends(sp, zmodel, n, fields):
+    """Both ends (a.u.) of step n's barrier zone at an array of fields, NaN where it has none."""
     f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
-    return z_c, tunneling._clamp_distance_au(zmodel, n, i_ha, f_au, z_c)
+    with np.errstate(invalid="ignore"):
+        return tunneling._clamp_distance_au(zmodel, n, i_ha, f_au)
+
+
+def _bracketed_root(b, lo, hi):
+    """brentq's root of b in [lo, hi], the upper end doubled until b changes sign."""
+    while b(hi) * b(lo) > 0.0:
+        hi *= 2.0
+    return brentq(b, lo, hi, xtol=1e-13)
 
 
 def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels):
-    # every species x Z model x step on the default grid, against a root finder
+    # every species x Z model x step on the default grid: both zone ends are roots of b, found
+    # again by a root finder on either side of the zone's middle, where b > 0; without c1 the
+    # zone begins at 0, and where b < 0 even at its peak z = sqrt(c1 / I) there is no zone
     zmodels = dict(named_zmodels, no_c1=ZModel(c0=1.0, c1=0.0))
     fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
-    branches = {"at z_c": 0, "quadratic": 0, "linear": 0}
+    branches = {"no zone": 0, "quadratic": 0, "linear": 0, "at 0": 0}
     for sp in species_table.values():
         for zmodel in zmodels.values():
             for n in range(1, min(sp.max_charge, 3)):
-                z_cs, z_stars = _clamp_distances(sp, zmodel, n, fields)
-                for field, z_c, z_star in zip(fields.tolist(), z_cs.tolist(), z_stars.tolist()):
-                    b_c, i_ha = _barrier_residual(sp, zmodel, n, field, z_c)
-                    if b_c <= 0.0:
-                        assert z_star == z_c
-                        branches["at z_c"] += 1
+                i_ha = sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+                ends = zip(*(e.tolist() for e in _zone_ends(sp, zmodel, n, fields)))
+                for field, (z_lo, z_hi) in zip(fields.tolist(), ends):
+                    def b(z):
+                        return _barrier_residual(sp, zmodel, n, field, z)
+
+                    key = (sp.name, zmodel, n, field)
+                    if math.isnan(z_lo):
+                        assert math.isnan(z_hi) and b(math.sqrt(zmodel.c1 / i_ha)) < 0.0, key
+                        branches["no zone"] += 1
                         continue
-                    b_star, _ = _barrier_residual(sp, zmodel, n, field, z_star)
-                    assert abs(b_star) <= 1e-12 * i_ha, (sp.name, zmodel, n, field)
-                    hi = 2.0 * z_c
-                    while _barrier_residual(sp, zmodel, n, field, hi)[0] > 0.0:
-                        hi *= 2.0
-                    reference = brentq(lambda z: _barrier_residual(sp, zmodel, n, field, z)[0],
-                                       z_c, hi, xtol=1e-13)
-                    assert z_star == pytest.approx(reference, abs=1e-10)
-                    branches["quadratic" if z_star < tunneling.Z_ARG_CAP_AU else "linear"] += 1
+                    middle = 0.5 * (z_lo + z_hi)
+                    assert z_lo < z_hi and b(middle) > 0.0, key
+                    assert abs(b(z_hi)) <= 1e-12 * i_ha, key
+                    assert z_hi == pytest.approx(_bracketed_root(b, middle, 2.0 * middle),
+                                                 abs=1e-10)
+                    branches["quadratic" if z_hi < tunneling.Z_ARG_CAP_AU else "linear"] += 1
+                    if zmodel.c1 == 0.0:
+                        assert z_lo == 0.0, key
+                        branches["at 0"] += 1
+                        continue
+                    assert abs(b(z_lo)) <= 1e-12 * i_ha, key
+                    assert z_lo == pytest.approx(brentq(b, 1e-3 * z_lo, middle, xtol=1e-13),
+                                                 abs=1e-10)
     assert all(branches.values()), branches
 
 
+def test_clamp_distance_cuts_a_zone_above_the_critical_distance(species_table):
+    # Rh, Kingham Z, phi 4.5 eV, lambda 0.1 nm at 40.8 V/nm: the zone [2.034, 3.330] a.u.
+    # begins above z_c = 1.917 a.u., so b(z_c) < 0 and the zone still needs both cuts
+    rh, env, field = species_table["rh"], Environment(4.5, 0.1), np.array([40.8])
+    z_c = _floored_z_c(rh, env, 1, field)
+    (z_lo,), (z_hi,) = _zone_ends(rh, KINGHAM_Z, 1, field)
+
+    def b(z):
+        return _barrier_residual(rh, KINGHAM_Z, 1, 40.8, z)
+
+    assert b(z_c[0]) < 0.0
+    assert z_c[0] == pytest.approx(1.917, abs=5e-4)
+    assert z_lo == pytest.approx(brentq(b, z_c[0], 2.5, xtol=1e-13), abs=1e-10)
+    assert z_hi == pytest.approx(brentq(b, 2.5, 10.0, xtol=1e-13), abs=1e-10)
+    assert (z_lo, z_hi) == pytest.approx((2.034, 3.330), abs=5e-4)
+
+
+def test_a_zone_beyond_the_cap_is_empty(species_table):
+    # a large c1 puts both roots of the quadratic above the cap, where b is linear and
+    # negative: there is no zone (z_hi = cap <= z_lo), not one between those roots
+    si, zmodel = species_table["si"], ZModel(c0=1.0, c1=3e4)
+    (z_lo,), (z_hi,) = _zone_ends(si, zmodel, 1, np.array([0.6]))
+    assert z_hi == tunneling.Z_ARG_CAP_AU < z_lo
+    z = np.linspace(0.5, 2.0 * z_lo, 2001)
+    assert (_barrier_residual(si, zmodel, 1, 0.6, z) < 0.0).all()
+
+
 def test_clamp_distance_without_c1_is_the_linear_root(species_table):
-    # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so z* = I / F - (n + c0) / I
+    # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so the zone is [0, I / F - (n + c0) / I]
     si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
     i_ha, f_au = si.ie_ev(2) / CONSTANTS.hartree_in_ev, 30.0 / CONSTANTS.field_au_in_vnm
-    _, (z_star,) = _clamp_distances(si, zmodel, 1, np.array([30.0]))
-    assert z_star < tunneling.Z_ARG_CAP_AU
-    assert z_star == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
+    (z_lo,), (z_hi,) = _zone_ends(si, zmodel, 1, np.array([30.0]))
+    assert z_lo == 0.0 and z_hi < tunneling.Z_ARG_CAP_AU
+    assert z_hi == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
 
 
 def test_fractions_on_a_field_array_match_float_calls(species_table, named_zmodels):
@@ -341,33 +433,45 @@ def test_fractions_are_built_from_the_step_probabilities(species_table, named_zm
             assert all(np.array_equal(a, b) for a, b in zip(fractions, rebuilt)), sp.name
 
 
-# sha256 prefixes of the little-endian float64 bytes of charge_fractions at phi 4.9 eV,
-# recorded before the step kernel's set-up was cut down: float calls at the three
-# ANCHOR_FIELDS, then one call on the default grid
+# sha256 prefixes of the little-endian float64 bytes of charge_fractions at phi 4.9 eV and
+# a screening length of 0 or 0.1 nm, recorded before the step kernel's set-up was cut down
+# (lambda 0) and before the barrier zone was cut at both ends (lambda 0.1): float calls at
+# the three ANCHOR_FIELDS, then one call on the default grid
 ANCHOR_FIELDS = (12.0, 19.82, 33.3)
 FRACTION_BITS = {
-    ("si", "kingham"): "4b107d330fa493b4", ("si", "si3"): "233484652a975400",
-    ("si", "si4"): "56edd6ed9b9ba386", ("si2", "kingham"): "f673a012c6370637",
-    ("si2", "si3"): "dcbcd2674ee129f9", ("si2", "si4"): "b842df69eb0322c1",
-    ("si3", "kingham"): "8625228008fb7e6c", ("si3", "si3"): "afc65924d13ca52e",
-    ("si3", "si4"): "6e301fd79f3a4243", ("si4", "kingham"): "b58ad3bcdfdf8af0",
-    ("si4", "si3"): "e4f78e62511b58a7", ("si4", "si4"): "16b39b1c6fcac645",
-    ("rh", "kingham"): "1bb0662a01071325", ("rh", "si3"): "67dda2e25eb03577",
-    ("rh", "si4"): "b250b84f42adb3a2",
+    ("si", "kingham", 0.0): "4b107d330fa493b4", ("si", "si3", 0.0): "233484652a975400",
+    ("si", "si4", 0.0): "56edd6ed9b9ba386", ("si2", "kingham", 0.0): "f673a012c6370637",
+    ("si2", "si3", 0.0): "dcbcd2674ee129f9", ("si2", "si4", 0.0): "b842df69eb0322c1",
+    ("si3", "kingham", 0.0): "8625228008fb7e6c", ("si3", "si3", 0.0): "afc65924d13ca52e",
+    ("si3", "si4", 0.0): "6e301fd79f3a4243", ("si4", "kingham", 0.0): "b58ad3bcdfdf8af0",
+    ("si4", "si3", 0.0): "e4f78e62511b58a7", ("si4", "si4", 0.0): "16b39b1c6fcac645",
+    ("rh", "kingham", 0.0): "1bb0662a01071325", ("rh", "si3", 0.0): "67dda2e25eb03577",
+    ("rh", "si4", 0.0): "b250b84f42adb3a2",
+    ("si", "kingham", 0.1): "6b88718a00d5ae60", ("si", "si3", 0.1): "0ffe08f9b614df7f",
+    ("si", "si4", 0.1): "0a96eb0226ab2eb1", ("si2", "kingham", 0.1): "4ea121ce14644362",
+    ("si2", "si3", 0.1): "bfce8fe605a0eff8", ("si2", "si4", 0.1): "000ec2a963b310a0",
+    ("si3", "kingham", 0.1): "05ca0f1f04fb3cdc", ("si3", "si3", 0.1): "33c4482b4d76d104",
+    ("si3", "si4", 0.1): "3ecdc0f395b7b29e", ("si4", "kingham", 0.1): "a82a9cfc408567e3",
+    ("si4", "si3", 0.1): "5802468ceadc761b", ("si4", "si4", 0.1): "8b694801917fe7e6",
+    ("rh", "kingham", 0.1): "1cdd56f2c28cd82a", ("rh", "si3", 0.1): "b4428d7c1ca336d8",
+    ("rh", "si4", 0.1): "9a69ceeaf4b71046",
 }
 
 
 def test_fractions_keep_their_bits(species_table, named_zmodels):
-    # a cheaper set-up may not move a single bit of any fraction
+    # neither a cheaper set-up nor evaluating the zone terms on the zone's pieces only may
+    # move a single bit of any fraction
     grid = FieldGrid(5.0, 45.0, 0.1).points()
-    assert set(FRACTION_BITS) == {(s, z) for s in species_table for z in named_zmodels}
-    for (name, zname), expected in FRACTION_BITS.items():
+    assert set(FRACTION_BITS) == {(s, z, lam) for s in species_table for z in named_zmodels
+                                  for lam in (0.0, 0.1)}
+    for (name, zname, lam), expected in FRACTION_BITS.items():
         sp, zmodel = species_table[name], named_zmodels[zname]
+        env = Environment(CLI_ENV.work_function_ev, lam)
         digest = hashlib.sha256()
         for field in (*ANCHOR_FIELDS, grid):
-            fractions = charge_fractions(sp, CLI_ENV, zmodel, field)
+            fractions = charge_fractions(sp, env, zmodel, field)
             digest.update(np.array(fractions, dtype="<f8").tobytes())
-        assert digest.hexdigest()[:16] == expected, (name, zname)
+        assert digest.hexdigest()[:16] == expected, (name, zname, lam)
 
 
 def test_float_field_keeps_float_results(species_table, si_env):
