@@ -15,7 +15,7 @@ import sys
 from pfikit import (Environment, KINGHAM_Z, critical_distance, find_f50,
                     pfi_step_probability, resolve_species)
 from pfikit.cli import run
-from pfikit.kinematics import energy_debt_ev, kinetic_energy_unchecked
+from pfikit.geometry import energy_debt_ev, kinetic_energy_unchecked
 
 
 def main() -> None:

@@ -194,8 +194,6 @@ def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
             varied_species = dataclasses.replace(species, m_q=int(value))
             varied_env = env
         elif parameter == "phi":
-            if value <= 0.0:
-                raise DomainError(f"work function {value} eV must be positive")
             varied_species = species
             varied_env = dataclasses.replace(env, work_function_ev=value)
         else:

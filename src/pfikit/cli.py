@@ -76,8 +76,6 @@ def _resolve_model(args: argparse.Namespace) -> None:
         raise ConfigError("no species given (use --species)")
     if args.species_count == "one" and len(species) != 1:
         raise ConfigError("this command takes exactly one --species")
-    if not 0.0 < args.phi <= 10.0:
-        raise ConfigError(f"work function {args.phi} eV outside (0, 10]")
     args.species = tuple(species)
     args.env = Environment(work_function_ev=args.phi, screening_length_nm=args.screening)
     if "zmodel" in args:

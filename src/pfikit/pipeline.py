@@ -406,6 +406,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
     counts_before = primary_counts(peak_set)
     counts = dict(counts_before)
     resolutions = []
+    resolved_by = {}  # shared peak -> index of the overlap that resolved it
     overlaps = (_config_value(config, "overlaps", list, "the top level")
                 if config.get("overlaps") else [])
     for index, raw_case in enumerate(overlaps):
@@ -421,6 +422,11 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
         if not shared_peak.assignments:
             raise ConfigError(f"shared peak at {case.shared_mz_da:g} Da has no "
                               "assignments")
+        # a second resolution would take the peak's counts from its holder again
+        if shared_peak in resolved_by:
+            raise ConfigError(f"overlaps {resolved_by[shared_peak]} and {index} both resolve "
+                              f"the shared peak at {shared_peak.mz_da:g} Da")
+        resolved_by[shared_peak] = index
         resolution = resolve_overlap(
             shared_peak.counts, counts.get(case.anchor, 0.0),
             fractions[anchor_species].get(case.partner_charge, 0.0),

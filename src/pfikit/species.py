@@ -101,12 +101,6 @@ class SpeciesParams:
         """Highest charge state the ladder supports."""
         return len(self.ie_ladder_ev)
 
-    def ie_ev(self, n: int) -> float:
-        """I_n in eV (1-based)."""
-        if not 1 <= n <= len(self.ie_ladder_ev):
-            raise ConfigError(f"{self.name}: no I_{n} in ladder of length {len(self.ie_ladder_ev)}")
-        return self.ie_ladder_ev[n - 1]
-
     def with_ie(self, n: int, value_ev: float) -> "SpeciesParams":
         """Copy with I_n replaced (ladder revalidated)."""
         ladder = list(self.ie_ladder_ev)

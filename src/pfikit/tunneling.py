@@ -19,8 +19,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import Environment, _crossing_nm
-from .kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
+from .geometry import (Environment, _crossing_nm, energy_debt_ev, forbidden_gap_nm,
+                       kinetic_energy_unchecked)
 from .species import SpeciesParams
 from .zmodel import ZModel
 
@@ -33,24 +33,17 @@ RULE_ORDER = 15           # Gauss order n of the 2n+1-node Kronrod rule used on 
 P_TOL = 1e-6              # largest accepted |P(Kronrod) - P(its embedded Gauss rule)|
 NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
-Z_FLOOR_AU = 0.05         # lower floor for critical distances
-
-
-def prefactor_a2nu(species: SpeciesParams, n: int) -> float:
-    """A^2 nu = I_{n+1} / (6 pi m_q e^(2/3)) in a.u. for step n -> n+1."""
-    if not 1 <= n < species.max_charge:
-        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
-    return species.ie_ev(n + 1) / CONSTANTS.hartree_in_ev / (6.0 * math.pi * species.m_q * E23)
 
 
 def _step_constants(species: SpeciesParams, last: int) -> np.ndarray:
     """Rows n (a float, which no operation casts), I_{n+1} in eV and in Hartree, and the
-    rate's 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 of the steps 1 .. last, one column each.
-    These are Python floats first: numpy rounds each operation alike, at a higher cost."""
+    rate's 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 of the steps 1 .. last, one column each, where
+    A^2 nu = I_{n+1} / (6 pi m_q e^(2/3)) in a.u. These are Python floats first: numpy
+    rounds each operation alike, at a higher cost."""
     rows = []
     for n, ie in enumerate(species.ie_ladder_ev[1:last + 1], 1):
         i_ha = ie / CONSTANTS.hartree_in_ev
-        rows.append((n, ie, i_ha, prefactor_a2nu(species, n) * 6.0 * math.pi,
+        rows.append((n, ie, i_ha, i_ha / (6.0 * math.pi * species.m_q * E23) * 6.0 * math.pi,
                      math.sqrt(2.0 / i_ha), 16.0 * i_ha * i_ha))
     return np.array(rows).T
 
@@ -172,8 +165,7 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
     # without a barrier zone has NaN zone ends, which fmax and fmin pass over; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a vanished crossing (L_c = 0) has z_c at the floor; debts count the floored z_c
-        _, l_c, l_i = _crossing_nm(i_ev, env, n, f_vnm)
-        z_c = np.maximum((l_c - env.screening_length_nm) / bohr, Z_FLOOR_AU)
+        _, z_c, l_i = _crossing_nm(i_ev, env, n, f_vnm)
         debt[...] = energy_debt_ev(fields, z_c[:-1] * bohr)
         # edges, along a new first axis: z_c, both ends of the barrier zone (its terms and
         # weight switch on and off), the Z argument cap (a kink), the roots of k_n (1/sqrt(k)
@@ -234,7 +226,8 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
                          field_vnm):
     """Step n -> n+1: P_t = 1 - exp(-integral of R/u over the allowed part of [z_c, z_max]),
     a float or an array like the field (a float or a 1-D array of fields)."""
-    prefactor_a2nu(species, n)  # a step outside the ladder raises ConfigError here
+    if not 1 <= n < species.max_charge:
+        raise ConfigError(f"step {n}->{n + 1} needs I_{n + 1} in the {species.name} ladder")
     return _pfi_steps(species, env, zmodel, n, field_vnm)[n - 1]
 
 

@@ -35,7 +35,7 @@ from pfikit import (
     sensitivity_scan,
 )
 from pfikit.cli import main as cli_main
-from pfikit.kinematics import energy_debt_ev, kinetic_energy_unchecked
+from pfikit.geometry import energy_debt_ev, kinetic_energy_unchecked
 
 
 def test_c01_si_crossover_with_defaults(species_table, si_env, f50):
@@ -102,7 +102,7 @@ def test_c08_model_invariants(species_table, si_env, rh_env):
     si = species_table["si"]
     for field in (10.0, 19.6, 28.0):
         geo = critical_distance(si, si_env, 1, field)
-        a = si.ie_ev(2) - si_env.work_function_ev
+        a = si.ie_ladder_ev[1] - si_env.work_function_ev
         residual = field * geo.l_c_nm - a + 3.0 * CONSTANTS.c_image_evnm / geo.l_c_nm
         assert abs(residual) < 1e-9
 

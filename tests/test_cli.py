@@ -91,13 +91,14 @@ SI_ENTRY = '"name": "Si", "cluster_size": 1, "mass_amu": 28.085'
     ("--zmodel", '{"c0": 1e999, "c1": 4.5}'),
     ("--zmodel", '{"c0": 1.0, "c1": NaN}'),
     ("--zmodel", '{"c0": -5, "c1": 4.5}'),
+    ("--zmodel", '{"c0": 1.0, "c1": -1.0}'),
     ("--species", "-1"),
     ("--species", '{"species": 5}'),
     # a string ladder is not split into (7, 9), nor a fractional m_q truncated to 3
     ("--species", '{%s, "ie_ladder_ev": "79", "m_q": 3}' % SI_ENTRY),
     ("--species", '{%s, "ie_ladder_ev": [8.15, 16.35], "m_q": 3.9}' % SI_ENTRY),
-], ids=["infinite-c0", "nan-c1", "c0-below-minus-1", "species-number", "species-not-a-list",
-        "string-ladder", "fractional-m-q"])
+], ids=["infinite-c0", "nan-c1", "c0-below-minus-1", "negative-c1", "species-number",
+        "species-not-a-list", "string-ladder", "fractional-m-q"])
 def test_malformed_model_files_exit_2(flag, text, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(text)
@@ -106,6 +107,7 @@ def test_malformed_model_files_exit_2(flag, text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pfikit: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_json_floats_must_be_finite_numbers(fixtures_dir, tmp_path, capsys):
@@ -427,6 +429,18 @@ def test_scan_reports_a_crossover_jump(capsys):
                             "(reaches 0.1751); the crossover is discontinuous\n")
 
 
+def test_phi_flag_and_phi_scan_share_one_bound(capsys):
+    # Environment owns the (0, 10] bound, so a scanned work function outside it exits 2
+    # before any F50 is solved, with the message of --phi
+    for argv in (["scan", "--species", "si3", "--parameter", "phi", "--values", "12"],
+                 ["scan", "--species", "si3", "--phi", "12", "--parameter", "m_q",
+                  "--values", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pfikit: error: work function 12.0 eV outside (0, 10]\n"
+
+
 def test_f50_on_an_empty_pair_exits_4(tmp_path, capsys):
     # Si3 with I2 = 18.72 eV: the CSR stays near 0 until the 1+/2+ pair empties
     path = tmp_path / "si3_stiff.json"
@@ -515,6 +529,57 @@ def test_resolve_needs_the_tabulated_reference_pair(fixtures_dir, tmp_path, caps
     path.write_text(json.dumps(config))
     assert main(["resolve", "--config", str(path), "--base-dir", fixtures_dir]) == 2
     assert "charge_pair" in capsys.readouterr().err
+
+
+def _overlap_twice(config, _):
+    # 75.0 and 75.1 Da name one ranged peak; resolving it twice took its counts from As+
+    # twice (As 1+ read -55482 after)
+    overlap = {"shared_mz": 75.0, "anchor": ["As2", 1], "partner_charge": 2,
+               "claimant": ["As", 1]}
+    config["overlaps"] = [overlap, dict(overlap, shared_mz=75.1)]
+
+
+# edits of as_pipeline.json that fail a check of run_pipeline after every file is read;
+# the peak table given to each edit is as_peaks.csv with an unassigned peak at 300 Da
+RESOLVE_FAULTS = [
+    pytest.param(lambda c, _: c["overlaps"][0].update(shared_mz=80.0),
+                 "no ranged peak at 80 Da", id="shared-mz-not-ranged"),
+    pytest.param(lambda c, _: c["curves"].pop("In"),
+                 "reference species 'In' has no curve", id="reference-without-curve"),
+    pytest.param(lambda c, peaks: (c.update(peaks=peaks),
+                                   c["overlaps"][0].update(shared_mz=300.0)),
+                 "shared peak at 300 Da has no assignments", id="unassigned-shared-peak"),
+    pytest.param(_overlap_twice, "overlaps 0 and 1 both resolve the shared peak at 75 Da",
+                 id="shared-peak-resolved-twice"),
+]
+
+
+@pytest.mark.parametrize("edit,message", RESOLVE_FAULTS)
+def test_resolve_refusals_exit_2(edit, message, fixtures_dir, tmp_path, capsys):
+    with open(os.path.join(fixtures_dir, "as_pipeline.json")) as fh:
+        config = json.load(fh)
+    with open(os.path.join(fixtures_dir, "as_peaks.csv")) as fh:
+        peaks = tmp_path / "as_peaks.csv"
+        peaks.write_text(fh.read() + "300,100,\n")
+    edit(config, str(peaks))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["resolve", "--config", str(path), "--base-dir", fixtures_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pfikit: error: {message}\n"
+
+
+def test_fit_ie_without_a_window_exits_4(tmp_path, capsys):
+    # I1 and I3 lie 1e-6 eV apart, so no I2 window keeps the ladder increasing
+    path = tmp_path / "si3.json"
+    path.write_text('{"name": "Si3", "mass_amu": 84.255, '
+                    '"ie_ladder_ev": [8.0, 8.0000005, 8.000001], "m_q": 3}')
+    assert main(["fit-ie", "--species", str(path), "--target", "17.7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("pfikit: error: Si3: I2 window empty after keeping the ladder "
+                            "strictly increasing\n")
 
 
 def test_kellogg_formats(capsys):

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from pfikit import CONSTANTS, Environment, critical_distance
+from pfikit import CONSTANTS, Environment, FieldGrid, critical_distance
 from pfikit.errors import ConfigError, DomainError
+from pfikit.geometry import Z_FLOOR_AU
 
 
 def quadratic_roots(species, env, n: int, field: float) -> tuple[float, float]:
     """Both roots of F*L^2 - (I_{n+1} - phi)*L + (2n+1)*W/4 = 0, oracle-side."""
     a = field
-    b = -(species.ie_ev(n + 1) - env.work_function_ev)
+    b = -(species.ie_ladder_ev[n] - env.work_function_ev)
     c = (2 * n + 1) * CONSTANTS.w_image_evnm / 4.0
     disc = b * b - 4 * a * c
     root = math.sqrt(disc)
@@ -46,7 +47,7 @@ def test_quadratic_residual_below_1e9_ev(species_table, si_env, rh_env, name, n,
     species = species_table[name]
     env = rh_env if name == "rh" else si_env
     l_c = critical_distance(species, env, n, field).l_c_nm
-    a = species.ie_ev(n + 1) - env.work_function_ev
+    a = species.ie_ladder_ev[n] - env.work_function_ev
     residual = field * l_c - a + (2 * n + 1) * CONSTANTS.w_image_evnm / (4.0 * l_c)
     assert abs(residual) < 1e-9
 
@@ -78,12 +79,30 @@ def test_critical_distance_decreases_with_field(species_table, si_env):
 
 def test_barrier_vanishes_above_threshold(species_table, si_env):
     si = species_table["si"]
-    threshold = (si.ie_ev(2) - si_env.work_function_ev) ** 2 / (
+    threshold = (si.ie_ladder_ev[1] - si_env.work_function_ev) ** 2 / (
         3.0 * CONSTANTS.w_image_evnm)
     below = critical_distance(si, si_env, 1, threshold - 0.5)
     above = critical_distance(si, si_env, 1, threshold + 0.5)
     assert below.l_c_nm > 0.0
-    assert above.l_c_nm == 0.0 and above.z_c_nm == 0.0
+    assert above.l_c_nm == 0.0 and above.z_c_nm == Z_FLOOR_AU * CONSTANTS.bohr_in_nm
+
+
+def test_z_c_is_where_the_step_integral_starts(species_table):
+    # z_c = L_c - lambda, floored at Z_FLOOR_AU: under screening, and where the crossing
+    # vanishes, the public z_c is the kernel's lower limit, never 0 or negative
+    floor = Z_FLOOR_AU * CONSTANTS.bohr_in_nm
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    for sp in species_table.values():
+        steps = np.arange(1, min(sp.max_charge, 3))[:, None]
+        for screening in (0.0, 0.1, 0.3):
+            env = Environment(4.9, screening)
+            geometry = critical_distance(sp, env, steps, fields)
+            assert (geometry.z_c_nm >= floor).all(), (sp.name, screening)
+            assert geometry.z_c_nm == pytest.approx(
+                np.maximum(geometry.l_c_nm - screening, floor), rel=1e-14)
+    screened = critical_distance(species_table["si"], Environment(4.9, 0.3), 1, 30.0)
+    assert screened.l_c_nm < 0.3
+    assert screened.z_c_nm == floor == pytest.approx(0.0026459, abs=5e-8)
 
 
 def test_step_and_field_arrays_match_scalar_calls(species_table, si_env):

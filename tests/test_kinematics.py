@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfikit import CONSTANTS, critical_distance
-from pfikit.kinematics import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
+from pfikit.geometry import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
 
 
 def telescoped_energy(field, history, l_nm):

@@ -31,7 +31,7 @@ from pfikit import (
     pfi_step_probability,
     resolve_overlap,
 )
-from pfikit.kinematics import energy_debt_ev, kinetic_energy_unchecked
+from pfikit.geometry import energy_debt_ev, kinetic_energy_unchecked
 
 SPECIES = builtin_species()
 SI_ENV = Environment(work_function_ev=4.9)
@@ -135,7 +135,7 @@ def test_critical_distance_solves_its_quadratic(field):
     if geo.l_c_nm == 0.0:  # the crossing vanished
         return
     c = CONSTANTS.c_image_evnm
-    a = sp.ie_ev(2) - SI_ENV.work_function_ev
+    a = sp.ie_ladder_ev[1] - SI_ENV.work_function_ev
     residual = field * geo.l_c_nm - a + 3.0 * c / geo.l_c_nm
     assert abs(residual) < 1e-9
 

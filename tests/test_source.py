@@ -3,7 +3,8 @@ package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
 loads no scipy module); only ``species.read_text``/``read_json`` read input files;
 every public name has a user outside the tests; every name the benchmark's tracer
-patches exists; and no library path calls the step the tracer cannot read."""
+patches exists; no library path calls the step the tracer cannot read; and each
+upper-case constant is assigned in one module."""
 
 from __future__ import annotations
 
@@ -249,3 +250,32 @@ def test_guard_sees_a_call_of_the_traced_step():
               "p = pfi_step_probability(1)\nq = tunneling.pfi_step_probability(2)\n"
               "f = pfi_step_probability\npfi_step_probability_x = 3\n")
     assert _references(source, "pfi_step_probability") == ["line 4", "line 5", "line 6"]
+
+
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _constant_homes(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The modules that assign each upper-case module-level name, for the names that more
+    than one module assigns; an import is not an assignment."""
+    homes = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if CONSTANT.fullmatch(name.id):
+                    homes.setdefault(name.id, set()).add(module)
+    return {name: sorted(modules) for name, modules in homes.items() if len(modules) > 1}
+
+
+def test_each_constant_has_one_source():
+    # a constant copied into a second module can drift from the first
+    assert _constant_homes({p.stem: p.read_text() for p in SOURCES}) == {}
+
+
+def test_guard_sees_a_constant_in_two_modules():
+    sources = {"a": "Z_FLOOR_AU = 0.05\nX, Y = 1, 2\nlower = 1\n",
+               "b": "Z_FLOOR_AU: float = 0.05\nY = 3\nlower = 2\ndef f():\n    X = 1\n",
+               "c": "from .a import Z_FLOOR_AU\nX_Y = 1\n"}
+    assert _constant_homes(sources) == {"Z_FLOOR_AU": ["a", "b"], "Y": ["a", "b"]}

@@ -29,7 +29,6 @@ from pfikit import (
 from pfikit import tunneling
 from pfikit.cli import NAMED_ZMODELS
 from pfikit.species import asset_path
-from pfikit.tunneling import prefactor_a2nu
 
 # the environment `pfikit curves` uses when no --phi is given
 CLI_ENV = Environment(work_function_ev=4.9)
@@ -37,8 +36,7 @@ CLI_ENV = Environment(work_function_ev=4.9)
 
 def _floored_z_c(sp, env, n, field):
     """The step kernel's lower integration limit: z_c in a.u., floored at Z_FLOOR_AU."""
-    z_c = critical_distance(sp, env, n, field).z_c_nm / CONSTANTS.bohr_in_nm
-    return np.maximum(z_c, tunneling.Z_FLOOR_AU)
+    return critical_distance(sp, env, n, field).z_c_nm / CONSTANTS.bohr_in_nm
 
 
 def _rate(sp, env, zmodel, n, field, z0):
@@ -63,20 +61,21 @@ def named_zmodels():
 
 
 def test_prefactor_matches_direct_formula(species_table):
-    # independent evaluation of I / (6 pi m_q e^(2/3)) in a.u.
+    # independent evaluation of 6 pi A^2 nu = 6 pi I / (6 pi m_q e^(2/3)) in a.u., the
+    # rate's prefactor row of the step constants
     for name in ("si", "si3", "rh"):
         sp = species_table[name]
+        prefactors = tunneling._step_constants(sp, sp.max_charge - 1)[3]
         for n in range(1, sp.max_charge):
             i_ha = sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
-            expected = i_ha / (6.0 * math.pi * sp.m_q * math.e ** (2.0 / 3.0))
-            assert prefactor_a2nu(sp, n) == pytest.approx(expected, rel=1e-14)
+            expected = i_ha / (sp.m_q * math.e ** (2.0 / 3.0))
+            assert prefactors[n - 1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_prefactor_rejects_steps_outside_ladder(species_table):
-    with pytest.raises(ConfigError):
-        prefactor_a2nu(species_table["rh"], 2)
-    with pytest.raises(ConfigError):
-        prefactor_a2nu(species_table["si"], 0)
+    for name, n in (("rh", 2), ("si", 0)):
+        with pytest.raises(ConfigError, match=r"needs I_\d+ in the \w+ ladder$"):
+            pfi_step_probability(species_table[name], CLI_ENV, KINGHAM_Z, n, 20.0)
 
 
 def test_plateau_rate_is_distance_independent(species_table, si_env):
@@ -320,7 +319,7 @@ def _barrier_residual(sp, zmodel, n, field, z):
 
 def _zone_ends(sp, zmodel, n, fields):
     """Both ends (a.u.) of step n's barrier zone at an array of fields, NaN where it has none."""
-    f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+    f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
     with np.errstate(invalid="ignore"):
         return tunneling._clamp_distance_au(zmodel, n, i_ha, f_au)
 
@@ -342,7 +341,7 @@ def test_clamp_distance_solves_the_barrier_residual(species_table, named_zmodels
     for sp in species_table.values():
         for zmodel in zmodels.values():
             for n in range(1, min(sp.max_charge, 3)):
-                i_ha = sp.ie_ev(n + 1) / CONSTANTS.hartree_in_ev
+                i_ha = sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
                 ends = zip(*(e.tolist() for e in _zone_ends(sp, zmodel, n, fields)))
                 for field, (z_lo, z_hi) in zip(fields.tolist(), ends):
                     def b(z):
@@ -399,7 +398,7 @@ def test_a_zone_beyond_the_cap_is_empty(species_table):
 def test_clamp_distance_without_c1_is_the_linear_root(species_table):
     # c1 = 0: z b(z) = z (I - (n + c0) F / I - F z), so the zone is [0, I / F - (n + c0) / I]
     si, zmodel = species_table["si"], ZModel(c0=1.0, c1=0.0)
-    i_ha, f_au = si.ie_ev(2) / CONSTANTS.hartree_in_ev, 30.0 / CONSTANTS.field_au_in_vnm
+    i_ha, f_au = si.ie_ladder_ev[1] / CONSTANTS.hartree_in_ev, 30.0 / CONSTANTS.field_au_in_vnm
     (z_lo,), (z_hi,) = _zone_ends(si, zmodel, 1, np.array([30.0]))
     assert z_lo == 0.0 and z_hi < tunneling.Z_ARG_CAP_AU
     assert z_hi == pytest.approx(i_ha / f_au - 2.0 / i_ha, rel=1e-14)
