@@ -4,7 +4,8 @@ pfikit's three solvers, kept in pure Python and numpy so that importing the
 package loads no compiled optimisation library.  Where a result must not move,
 each follows the arithmetic of the established implementations that
 ``tests/test_numerics.py`` compares it against: the Brent iteration step for
-step, and the PCHIP derivatives and polynomial in their evaluation order.
+step, also when several brackets iterate in lockstep, and the PCHIP derivatives
+and polynomial in their evaluation order.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ BRENT_MAXITER = 100
 BRENT_RTOL = 4.0 * EPS  # relative step tolerance, scipy's brentq default
 
 
-def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973; the classic ``brentq`` steps).
-
-    ``f_a`` and ``f_b`` are f(a) and f(b), which the caller has already
-    evaluated and which must differ in sign or include a 0.  Returns the root
-    and the value of f there, as f returned it.  Raises NumericalError when f
-    returns NaN or the iteration does not converge within BRENT_MAXITER steps.
-    """
+def _brent_cell(a: float, b: float, f_a: float, f_b: float, xtol: float):
+    """Brent's method (Brent 1973; the classic ``brentq`` steps) on [a, b] from f(a) and f(b),
+    which must differ in sign or include a 0, as a generator that yields each iterate, is
+    sent f there and returns the root and f at it. NumericalError where f is NaN or the
+    iteration does not converge within BRENT_MAXITER steps."""
     xpre, xcur, fpre, fcur = float(a), float(b), f_a, f_b
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
@@ -64,12 +62,41 @@ def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[
             spre = scur = sbis  # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
         if math.isnan(fcur):
             raise NumericalError(f"root finding: f({xcur}) is NaN")
     raise NumericalError(f"root finding did not converge in {BRENT_MAXITER} iterations "
                          f"(last iterate {xcur}, bracket [{min(xcur, xblk)}, "
                          f"{max(xcur, xblk)}])")
+
+
+def brentq_lockstep(f, cells, xtol: float) -> list:
+    """Brent's method on each cell (a, b, f(a), f(b)), the cells in lockstep: each round calls
+    f(live, xs) once on the indices of the cells still iterating and their iterates. Returns
+    per cell the root and f there, or the BracketError or NumericalError that ended it."""
+    runs = [_brent_cell(*cell, xtol) for cell in cells]
+    results, live, values = [None] * len(runs), range(len(runs)), [None] * len(runs)
+    while live:
+        still, xs = [], []
+        for i, value in zip(live, values):
+            try:
+                xs.append(runs[i].send(value))
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except (BracketError, NumericalError) as exc:
+                results[i] = exc
+        live, values = still, f(still, xs) if still else ()
+    return results
+
+
+def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
+    """Root of ``f`` in [a, b] and f there: ``brentq_lockstep`` on the one cell, raising its
+    error."""
+    result, = brentq_lockstep(lambda _, xs: [f(x) for x in xs], [(a, b, f_a, f_b)], xtol)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _sign(v: float) -> int:

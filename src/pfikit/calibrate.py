@@ -17,7 +17,8 @@ Only a fit this route cannot make solves the F50 at the nominal value and at eac
 bound, retreating from a bound without a proper crossover toward the nominal
 value.  Those F50s span the achievable interval: a target outside it is a fit
 range error, one inside it a numerical error, since the F50 then jumps over the
-target somewhere in the bracket.
+target somewhere in the bracket.  A sensitivity scan checks every value first and
+solves all its F50s in lockstep, each as ``find_f50`` would alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ._numerics import brentq
-from .curves import F50_SEARCH_VNM, evaluate_csr, find_f50
+from .curves import F50_SEARCH_VNM, evaluate_csr, find_f50, find_f50s
 from .errors import BracketError, DomainError, FitRangeError, NumericalError
 from .geometry import Environment
 from .species import SpeciesParams
@@ -185,19 +186,18 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
 def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
                      parameter: str, values,
                      search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> tuple[ScanPoint, ...]:
-    """F50 per parameter value; ``parameter`` is ``m_q`` or ``phi``."""
-    points = []
-    for value in values:
-        if parameter == "m_q":
-            if not (value >= 1 and float(value).is_integer()):
-                raise DomainError(f"m_q {value} must be a finite integer >= 1")
-            varied_species = dataclasses.replace(species, m_q=int(value))
-            varied_env = env
-        elif parameter == "phi":
-            varied_species = species
-            varied_env = dataclasses.replace(env, work_function_ev=value)
+    """F50 per parameter value; ``parameter`` is ``m_q`` or ``phi``. Every value is checked,
+    and its problem built, before the F50s are solved together by ``find_f50s``."""
+    if parameter not in ("m_q", "phi"):
+        raise DomainError(f"unknown scan parameter {parameter!r} (m_q or phi)")
+    values = list(values)
+    species_of, env_of = [species] * len(values), [env] * len(values)
+    for i, value in enumerate(values):
+        if parameter == "phi":
+            env_of[i] = dataclasses.replace(env, work_function_ev=value)
+        elif value >= 1 and float(value).is_integer():
+            species_of[i] = dataclasses.replace(species, m_q=int(value))
         else:
-            raise DomainError(f"unknown scan parameter {parameter!r} (m_q or phi)")
-        f50 = find_f50(varied_species, varied_env, zmodel, search_vnm).f50_vnm
-        points.append(ScanPoint(parameter, float(value), f50))
-    return tuple(points)
+            raise DomainError(f"m_q {value} must be a finite integer >= 1")
+    results = find_f50s(species_of, env_of, [zmodel] * len(values), search_vnm) if values else ()
+    return tuple(ScanPoint(parameter, float(v), r.f50_vnm) for v, r in zip(values, results))

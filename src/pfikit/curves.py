@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._numerics import brentq, pchip
+from ._numerics import brentq_lockstep, pchip
 from .errors import (AmbiguityError, BracketError, ConfigError, DomainError,
                      NumericalError)
 from .geometry import Environment
@@ -168,38 +168,60 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
     """Lowest field in ``search_vnm`` where the CSR crosses 0.5 upward: one call on
     F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0 before
     the first probe whose 1+/2+ pair is empty (none there: BracketError), and Brent's
-    method solves in that cell, the reported bracket, from the call's values."""
+    method solves in that cell, the reported bracket, from the call's values. This is the
+    one-problem case of ``find_f50s``."""
+    return find_f50s((species,), (env,), (zmodel,), search_vnm)[0]
+
+
+def find_f50s(species, envs, zmodels, search_vnm: tuple[float, float] = F50_SEARCH_VNM
+              ) -> tuple[CrossoverResult, ...]:
+    """``find_f50`` of each problem (species[i], envs[i], zmodels[i]), bit for bit, in lockstep:
+    one call brackets all, then one call per Brent round. The first stage to fail raises: the
+    bracket (its call, or the first problem in order without a crossing), a round's call, or
+    the first problem in order whose root fails or jumps."""
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
-
     probes = np.linspace(lo, hi, F50_PROBES)
-    fractions = charge_fractions(species, env, zmodel, probes)
-    csr = csr_from_fractions(fractions)
-    empty = np.flatnonzero(fractions[0] + fractions[1] < EMPTY_PAIR_FLOOR)
-    n = empty[0] if empty.size else F50_PROBES  # probes before the first empty pair
-    if n < F50_PROBES and not (csr[:n] >= 0.5).any():
-        reached = f"reaches at most {csr[:n].max():.4g}" if n else "has no value"
-        raise BracketError(f"{species.name}: CSR {reached} below {probes[n]:g} V/nm, where "
-                           "the 1+/2+ pair empties; no 0.5 crossing to bracket",
-                           achievable=(float(csr[:n].min()), float(csr[:n].max())) if n else None)
-    k = next(iter(np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))), None)
-    if k is None:
-        raise BracketError(
-            f"{species.name}: CSR is {csr[0]:.4g} at {lo} V/nm and "
-            f"{csr[-1]:.4g} at {hi} V/nm; no 0.5 crossing to bracket",
-            achievable=(float(csr[0]), float(csr[-1])))
-    cell = float(probes[k]), float(probes[k + 1])
-    root, g_root = brentq(lambda f_vnm: evaluate_csr(species, env, zmodel, f_vnm) - 0.5, *cell,
-                          float(csr[k]) - 0.5, float(csr[k + 1]) - 0.5, xtol=1e-9)
-    achieved = g_root + 0.5
-    if abs(achieved - 0.5) >= 1e-6:
-        # both cell ends hold a full 1+/2+ pair, yet the CSR leapt over 0.5: P(1->2) jumps
-        # to 1 as the launch reaches the hump (slow hopping, huge m_q); no proper crossover
-        raise NumericalError(
-            f"{species.name}: CSR jumps over 0.5 near {root:.3f} V/nm "
-            f"(reaches {achieved:.4g}); the crossover is discontinuous")
-    return CrossoverResult(root, cell, achieved)
+    problems = list(zip(species, envs, zmodels))
+    f1, f2, *_ = charge_fractions(species, envs, zmodels, np.tile(probes, (len(species), 1)))
+    cells = []
+    for sp, f_1, f_2, csr in zip(species, f1, f2, csr_from_fractions((f1, f2))):
+        empty = np.flatnonzero(f_1 + f_2 < EMPTY_PAIR_FLOOR)
+        n = empty[0] if empty.size else F50_PROBES  # probes before the first empty pair
+        if n < F50_PROBES and not (csr[:n] >= 0.5).any():
+            reached = f"reaches at most {csr[:n].max():.4g}" if n else "has no value"
+            raise BracketError(f"{sp.name}: CSR {reached} below {probes[n]:g} V/nm, where the "
+                               "1+/2+ pair empties; no 0.5 crossing to bracket", achievable=(
+                                   (float(csr[:n].min()), float(csr[:n].max())) if n else None))
+        k = next(iter(np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))), None)
+        if k is None:
+            raise BracketError(f"{sp.name}: CSR is {csr[0]:.4g} at {lo} V/nm and {csr[-1]:.4g} "
+                               f"at {hi} V/nm; no 0.5 crossing to bracket",
+                               achievable=(float(csr[0]), float(csr[-1])))
+        cells.append((*probes[k:k + 2].tolist(), *(csr[k:k + 2] - 0.5).tolist()))
+
+    def csr_minus_half(live, xs):
+        if len(live) == 1:  # a float field keeps the call's arithmetic in Python floats
+            return [evaluate_csr(*problems[live[0]], xs[0]) - 0.5]
+        ratio = csr_from_fractions(charge_fractions(*zip(*(problems[i] for i in live)),
+                                                    np.array(xs)[:, None]))
+        return (ratio[:, 0] - 0.5).tolist()
+
+    results = []
+    for sp, cell, outcome in zip(species, cells,
+                                 brentq_lockstep(csr_minus_half, cells, xtol=1e-9)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        root, g_root = outcome
+        achieved = g_root + 0.5
+        if abs(achieved - 0.5) >= 1e-6:
+            # both cell ends hold a full 1+/2+ pair, yet the CSR leapt over 0.5: P(1->2) jumps
+            # to 1 as the launch reaches the hump (slow hopping, huge m_q); no proper crossover
+            raise NumericalError(f"{sp.name}: CSR jumps over 0.5 near {root:.3f} V/nm (reaches "
+                                 f"{achieved:.4g}); the crossover is discontinuous")
+        results.append(CrossoverResult(root, cell[:2], achieved))
+    return tuple(results)
 
 
 def _monotone_runs(values: np.ndarray) -> np.ndarray:

@@ -70,18 +70,19 @@ def critical_distance(species: SpeciesParams, env: Environment, n,
     field = np.asarray(field_vnm, dtype=float)
     if not (field > 0.0).all():
         raise DomainError(f"field must be > 0 V/nm, got {field[~(field > 0.0)].flat[0]}")
-    l_c, z_c, l_i = _crossing_nm(np.array(species.ie_ladder_ev)[n], env, n, field)
+    l_c, z_c, l_i = _crossing_nm(np.array(species.ie_ladder_ev)[n] - env.work_function_ev,
+                                 env.screening_length_nm, 2 * steps + 1, field)
     return CrossingGeometry(*(v if v.ndim else v.item()
                               for v in (l_c, z_c * CONSTANTS.bohr_in_nm, l_i)))
 
 
-def _crossing_nm(ie_ev, env: Environment, n, field_vnm):
-    """critical_distance's unchecked body: L_c (0 if vanished) in nm, z_c in a.u., floored
-    at Z_FLOOR_AU, and L_i in nm."""
-    a = ie_ev - env.work_function_ev
-    disc = a * a - (2 * n + 1) * field_vnm * CONSTANTS.w_image_evnm
+def _crossing_nm(a, lambda_nm, odd, field_vnm):
+    """critical_distance's unchecked body, given a = I_{n+1} - phi in eV, the screening length
+    lambda_nm and odd = 2n + 1 (floats or arrays): L_c (0 if vanished) in nm, z_c in a.u.,
+    floored at Z_FLOOR_AU, and L_i in nm."""
+    disc = a * a - odd * field_vnm * CONSTANTS.w_image_evnm
     l_c = np.where(disc < 0.0, 0.0, (a + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * field_vnm))
-    z_c = np.maximum((l_c - env.screening_length_nm) / CONSTANTS.bohr_in_nm, Z_FLOOR_AU)
+    z_c = np.maximum((l_c - lambda_nm) / CONSTANTS.bohr_in_nm, Z_FLOOR_AU)
     return l_c, z_c, 0.5 * np.sqrt(CONSTANTS.w_image_evnm / field_vnm)
 
 

@@ -337,10 +337,14 @@ class ResolutionReport:
 
 
 def _find_peak(peak_set: RangedPeakSet, mz_da: float) -> Peak:
-    for peak in peak_set.peaks:
-        if abs(peak.mz_da - mz_da) <= RANGING_TOLERANCE_DA:
-            return peak
-    raise ConfigError(f"no ranged peak at {mz_da:g} Da")
+    """The ranged peak nearest ``mz_da``, within RANGING_TOLERANCE_DA and without a tie."""
+    near = sorted((abs(peak.mz_da - mz_da), k) for k, peak in enumerate(peak_set.peaks))
+    if not (near and near[0][0] <= RANGING_TOLERANCE_DA):
+        raise ConfigError(f"no ranged peak at {mz_da:g} Da")
+    if len(near) > 1 and near[1][0] == near[0][0]:
+        raise ConfigError(f"ranged peaks at {peak_set.peaks[near[0][1]].mz_da:g} and "
+                          f"{peak_set.peaks[near[1][1]].mz_da:g} Da lie equally near {mz_da:g} Da")
+    return peak_set.peaks[near[0][1]]
 
 
 def _config_value(mapping, key: str, convert, where: str):

@@ -7,7 +7,9 @@ outside it all three are off, leaving a plateau. The step integral cuts its
 window at both ends of the zone, so a piece lies wholly inside or outside it,
 and the zone's terms are evaluated on the zone's pieces only. The Z-model
 argument is capped at 100 a.u. (the polynomial's fit range), which makes the
-plateau beyond the cap exactly independent of z0.
+plateau beyond the cap exactly independent of z0. One kernel call serves one or
+several problems (species, environment, Z model): each problem's constants are
+rows beside its fields, so a problem gets the same bits alone or in company.
 """
 
 from __future__ import annotations
@@ -35,36 +37,44 @@ NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 
 
-def _step_constants(species: SpeciesParams, last: int) -> np.ndarray:
-    """Rows n (a float, which no operation casts), I_{n+1} in eV and in Hartree, and the
-    rate's 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 of the steps 1 .. last, one column each, where
-    A^2 nu = I_{n+1} / (6 pi m_q e^(2/3)) in a.u. These are Python floats first: numpy
-    rounds each operation alike, at a higher cost."""
+def _step_constants(species, env, zmodel, last: int) -> np.ndarray:
+    """The constant rows of problems (species[i], env[i], zmodel[i]) for the steps 1 .. last,
+    as a (12, last, problems) array: n, I_{n+1} in Hartree, n + c0 and c1, the rate's
+    6 pi A^2 nu = I_{n+1} / (m_q e^(2/3)), sqrt(2 / I) and 16 I^2, 2 / (E_h m), Z(n, cap), and
+    the crossing's I_{n+1} - phi in eV, lambda and 2n + 1. They are computed as Python floats,
+    which numpy rounds alike at a higher cost, and turned into one array at once."""
     rows = []
-    for n, ie in enumerate(species.ie_ladder_ev[1:last + 1], 1):
-        i_ha = ie / CONSTANTS.hartree_in_ev
-        rows.append((n, ie, i_ha, i_ha / (6.0 * math.pi * species.m_q * E23) * 6.0 * math.pi,
-                     math.sqrt(2.0 / i_ha), 16.0 * i_ha * i_ha))
-    return np.array(rows).T
+    for sp, e, z in zip(species, env, zmodel):
+        mass = 2.0 / (CONSTANTS.hartree_in_ev * (sp.mass_amu * CONSTANTS.amu_in_me))
+        for n, ie in enumerate(sp.ie_ladder_ev[1:last + 1], 1):
+            i_ha = ie / CONSTANTS.hartree_in_ev
+            rows += (n, i_ha, n + z.c0, z.c1,
+                     i_ha / (6.0 * math.pi * sp.m_q * E23) * 6.0 * math.pi,
+                     math.sqrt(2.0 / i_ha), 16.0 * i_ha * i_ha, mass,
+                     n + z.c0 + z.c1 / Z_ARG_CAP_AU, ie - e.work_function_ev,
+                     e.screening_length_nm, 2 * n + 1)
+    return np.array(rows, dtype=float).reshape(len(species), last, -1).T
 
 
-def _rate_au(zmodel: ZModel, step, f_au, z_au, zone: int):
+def _rate_au(step, f_au, z_au, zone: int):
     """R at distances z_au >= z_c and fields f_au (a.u.) of the steps whose
-    ``_step_constants`` are the rows of ``step``; all broadcast together, and their first
-    ``zone`` rows lie in the barrier zone b = I - Z F / I - F z > 0, the other rows beyond it."""
-    n, _, i_ha, pre, root_2_i, i16 = step
-    z_eff = zmodel.z(n, np.minimum(z_au, Z_ARG_CAP_AU))
-    zf = z_eff * f_au
-    i32 = i_ha ** 1.5
-    f3 = 3.0 * f_au
+    ``_step_constants`` I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 are the rows
+    of ``step``; all broadcast together, and their first ``zone`` rows lie in the barrier zone
+    b = I - Z F / I - F z > 0, the other rows beyond it."""
+    i_ha, z_fixed, c1, pre, root_2_i, i16 = step
     # node-sized results overwrite spent arrays (here and in the node pass that calls this):
     # a fresh array costs about as much as the arithmetic that fills it
+    z_eff = np.minimum(z_au, Z_ARG_CAP_AU)  # the capped z, then Z(n, z) = n + c0 + c1 / z
+    z_eff = np.add(np.divide(c1, z_eff, out=z_eff), z_fixed, out=z_eff)
+    zf_b = z_eff[:zone] * f_au[:zone]  # Z F, which only the barrier zone's terms use
+    i32 = i_ha ** 1.5
+    f3 = 3.0 * f_au
     zs2i = np.multiply(z_eff, root_2_i, out=z_eff)
     arg = zs2i / 3.0
     arg += -TWO52 * i32 / f3
     # the barrier zone adds its terms, the weight and the WKB denominator; b > 0 there up to
     # the rounding of the zone's ends, where it is floored at 0
-    i_b, zf_b = i_ha[:zone], zf[:zone]
+    i_b = i_ha[:zone]
     b = np.maximum(i_b - zf_b / i_b - f_au[:zone] * z_au[:zone], 0.0)
     b32 = b * np.sqrt(b)
     denom = TWO52 * (i32[:zone] - b32)
@@ -78,19 +88,18 @@ def _rate_au(zmodel: ZModel, step, f_au, z_au, zone: int):
     return rate
 
 
-def _clamp_distance_au(zmodel: ZModel, n, i_ha, f_au):
+def _clamp_distance_au(i_ha, f_au, z_fixed, c1, z_cap):
     """Ends z_lo, z_hi (a.u., arrays alike) of the barrier zone, where b(z) = I - Z(n, z) F / I
     - F z > 0: both NaN where b < 0 at every z (numpy flags the invalid square root), and
     z_lo >= z_hi where the zone would lie above the cap.
 
-    Below the Z-argument cap z b(z) = -F z^2 + (I - (n + c0) F / I) z - c1 F / I, and the zone
-    lies between its roots; above the cap b is linear in z and falls to 0 at z_linear. So
-    the zone ends at z_linear where b(cap) > 0, else at the larger root, clipped to the cap.
+    Below the Z-argument cap z b(z) = -F z^2 + (I - z_fixed F / I) z - c1 F / I (z_fixed =
+    n + c0), and the zone lies between its roots; above it Z is z_cap and b falls linearly to 0
+    at z_linear. So the zone ends at z_linear where b(cap) > 0, else at the larger root, capped.
     """
-    z_fixed = n + zmodel.c0
-    z_linear = i_ha / f_au - (z_fixed + zmodel.c1 / Z_ARG_CAP_AU) / i_ha
+    z_linear = i_ha / f_au - z_cap / i_ha
     slope = i_ha - z_fixed * f_au / i_ha
-    disc = slope * slope - 4.0 * zmodel.c1 * f_au * f_au / i_ha
+    disc = slope * slope - 4.0 * c1 * f_au * f_au / i_ha
     root, two_f = np.sqrt(disc), 2.0 * f_au
     z_quadratic = (slope + root) / two_f
     z_hi = np.where(z_linear >= Z_ARG_CAP_AU, z_linear, np.minimum(z_quadratic, Z_ARG_CAP_AU))
@@ -144,35 +153,44 @@ def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(t)), jacobian * w_kronrod, jacobian[:order] * w_gauss
 
 
-def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: int,
-               field_vnm):
-    """P of the steps 1 -> 2 ... last -> last+1 at a float or 1-D array of fields: one float
-    per step, or a (last, fields) array. One array geometry pass over (steps, fields) cuts
-    [z_c, z_max] into a (6, steps, fields) layout of pieces; the kept pieces of every step
-    and field, those in the barrier zone first, go through one node pass."""
+def _pfi_steps(species, env, zmodel, last: int, field_vnm):
+    """P of the steps 1 -> 2 ... last -> last+1 of a problem (species, env, zmodel) at a float
+    or 1-D array of fields: one float per step, or a (last, fields) array; of several, given
+    as sequences, at a (problems, fields) array: a (last, problems, fields) array. One array
+    geometry pass over (steps, columns), a column being a problem at a field, cuts [z_c, z_max]
+    into a (6, steps, columns) layout of pieces; the kept pieces of every step and column,
+    those in the barrier zone first, go through one node pass."""
+    one = isinstance(species, SpeciesParams)
     fields = np.array(field_vnm, dtype=float, ndmin=1)
-    if fields.ndim != 1 or not ((fields > 0.0) & (fields < math.inf)).all():
-        raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D, got {field_vnm}")
-    # (steps, fields) planes of the step constants, the field in V/nm and a.u. and the debt:
-    # equal shapes beat broadcasting in numpy
-    plane = np.empty((9, last, fields.size))
-    plane[:6] = _step_constants(species, last)[..., None]
-    plane[6], plane[7] = fields, fields / CONSTANTS.field_au_in_vnm
-    n, i_ev, i_ha, _, _, _, f_vnm, f_au, debt = plane
-    bohr, m_au = CONSTANTS.bohr_in_nm, species.mass_amu * CONSTANTS.amu_in_me
+    if one:
+        species, env, zmodel, fields = (species,), (env,), (zmodel,), fields[None]
+    if (fields.ndim != 2 or len(fields) != len(species)
+            or not ((fields > 0.0) & (fields < math.inf)).all()):
+        raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D (one row per "
+                          f"problem for several), got {field_vnm}")
+    # (steps, columns) planes of the field in V/nm and a.u., the debt and each problem's
+    # constant rows: equal shapes beat broadcasting in numpy
+    rows = _step_constants(species, env, zmodel, last)
+    plane = np.empty((3 + len(rows), last) + fields.shape)
+    plane[0], plane[1] = fields, fields / CONSTANTS.field_au_in_vnm
+    plane[3:] = rows[..., None]
+    plane = plane.reshape(len(plane), last, fields.size)
+    f_vnm, f_au, debt, n, i_ha, z_fixed, c1 = plane[:7]
+    z_cap, a_ev, lam, odd = plane[11:]
+    bohr = CONSTANTS.bohr_in_nm
     # extreme inputs may overflow from here on: an infinite z_c empties the window, an infinite
     # zone end is clipped to z_max, a non-finite integral fails the check below, and a field
     # without a barrier zone has NaN zone ends, which fmax and fmin pass over; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a vanished crossing (L_c = 0) has z_c at the floor; debts count the floored z_c
-        _, z_c, l_i = _crossing_nm(i_ev, env, n, f_vnm)
-        debt[...] = energy_debt_ev(fields, z_c[:-1] * bohr)
+        _, z_c, l_i = _crossing_nm(a_ev, lam, odd, f_vnm)
+        debt[...] = energy_debt_ev(f_vnm[0], z_c[:-1] * bohr)
         # edges, along a new first axis: z_c, both ends of the barrier zone (its terms and
         # weight switch on and off), the Z argument cap (a kink), the roots of k_n (1/sqrt(k)
         # end points) and z_max
         edges = np.empty((7,) + z_c.shape)
         edges[0] = z_c
-        edges[1], edges[2] = _clamp_distance_au(zmodel, n, i_ha, f_au)
+        edges[1], edges[2] = _clamp_distance_au(i_ha, f_au, z_fixed, c1, z_cap)
         edges[3], edges[4:6], edges[6] = Z_ARG_CAP_AU, 0.0, Z_MAX_AU
         # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no gap (ends stay 0), but a launch at or below the
         # hump stalls, and P = 1; z_c >= z_max, like a cut outside [z_c, z_max], keeps no piece
@@ -193,14 +211,14 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
         owner = at % z_c.size
         lo = cuts.take(at)[:, None]
         width = cuts.take(at + z_c.size)[:, None] - lo
-        *step, f_vnm, f_au, debt = plane.reshape(9, -1)[:, owner, None]
+        f_vnm, f_au, debt, n, *step, mass = plane.reshape(len(plane), -1)[:11, owner, None]
         s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
         z = width * s_nodes
         z += lo
-        k_ev = kinetic_energy_unchecked(f_vnm, step[0], z * bohr, debt)
-        k_ev *= 2.0 / (CONSTANTS.hartree_in_ev * m_au)
+        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
+        k_ev *= mass
         u_au = np.sqrt(k_ev, out=k_ev)
-        f = _rate_au(zmodel, step, f_au, z, np.count_nonzero(near))
+        f = _rate_au(step, f_au, z, np.count_nonzero(near))
         f *= width
         f /= u_au
     # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
@@ -213,12 +231,15 @@ def _pfi_steps(species: SpeciesParams, env: Environment, zmodel: ZModel, last: i
     p_t = -np.expm1(np.negative(value, dtype=float))  # bincount sums no pieces as ints
     est_error = np.abs(np.expm1(-coarse) + p_t)
     resolved = np.isfinite(value) & (est_error <= P_TOL)
-    if not resolved.all():
-        s, i = np.argwhere(~resolved)[0]
-        raise NumericalError(f"{species.name} step {s + 1}->{s + 2} at {fields[i].item()} V/nm: "
-                             f"step integral {value[s, i]:.6e} not resolved (P error estimate "
-                             f"{est_error[s, i]:.2e} > {P_TOL:g})")
+    if not resolved.all():  # name the first failing problem, then its step, then its field
+        k, s, i = np.argwhere(~resolved.reshape((last,) + fields.shape).transpose(1, 0, 2))[0]
+        c = k * fields.shape[1] + i
+        raise NumericalError(f"{species[k].name} step {s + 1}->{s + 2} at "
+                             f"{fields[k, i].item()} V/nm: step integral {value[s, c]:.6e} not "
+                             f"resolved (P error estimate {est_error[s, c]:.2e} > {P_TOL:g})")
     p_t[0][hump] = 1.0
+    if not one:
+        return p_t.reshape((last,) + fields.shape)
     return p_t if np.ndim(field_vnm) else p_t[:, 0].tolist()
 
 
@@ -231,12 +252,16 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
     return _pfi_steps(species, env, zmodel, n, field_vnm)[n - 1]
 
 
-def charge_fractions(species: SpeciesParams, env: Environment, zmodel: ZModel,
-                     field_vnm) -> tuple:
+def charge_fractions(species, env, zmodel, field_vnm) -> tuple:
     """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
-    the last state absorbs the tail. All steps go through one ``_pfi_steps`` call."""
+    the last state absorbs the tail. All steps, and problems given as to ``_pfi_steps`` that
+    share K, go through one ``_pfi_steps`` call."""
+    counts = ({min(species.max_charge, 3)} if isinstance(species, SpeciesParams)
+              else {min(sp.max_charge, 3) for sp in species})
+    if len(counts) != 1:
+        raise ConfigError(f"one call takes problems with one count of fractions, not {counts}")
     fractions, survive = [], 1.0
-    for p_t in _pfi_steps(species, env, zmodel, min(species.max_charge, 3) - 1, field_vnm):
+    for p_t in _pfi_steps(species, env, zmodel, counts.pop() - 1, field_vnm):
         fractions.append(survive * (1.0 - p_t))
         survive *= p_t
     return (*fractions, survive)

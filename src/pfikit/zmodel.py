@@ -24,10 +24,6 @@ class ZModel:
         if not -1.0 < self.c0 < math.inf:
             raise ConfigError(f"ZModel c0 must be finite and > -1, got {self.c0}")
 
-    def z(self, n: int, z0_au):
-        """Z for source charge state n at distance z0 > 0 (a.u.), a float or an array."""
-        return n + self.c0 + self.c1 / z0_au
-
 
 KINGHAM_Z = ZModel(c0=1.0, c1=4.5)
 

@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from pfikit import Environment, KINGHAM_Z, builtin_species, find_f50
+from pfikit import Environment, KINGHAM_Z, builtin_species, find_f50, load_zmodel
+from pfikit.cli import NAMED_ZMODELS
+from pfikit.species import asset_path
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -19,6 +21,11 @@ FIXTURES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 @pytest.fixture(scope="session")
 def species_table():
     return builtin_species()
+
+
+@pytest.fixture(scope="session")
+def named_zmodels():
+    return {name: load_zmodel(asset_path(path)) for name, path in NAMED_ZMODELS.items()}
 
 
 @pytest.fixture(scope="session")

@@ -217,10 +217,23 @@ def test_scan_over_work_function(species_table, si_env):
     assert values == sorted(values, reverse=True)
 
 
-def test_scan_validates_inputs(species_table, si_env):
-    with pytest.raises(DomainError):
-        sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, "m_q", (0,))
-    with pytest.raises(DomainError):
-        sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, "phi", (-1.0,))
-    with pytest.raises(DomainError):
-        sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, "mass", (1.0,))
+def test_scan_validates_inputs(species_table, si_env, monkeypatch):
+    # every value is checked before the first kernel call, a bad one late in the list too
+    calls = _counting_calls(monkeypatch)
+    for parameter, values in (("m_q", (0,)), ("phi", (-1.0,)), ("mass", (1.0,)),
+                              ("phi", (4.9, 5.0, 5.1, 12)), ("m_q", (3, 5, 0))):
+        with pytest.raises(DomainError):
+            sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, parameter, values)
+    assert calls == []
+
+
+def test_scans_solve_their_f50s_in_lockstep(species_table, si_env, monkeypatch):
+    # the benchmark's two scans: one call brackets every value's F50, then one call per
+    # round of Brent's method; solved one after another they took 37 and 27 calls
+    calls = _counting_calls(monkeypatch)
+    for parameter, values in (("phi", (4.7, 4.8, 4.9, 5.0, 5.1)), ("m_q", (3, 5, 7, 9))):
+        points = sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, parameter, values)
+        assert [p.value for p in points] == list(values)
+        assert len(calls) <= 10, (parameter, len(calls))
+        assert calls[0].shape == (len(values), curves.F50_PROBES)
+        calls.clear()

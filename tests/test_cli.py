@@ -431,8 +431,10 @@ def test_scan_reports_a_crossover_jump(capsys):
 
 def test_phi_flag_and_phi_scan_share_one_bound(capsys):
     # Environment owns the (0, 10] bound, so a scanned work function outside it exits 2
-    # before any F50 is solved, with the message of --phi
+    # before any F50 is solved, with the message of --phi, also after good values
     for argv in (["scan", "--species", "si3", "--parameter", "phi", "--values", "12"],
+                 ["scan", "--species", "si3", "--parameter", "phi", "--values",
+                  "4.9,5.0,5.1,12"],
                  ["scan", "--species", "si3", "--phi", "12", "--parameter", "m_q",
                   "--values", "3"]):
         assert main(argv) == 2
@@ -539,6 +541,14 @@ def _overlap_twice(config, _):
     config["overlaps"] = [overlap, dict(overlap, shared_mz=75.1)]
 
 
+def _two_peaks_equally_near(config, peaks):
+    # 75.0625 Da lies 0.0625 Da from the 75 Da peak and from one added at 75.125 Da
+    with open(peaks, "a") as fh:
+        fh.write("75.125,200,As:1:75\n")
+    config.update(peaks=peaks)
+    config["overlaps"][0].update(shared_mz=75.0625)
+
+
 # edits of as_pipeline.json that fail a check of run_pipeline after every file is read;
 # the peak table given to each edit is as_peaks.csv with an unassigned peak at 300 Da
 RESOLVE_FAULTS = [
@@ -551,6 +561,9 @@ RESOLVE_FAULTS = [
                  "shared peak at 300 Da has no assignments", id="unassigned-shared-peak"),
     pytest.param(_overlap_twice, "overlaps 0 and 1 both resolve the shared peak at 75 Da",
                  id="shared-peak-resolved-twice"),
+    pytest.param(_two_peaks_equally_near,
+                 "ranged peaks at 75 and 75.125 Da lie equally near 75.0625 Da",
+                 id="shared-mz-between-two-peaks"),
 ]
 
 

@@ -14,9 +14,10 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq as scipy_brentq, nnls as scipy_nnls
 
-from pfikit import KINGHAM_Z, NumericalError, evaluate_csr, find_f50, generate_curve
-from pfikit._numerics import _pchip_end_slope, brentq, nnls, pchip
-from pfikit.curves import _monotone_runs
+from pfikit import (KINGHAM_Z, BracketError, Environment, NumericalError, ZModel, evaluate_csr,
+                    find_f50, generate_curve)
+from pfikit._numerics import _pchip_end_slope, brentq, brentq_lockstep, nnls, pchip
+from pfikit.curves import _monotone_runs, find_f50s
 
 ENVS = {"si": "si_env", "si2": "si_env", "si3": "si_env", "rh": "rh_env"}
 
@@ -81,6 +82,71 @@ def test_brent_raises_numerical_error_past_maxiter():
         scipy_brentq(step, -1e300, 1e300)
     with pytest.raises(NumericalError, match="did not converge in 100 iterations"):
         brentq(step, -1e300, 1e300, -1.0, 1.0, xtol=2e-12)
+
+
+def test_lockstep_brent_roots_are_bit_identical_to_scipy():
+    # cells of every shape in seeded batches of 1 to 60, one xtol a batch: each cell takes
+    # scipy's root, and each round evaluates the iterates of the cells still iterating
+    rng = np.random.default_rng(20221019)
+    cells = list(_bracketed_functions(rng, 2000))
+    compared = unconverged = 0
+    while cells:
+        size = int(rng.integers(1, 61))
+        batch, cells, xtol = cells[:size], cells[size:], 10.0 ** rng.uniform(-12.0, -3.0)
+        funcs = [g for g, _, _, _ in batch]
+        rounds = []
+
+        def f(live, xs):
+            rounds.append(live)
+            return [funcs[i](x) for i, x in zip(live, xs)]
+
+        results = brentq_lockstep(f, [(a, b, g(a), g(b)) for g, a, b, _ in batch], xtol)
+        assert all(rounds) and all(set(r) >= set(s) for r, s in zip(rounds, rounds[1:]))
+        for (g, a, b, _), result in zip(batch, results):
+            if g(a) * g(b) >= 0.0:  # exp of a zero coefficient is flat
+                continue
+            try:
+                expected = scipy_brentq(g, a, b, xtol=xtol)
+            except RuntimeError:
+                assert isinstance(result, NumericalError)
+                unconverged += 1
+                continue
+            assert result == (expected, g(expected)), (a, b, xtol)
+            compared += 1
+    assert compared >= 1900 and unconverged >= 1
+
+
+def test_a_failing_cell_fails_alone():
+    # among cells that converge, the sign step of test_brent_raises_numerical_error_past_maxiter
+    # does not converge, and a cell whose ends share a sign has no bracket
+    rng = np.random.default_rng(5)
+    good = [cell for cell in _bracketed_functions(rng, 40)
+            if cell[0](cell[1]) * cell[0](cell[2]) < 0.0]
+    funcs = [g for g, _, _, _ in good] + [lambda x: math.copysign(1.0, x - 0.5), abs]
+    cells = [(a, b, g(a), g(b)) for g, a, b, _ in good] + [(-1e300, 1e300, -1.0, 1.0),
+                                                           (1.0, 2.0, 1.0, 2.0)]
+    results = brentq_lockstep(lambda live, xs: [funcs[i](x) for i, x in zip(live, xs)],
+                              cells, xtol=2e-12)
+    *solved, step, flat = results
+    assert isinstance(step, NumericalError) and "did not converge in 100" in str(step)
+    assert isinstance(flat, BracketError)
+    for (g, a, b, _), result in zip(good, solved):
+        assert result == brentq(g, a, b, g(a), g(b), xtol=2e-12)
+
+
+def test_lockstep_f50s_equal_their_single_solves(species_table, named_zmodels):
+    # Si, Si2, Si3 and Si4 under four Z models, at two work functions and two screening
+    # lengths: the lockstep F50 of each equals its own find_f50 in every result field
+    problems = [(species_table[name], Environment(phi, lam), zmodel)
+                for name in ("si", "si2", "si3", "si4")
+                for zmodel in (*named_zmodels.values(), ZModel(0.5, 2.0))
+                for phi in (4.6, 5.1) for lam in (0.0, 0.1)]
+    together = find_f50s(*zip(*problems))
+    assert len(together) == len(problems)
+    for problem, result in zip(problems, together):
+        alone = find_f50(*problem)
+        assert (result.f50_vnm, result.bracket_vnm, result.achieved_csr) == (
+            alone.f50_vnm, alone.bracket_vnm, alone.achieved_csr), problem
 
 
 def _assert_pchip_matches(x, y, values):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 
@@ -242,3 +243,17 @@ def test_pipeline_config_validation(fixtures_dir, tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_pipeline_config(bad)
+
+
+def test_a_shared_peak_is_the_nearest_ranged_peak(fixtures_dir, tmp_path):
+    # peaks at 75.0 and 75.2 Da both lie within 0.25 Da of 75.2 Da: the one at 75.2 Da is
+    # the shared peak (the first in range, at 75.0 Da, used to be taken)
+    with open(os.path.join(fixtures_dir, "as_pipeline.json")) as fh:
+        config = json.load(fh)
+    with open(os.path.join(fixtures_dir, "as_peaks.csv")) as fh:
+        peaks = tmp_path / "as_peaks.csv"
+        peaks.write_text(fh.read() + "75.2,1000,As:1:75;As2:2:150\n")
+    config["peaks"] = str(peaks)
+    config["overlaps"][0]["shared_mz"] = 75.2
+    report = run_pipeline(config, base_dir=fixtures_dir)
+    assert report.resolutions[0].shared_counts == 1000.0

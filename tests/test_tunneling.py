@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -23,12 +24,9 @@ from pfikit import (
     charge_fractions,
     critical_distance,
     generate_curve,
-    load_zmodel,
     pfi_step_probability,
 )
 from pfikit import tunneling
-from pfikit.cli import NAMED_ZMODELS
-from pfikit.species import asset_path
 
 # the environment `pfikit curves` uses when no --phi is given
 CLI_ENV = Environment(work_function_ev=4.9)
@@ -48,16 +46,13 @@ def _rate(sp, env, zmodel, n, field, z0):
     shape, f_vnm, z = z.shape, f_vnm.reshape(-1, 1), z.reshape(-1, 1)
     near = _barrier_residual(sp, zmodel, n, f_vnm, z)[:, 0] > 0.0
     order = np.argsort(~near, kind="stable")
-    step = tunneling._step_constants(sp, n)[:, n - 1, None, None] * np.ones((z.size, 1))
+    # the rate's rows of the step constants: I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2/I), 16 I^2
+    rows = tunneling._step_constants((sp,), (env,), (zmodel,), n)[1:7, n - 1, 0]
+    step = rows[:, None, None] * np.ones((z.size, 1))
     rates = np.empty(z.size)
-    rates[order] = tunneling._rate_au(zmodel, step, f_vnm[order] / CONSTANTS.field_au_in_vnm,
+    rates[order] = tunneling._rate_au(step, f_vnm[order] / CONSTANTS.field_au_in_vnm,
                                       z[order], np.count_nonzero(near))[:, 0]
     return rates.reshape(shape)[()]
-
-
-@pytest.fixture(scope="module")
-def named_zmodels():
-    return {name: load_zmodel(asset_path(path)) for name, path in NAMED_ZMODELS.items()}
 
 
 def test_prefactor_matches_direct_formula(species_table):
@@ -65,7 +60,8 @@ def test_prefactor_matches_direct_formula(species_table):
     # rate's prefactor row of the step constants
     for name in ("si", "si3", "rh"):
         sp = species_table[name]
-        prefactors = tunneling._step_constants(sp, sp.max_charge - 1)[3]
+        prefactors = tunneling._step_constants((sp,), (CLI_ENV,), (KINGHAM_Z,),
+                                               sp.max_charge - 1)[4, :, 0]
         for n in range(1, sp.max_charge):
             i_ha = sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
             expected = i_ha / (sp.m_q * math.e ** (2.0 / 3.0))
@@ -181,9 +177,9 @@ def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_e
     # the one node pass evaluates the rate on a (kept pieces, nodes) array
     shapes = []
 
-    def rate_au(zmodel, step, f_au, z_au, zone):
+    def rate_au(step, f_au, z_au, zone):
         shapes.append((np.shape(z_au), zone))
-        return real_rate_au(zmodel, step, f_au, z_au, zone)
+        return real_rate_au(step, f_au, z_au, zone)
 
     real_rate_au = tunneling._rate_au
     monkeypatch.setattr(tunneling, "_rate_au", rate_au)
@@ -197,9 +193,10 @@ def _leading_rows(sp, env, zmodel, fields, monkeypatch):
     on fields, and the number of leading rows that it evaluates as barrier zone."""
     calls = []
 
-    def rate_au(zmodel, step, f_au, z_au, zone):
-        calls.append((step[0][:, 0].astype(int), f_au[:, 0], z_au, zone))
-        return real_rate_au(zmodel, step, f_au, z_au, zone)
+    def rate_au(step, f_au, z_au, zone):
+        # step n from the rows' n + c0
+        calls.append((np.rint(step[1][:, 0] - zmodel.c0).astype(int), f_au[:, 0], z_au, zone))
+        return real_rate_au(step, f_au, z_au, zone)
 
     real_rate_au = tunneling._rate_au
     with monkeypatch.context() as patch:
@@ -314,14 +311,17 @@ def _barrier_residual(sp, zmodel, n, field, z):
     step n (an int or an int array), the field and z broadcast together."""
     i_ha = np.array(sp.ie_ladder_ev)[n] / CONSTANTS.hartree_in_ev
     f_au = field / CONSTANTS.field_au_in_vnm
-    return i_ha - zmodel.z(n, np.minimum(z, tunneling.Z_ARG_CAP_AU)) * f_au / i_ha - f_au * z
+    z_eff = n + zmodel.c0 + zmodel.c1 / np.minimum(z, tunneling.Z_ARG_CAP_AU)
+    return i_ha - z_eff * f_au / i_ha - f_au * z
 
 
 def _zone_ends(sp, zmodel, n, fields):
     """Both ends (a.u.) of step n's barrier zone at an array of fields, NaN where it has none."""
     f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
     with np.errstate(invalid="ignore"):
-        return tunneling._clamp_distance_au(zmodel, n, i_ha, f_au)
+        return tunneling._clamp_distance_au(
+            i_ha, f_au, n + zmodel.c0, zmodel.c1,
+            n + zmodel.c0 + zmodel.c1 / tunneling.Z_ARG_CAP_AU)
 
 
 def _bracketed_root(b, lo, hi):
@@ -505,6 +505,47 @@ def test_batch_gate_names_the_first_failing_field(species_table, rh_env, monkeyp
     monkeypatch.setattr(tunneling, "P_TOL", 0.0)
     with pytest.raises(NumericalError, match="Rh step 1->2 at 22.0 V/nm"):
         pfi_step_probability(rh, rh_env, KINGHAM_Z, 1, fields)
+
+
+def test_a_batch_of_problems_gives_each_its_own_bits(species_table, named_zmodels):
+    # a seeded mix: every species under four Z models at two screening lengths, each at a
+    # drawn work function and m_q, and Si3 with a refitted I2; problems with as many
+    # fractions share a call, and each row is what the problem gets alone, bit for bit
+    rng = np.random.default_rng(20221019)
+    problems = [(dataclasses.replace(sp, m_q=int(rng.integers(1, 10))),
+                 Environment(float(rng.uniform(4.5, 5.3)), lam), zmodel)
+                for sp in species_table.values()
+                for zmodel in (*named_zmodels.values(), ZModel(0.5, 2.0))
+                for lam in (0.0, 0.1)]
+    problems.append((species_table["si3"].with_ie(2, 15.74), CLI_ENV, KINGHAM_Z))
+    groups = {}
+    for problem in problems:
+        groups.setdefault(min(problem[0].max_charge, 3), []).append(problem)
+    assert sorted(map(len, groups.values())) == [8, 33]
+    for group in groups.values():
+        fields = rng.uniform(6.0, 40.0, (len(group), 9))
+        batch = charge_fractions(*zip(*group), fields)
+        assert all(column.shape == fields.shape for column in batch)
+        for k, (problem, row) in enumerate(zip(group, fields)):
+            single = charge_fractions(*problem, row)
+            assert all(np.array_equal(b[k], f) for b, f in zip(batch, single)), problem
+    with pytest.raises(ConfigError, match="one count of fractions"):
+        charge_fractions(*zip(groups[2][0], groups[3][0]), np.full((2, 1), 20.0))
+
+
+def test_a_batch_gate_names_its_first_failing_problem(species_table, si_env, monkeypatch):
+    # with P_TOL = 0 every step whose P lies below 1 fails. Si at 1 V/nm integrates nothing;
+    # Si4 at 25 V/nm completes step 1->2 (P = 1) and fails on step 2->3; Si at 20 V/nm fails on
+    # step 1->2, first in step order, but the batch names Si4, its first failing problem
+    si, si4 = species_table["si"], species_table["si4"]
+    monkeypatch.setattr(tunneling, "P_TOL", 0.0)
+    with pytest.raises(NumericalError) as alone:
+        charge_fractions(si4, si_env, KINGHAM_Z, 25.0)
+    with pytest.raises(NumericalError) as together:
+        charge_fractions((si, si4, si), (si_env,) * 3, (KINGHAM_Z,) * 3,
+                         np.array([[1.0], [25.0], [20.0]]))
+    assert str(together.value) == str(alone.value)
+    assert str(alone.value).startswith("Si4 step 2->3 at 25.0 V/nm: ")
 
 
 def test_extreme_ladder_gives_fractions_without_warnings(si_env):
