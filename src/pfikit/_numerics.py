@@ -1,11 +1,14 @@
 """Numpy-only root finding, monotone interpolation and nonnegative least squares.
 
-pfikit's three solvers, kept in pure Python and numpy so that importing the
-package loads no compiled optimisation library.  Where a result must not move,
-each follows the arithmetic of the established implementations that
-``tests/test_numerics.py`` compares it against: the Brent iteration step for
-step, also when several brackets iterate in lockstep, and the PCHIP derivatives
-and polynomial in their evaluation order.
+pfikit's solvers, kept in pure Python and numpy so that importing the package
+loads no compiled optimisation library.  Where a result must not move, each
+follows the arithmetic of the established implementations that
+``tests/test_numerics.py`` compares it against: Brent's iteration step for step
+(the fits' root on their parameter), and the PCHIP derivatives and polynomial
+in their evaluation order.  The F50 roots come from ``roots_lockstep``, a
+bracket solver that evaluates a few points per bracket in each round, so that
+one kernel call serves a round of every problem; its roots lie within its
+tolerance of Brent's.
 """
 
 from __future__ import annotations
@@ -19,15 +22,17 @@ from .errors import BracketError, NumericalError
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
-BRENT_MAXITER = 100
-BRENT_RTOL = 4.0 * EPS  # relative step tolerance, scipy's brentq default
+MAXITER = 100  # steps of Brent's method, or rounds of ``roots_lockstep``, before a root fails
+RTOL = 4.0 * EPS  # relative part of a root's tolerance, scipy's brentq default
+STENCIL = 3  # points a bracket of ``roots_lockstep`` is evaluated at in each round
+NEAREST = 5  # evaluated points, at most, that ``roots_lockstep`` interpolates through
 
 
-def _brent_cell(a: float, b: float, f_a: float, f_b: float, xtol: float):
+def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
     """Brent's method (Brent 1973; the classic ``brentq`` steps) on [a, b] from f(a) and f(b),
-    which must differ in sign or include a 0, as a generator that yields each iterate, is
-    sent f there and returns the root and f at it. NumericalError where f is NaN or the
-    iteration does not converge within BRENT_MAXITER steps."""
+    which must differ in sign or include a 0: the root and f there. BracketError where they
+    share a sign, NumericalError where f is NaN or the iteration does not converge within
+    MAXITER steps."""
     xpre, xcur, fpre, fcur = float(a), float(b), f_a, f_b
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
@@ -36,14 +41,14 @@ def _brent_cell(a: float, b: float, f_a: float, f_b: float, xtol: float):
         return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"f({a}) = {fpre} and f({b}) = {fcur} have the same sign")
-    for _ in range(BRENT_MAXITER):
+    for _ in range(MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        delta = (xtol + RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, fcur
@@ -62,41 +67,119 @@ def _brent_cell(a: float, b: float, f_a: float, f_b: float, xtol: float):
             spre = scur = sbis  # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = yield xcur
+        fcur = f(xcur)
         if math.isnan(fcur):
             raise NumericalError(f"root finding: f({xcur}) is NaN")
-    raise NumericalError(f"root finding did not converge in {BRENT_MAXITER} iterations "
+    raise NumericalError(f"root finding did not converge in {MAXITER} iterations "
                          f"(last iterate {xcur}, bracket [{min(xcur, xblk)}, "
                          f"{max(xcur, xblk)}])")
 
 
-def brentq_lockstep(f, cells, xtol: float) -> list:
-    """Brent's method on each cell (a, b, f(a), f(b)), the cells in lockstep: each round calls
-    f(live, xs) once on the indices of the cells still iterating and their iterates. Returns
-    per cell the root and f there, or the BracketError or NumericalError that ended it."""
-    runs = [_brent_cell(*cell, xtol) for cell in cells]
-    results, live, values = [None] * len(runs), range(len(runs)), [None] * len(runs)
-    while live:
-        still, xs = [], []
-        for i, value in zip(live, values):
-            try:
-                xs.append(runs[i].send(value))
-                still.append(i)
-            except StopIteration as stop:
-                results[i] = stop.value
-            except (BracketError, NumericalError) as exc:
-                results[i] = exc
-        live, values = still, f(still, xs) if still else ()
+def _inverse_root(points) -> float:
+    """x at g = 0 of the polynomial x(g) through the (x, g) ``points`` (Lagrange form)."""
+    root = 0.0
+    for i, (x_i, g_i) in enumerate(points):
+        for j, (_, g_j) in enumerate(points):
+            if j != i:
+                x_i *= g_j / (g_j - g_i)
+        root += x_i
+    return root
+
+
+def _estimate(known: dict, middle: float) -> tuple[float, float] | None:
+    """Root of the inverse interpolation of the at most NEAREST evaluated points (x: f) nearest
+    ``middle``, and its distance from the estimate of one point fewer; the nearest three or
+    more on which f is finite and strictly monotone serve, and where none do, None."""
+    near = sorted(known.items(), key=lambda point: abs(point[0] - middle))[:NEAREST]
+    for m in range(len(near), 2, -1):
+        values = [g for _, g in sorted(near[:m])]
+        steps = [v - u for u, v in zip(values, values[1:])]
+        if all(map(math.isfinite, values)) and (min(steps) > 0.0 or max(steps) < 0.0):
+            root = _inverse_root(near[:m])
+            return root, abs(root - _inverse_root(near[:m - 1]))
+    return None
+
+
+def _stencil(known: dict, a: float, b: float, even: bool, first: bool, tol: float) -> list:
+    """STENCIL points in [a, b] for the next round on the bracket [a, b] (see ``roots_lockstep``):
+    unless ``even``, the interpolated root and its neighbours at a spacing h of twice the
+    estimate's distance from the one of a point fewer, at least tol / 2 and, in the ``first``
+    round, half an even spread's (the caller's points are coarse, and there the estimate missed
+    by more than that distance in two thirds of the F50s measured); else, or where the estimate
+    is missing, outside the bracket or h no smaller than an even spread's, points that divide
+    [a, b] into STENCIL + 1 equal parts."""
+    part = (b - a) / (STENCIL + 1)
+    guess = None if even else _estimate(known, 0.5 * (a + b))
+    if guess is not None and a < guess[0] < b:
+        x, h = guess[0], max(2.0 * guess[1], 0.5 * tol, 0.5 * part if first else 0.0)
+        if h < part:
+            return [min(max(x + h * (j - (STENCIL - 1) / 2.0), a), b) for j in range(STENCIL)]
+    return [a + part * (j + 1) for j in range(STENCIL)]
+
+
+def _narrow(bracket: list, row: list, values: list):
+    """Take a round's points ``row`` and their f ``values`` into ``bracket`` (see
+    ``roots_lockstep``): at the lowest point where f is 0 or NaN, the root and f there or a
+    NumericalError, else None with the bracket narrowed to its lowest sign change."""
+    a, f_a, b, f_b, known, even = bracket
+    points = sorted([(a, f_a), *zip(row, values), (b, f_b)])
+    for x, g in points:
+        if math.isnan(g):
+            return NumericalError(f"root finding: f({x}) is NaN")
+        if g == 0.0:
+            return x, g
+    known.update(zip(row, values))
+    k = next(k for k, ((_, u), (_, v)) in enumerate(zip(points, points[1:]))
+             if (u < 0.0) != (v < 0.0))
+    (a, f_a), (b, f_b) = points[k:k + 2]
+    bracket[:] = (a, f_a, b, f_b, known,
+                  not even and (b - a) * (STENCIL + 1) > bracket[2] - bracket[0])
+    return None
+
+
+def roots_lockstep(f, cells, xtol: float) -> list:
+    """Root of each cell (a, b, f(a), f(b)), a < b, f(a) and f(b) of opposite signs or one 0,
+    which may add a dict of further x: f(x) to interpolate through, the cells in
+    lockstep: each round calls f(live, xs) once, on the indices of the cells not yet solved
+    and a (live, STENCIL) array of points, one row a cell, and takes an array like xs of f
+    there. A round evaluates each bracket at its inverse-interpolated root and on both sides
+    of it (see ``_stencil``), or at points that divide it evenly where that estimate cannot
+    serve or the previous round interpolated and shrank the bracket less than
+    (STENCIL + 1)-fold, so every two rounds shrink it at least that much; the bracket becomes
+    the lowest sign change among them. A cell is solved at an f of exactly 0,
+    or by a bracket no wider than xtol + RTOL |a| (|b| if smaller), whose end with the smaller
+    |f| is its root. Returns per cell the root and f there, or the error that ended it: a
+    BracketError where f(a) and f(b) share a sign, a NumericalError where f is NaN or the
+    bracket is not narrow enough after MAXITER rounds."""
+    results, brackets = [None] * len(cells), {}
+    for i, (a, b, f_a, f_b, *seen) in enumerate(cells):
+        if f_a == 0.0 or f_b == 0.0:
+            results[i] = (float(a), f_a) if f_a == 0.0 else (float(b), f_b)
+        elif (f_a < 0.0) == (f_b < 0.0):
+            results[i] = BracketError(f"f({a}) = {f_a} and f({b}) = {f_b} have the same sign")
+        else:  # [a, f(a), b, f(b), the evaluated points, whether the next round spreads evenly]
+            known = dict(*seen)
+            known.update({float(a): f_a, float(b): f_b})
+            brackets[i] = [float(a), f_a, float(b), f_b, known, False]
+    for rounds in range(MAXITER + 1):
+        for i, (a, f_a, b, f_b, _, _) in list(brackets.items()):
+            if b - a <= xtol + RTOL * min(abs(a), abs(b)):
+                results[i] = (b, f_b) if abs(f_b) < abs(f_a) else (a, f_a)
+                del brackets[i]
+        if not brackets or rounds == MAXITER:
+            break
+        live = list(brackets)
+        xs = np.array([_stencil(known, a, b, even, rounds == 0,
+                                xtol + RTOL * min(abs(a), abs(b)))
+                       for a, _, b, _, known, even in brackets.values()])
+        for i, row, values in zip(live, xs.tolist(), np.asarray(f(live, xs), float).tolist()):
+            results[i] = _narrow(brackets[i], row, values)
+            if results[i] is not None:
+                del brackets[i]
+    for i, (a, _, b, _, _, _) in brackets.items():
+        results[i] = NumericalError(f"root finding did not converge in {MAXITER} rounds "
+                                    f"(bracket [{a}, {b}])")
     return results
-
-
-def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
-    """Root of ``f`` in [a, b] and f there: ``brentq_lockstep`` on the one cell, raising its
-    error."""
-    result, = brentq_lockstep(lambda _, xs: [f(x) for x in xs], [(a, b, f_a, f_b)], xtol)
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _sign(v: float) -> int:

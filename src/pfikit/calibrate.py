@@ -18,7 +18,8 @@ bound, retreating from a bound without a proper crossover toward the nominal
 value.  Those F50s span the achievable interval: a target outside it is a fit
 range error, one inside it a numerical error, since the F50 then jumps over the
 target somewhere in the bracket.  A sensitivity scan checks every value first and
-solves all its F50s in lockstep, each as ``find_f50`` would alone.
+solves all its F50s in lockstep with ``find_f50s``, a few fields of each value per
+kernel call, each as ``find_f50`` would alone.
 """
 
 from __future__ import annotations
@@ -199,5 +200,5 @@ def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,
             species_of[i] = dataclasses.replace(species, m_q=int(value))
         else:
             raise DomainError(f"m_q {value} must be a finite integer >= 1")
-    results = find_f50s(species_of, env_of, [zmodel] * len(values), search_vnm) if values else ()
+    results = find_f50s(species_of, env_of, [zmodel] * len(values), search_vnm)
     return tuple(ScanPoint(parameter, float(v), r.f50_vnm) for v, r in zip(values, results))

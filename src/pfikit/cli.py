@@ -125,8 +125,15 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_f50(args: argparse.Namespace) -> int:
-    rows = [(sp.name, curves.find_f50(sp, args.env, args.zmodel, _search(args)))
-            for sp in args.species]
+    # one find_f50s call per count of fractions, in the order of each count's first species
+    groups, results = {}, {}
+    for i, sp in enumerate(args.species):
+        groups.setdefault(min(sp.max_charge, 3), []).append(i)
+    for members in groups.values():
+        results.update(zip(members, curves.find_f50s(
+            [args.species[i] for i in members], [args.env] * len(members),
+            [args.zmodel] * len(members), _search(args))))
+    rows = [(sp.name, results[i]) for i, sp in enumerate(args.species)]
     if args.fmt == "json":
         payload = {name: {"f50_vnm": r.f50_vnm, "bracket_vnm": list(r.bracket_vnm)}
                    for name, r in rows}

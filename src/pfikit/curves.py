@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._numerics import brentq_lockstep, pchip
+from ._numerics import pchip, roots_lockstep
 from .errors import (AmbiguityError, BracketError, ConfigError, DomainError,
                      NumericalError)
 from .geometry import Environment
@@ -163,22 +163,31 @@ def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
     return KinghamCurve(species.name, points, fractions, csr_from_fractions(fractions.T))
 
 
+def _log_ratio(f1, f2):
+    """log(f2 / f1), whose sign is that of CSR - 0.5 (+inf for an empty pair, whose CSR is 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(f1 + f2 == 0.0, np.inf, np.log(f2 / f1))
+
+
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
              search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> CrossoverResult:
     """Lowest field in ``search_vnm`` where the CSR crosses 0.5 upward: one call on
     F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0 before
-    the first probe whose 1+/2+ pair is empty (none there: BracketError), and Brent's
-    method solves in that cell, the reported bracket, from the call's values. This is the
-    one-problem case of ``find_f50s``."""
+    the first probe whose 1+/2+ pair is empty (none there: BracketError), the reported
+    bracket, and ``_numerics.roots_lockstep`` solves log(f2 / f1) = 0 in that cell from the
+    call's values, a few fields per call, to 1e-9 V/nm plus 4 machine epsilons of the field.
+    This is the one-problem case of ``find_f50s``."""
     return find_f50s((species,), (env,), (zmodel,), search_vnm)[0]
 
 
 def find_f50s(species, envs, zmodels, search_vnm: tuple[float, float] = F50_SEARCH_VNM
               ) -> tuple[CrossoverResult, ...]:
     """``find_f50`` of each problem (species[i], envs[i], zmodels[i]), bit for bit, in lockstep:
-    one call brackets all, then one call per Brent round. The first stage to fail raises: the
-    bracket (its call, or the first problem in order without a crossing), a round's call, or
-    the first problem in order whose root fails or jumps."""
+    one call brackets all, then one call per round on the problems not yet solved. The first
+    stage to fail raises: the bracket (its call, or the first problem in order without a
+    crossing), a round's call, or the first problem in order whose root fails or jumps."""
+    if not (species or envs or zmodels):
+        return ()
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
@@ -186,7 +195,8 @@ def find_f50s(species, envs, zmodels, search_vnm: tuple[float, float] = F50_SEAR
     problems = list(zip(species, envs, zmodels))
     f1, f2, *_ = charge_fractions(species, envs, zmodels, np.tile(probes, (len(species), 1)))
     cells = []
-    for sp, f_1, f_2, csr in zip(species, f1, f2, csr_from_fractions((f1, f2))):
+    for sp, f_1, f_2, csr, g in zip(species, f1, f2, csr_from_fractions((f1, f2)),
+                                    _log_ratio(f1, f2)):
         empty = np.flatnonzero(f_1 + f_2 < EMPTY_PAIR_FLOOR)
         n = empty[0] if empty.size else F50_PROBES  # probes before the first empty pair
         if n < F50_PROBES and not (csr[:n] >= 0.5).any():
@@ -199,22 +209,19 @@ def find_f50s(species, envs, zmodels, search_vnm: tuple[float, float] = F50_SEAR
             raise BracketError(f"{sp.name}: CSR is {csr[0]:.4g} at {lo} V/nm and {csr[-1]:.4g} "
                                f"at {hi} V/nm; no 0.5 crossing to bracket",
                                achievable=(float(csr[0]), float(csr[-1])))
-        cells.append((*probes[k:k + 2].tolist(), *(csr[k:k + 2] - 0.5).tolist()))
+        cells.append((*probes[k:k + 2].tolist(), *g[k:k + 2].tolist(),
+                      dict(zip(probes[:n].tolist(), g[:n].tolist()))))
 
-    def csr_minus_half(live, xs):
-        if len(live) == 1:  # a float field keeps the call's arithmetic in Python floats
-            return [evaluate_csr(*problems[live[0]], xs[0]) - 0.5]
-        ratio = csr_from_fractions(charge_fractions(*zip(*(problems[i] for i in live)),
-                                                    np.array(xs)[:, None]))
-        return (ratio[:, 0] - 0.5).tolist()
+    def log_ratio(live, fields):
+        f_1, f_2, *_ = charge_fractions(*zip(*(problems[i] for i in live)), fields)
+        return _log_ratio(f_1, f_2)
 
     results = []
-    for sp, cell, outcome in zip(species, cells,
-                                 brentq_lockstep(csr_minus_half, cells, xtol=1e-9)):
+    for sp, cell, outcome in zip(species, cells, roots_lockstep(log_ratio, cells, xtol=1e-9)):
         if isinstance(outcome, Exception):
             raise outcome
         root, g_root = outcome
-        achieved = g_root + 0.5
+        achieved = 0.5 + 0.5 * math.tanh(0.5 * g_root)  # f2 / (f1 + f2) from log(f2 / f1)
         if abs(achieved - 0.5) >= 1e-6:
             # both cell ends hold a full 1+/2+ pair, yet the CSR leapt over 0.5: P(1->2) jumps
             # to 1 as the launch reaches the hump (slow hopping, huge m_q); no proper crossover

@@ -256,8 +256,11 @@ def charge_fractions(species, env, zmodel, field_vnm) -> tuple:
     """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
     the last state absorbs the tail. All steps, and problems given as to ``_pfi_steps`` that
     share K, go through one ``_pfi_steps`` call."""
-    counts = ({min(species.max_charge, 3)} if isinstance(species, SpeciesParams)
-              else {min(sp.max_charge, 3) for sp in species})
+    one = isinstance(species, SpeciesParams)
+    if not one and not len(species) == len(env) == len(zmodel):
+        raise ConfigError(f"species, environment and Z model sequences of lengths "
+                          f"{len(species)}, {len(env)} and {len(zmodel)}: one of each a problem")
+    counts = {min(species.max_charge, 3)} if one else {min(sp.max_charge, 3) for sp in species}
     if len(counts) != 1:
         raise ConfigError(f"one call takes problems with one count of fractions, not {counts}")
     fractions, survive = [], 1.0

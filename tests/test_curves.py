@@ -122,6 +122,25 @@ def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name
     assert np.size(calls[0]) == curves.F50_PROBES
 
 
+@pytest.mark.parametrize("name,phi", [("si", 4.9), ("si2", 4.9), ("si3", 4.9), ("si4", 4.9),
+                                      ("rh", 4.8)])
+def test_f50_takes_at_most_five_fraction_calls(species_table, monkeypatch, name, phi):
+    # the bracket call, then a few rounds of STENCIL fields around the interpolated root
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return charge_fractions(*args)
+
+    monkeypatch.setattr(curves, "charge_fractions", counted)
+    find_f50(species_table[name], Environment(work_function_ev=phi), KINGHAM_Z)
+    assert len(calls) <= 5
+
+
+def test_f50s_of_no_problems_are_none():
+    assert curves.find_f50s((), (), ()) == ()
+
+
 def test_empty_pair_is_an_unreachable_bracket(species_table, si_env, monkeypatch):
     # with I2 pushed up the CSR peaks near 0.02, and by the 32.5 V/nm probe f1 + f2 has
     # fallen below EMPTY_PAIR_FLOOR; the empty pair's 0 -> 1 flip is no crossing, so the

@@ -533,6 +533,19 @@ def test_a_batch_of_problems_gives_each_its_own_bits(species_table, named_zmodel
         charge_fractions(*zip(groups[2][0], groups[3][0]), np.full((2, 1), 20.0))
 
 
+def test_fewer_environments_than_species_is_a_config_error(species_table, si_env):
+    with pytest.raises(ConfigError, match=r"sequences of lengths 2, 1 and 2: one of each"):
+        charge_fractions((species_table["si"], species_table["si2"]), (si_env,),
+                         (KINGHAM_Z, KINGHAM_Z), np.full((2, 3), 20.0))
+
+
+def test_more_environments_than_species_is_a_config_error(species_table, si_env):
+    # zip would drop the second environment and Z model without a word
+    with pytest.raises(ConfigError, match=r"sequences of lengths 1, 2 and 2: one of each"):
+        charge_fractions((species_table["si"],), (si_env, si_env), (KINGHAM_Z, KINGHAM_Z),
+                         np.full((1, 3), 20.0))
+
+
 def test_a_batch_gate_names_its_first_failing_problem(species_table, si_env, monkeypatch):
     # with P_TOL = 0 every step whose P lies below 1 fails. Si at 1 V/nm integrates nothing;
     # Si4 at 25 V/nm completes step 1->2 (P = 1) and fails on step 2->3; Si at 20 V/nm fails on
