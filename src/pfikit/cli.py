@@ -125,6 +125,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_f50(args: argparse.Namespace) -> int:
+    names = [sp.name for sp in args.species]
+    repeated = [name for name in names if names.count(name) > 1]
+    if args.fmt == "json" and repeated:  # json keys its rows by species name
+        raise ConfigError(f"species {repeated[0]} is given more than once; --format json "
+                          "keys its output by species name")
     # one find_f50s call per count of fractions, in the order of each count's first species
     groups, results = {}, {}
     for i, sp in enumerate(args.species):

@@ -24,7 +24,7 @@ from .tunneling import charge_fractions
 from .zmodel import ZModel
 
 CSV_HEADER = ("field_Vnm", "f1", "f2", "f3", "csr")
-FIELD_BLOCK = 64  # fields per charge_fractions call in a curve; bounds the node arrays' memory
+FIELD_BLOCK = 1024  # fields per charge_fractions call in a curve; bounds the geometry planes
 MAX_GRID_POINTS = 200_000  # largest field grid; a finer --grid step is a typo, not a curve
 F50_PROBES = 17  # fields of the one charge_fractions call that brackets an F50, ends included
 EMPTY_PAIR_FLOOR = 1e-12  # f1 + f2 below this: every ion is past 2+, the 1+/2+ pair is empty
@@ -153,8 +153,8 @@ def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
 
 def generate_curve(species: SpeciesParams, env: Environment, zmodel: ZModel,
                    grid: FieldGrid = DEFAULT_GRID) -> KinghamCurve:
-    """Charge fractions on every grid point, FIELD_BLOCK fields per call, written into
-    one (N, 3) array; the CSR follows from it in one array call."""
+    """Charge fractions on every grid point, FIELD_BLOCK fields per call (one call for every
+    shipped grid), written into one (N, 3) array; the CSR follows from it in one array call."""
     points = grid.points()
     fractions = np.zeros((points.size, 3))
     for start in range(0, points.size, FIELD_BLOCK):

@@ -35,6 +35,7 @@ RULE_ORDER = 15           # Gauss order n of the 2n+1-node Kronrod rule used on 
 P_TOL = 1e-6              # largest accepted |P(Kronrod) - P(its embedded Gauss rule)|
 NEAR_ZONE_WEIGHT = 3.0    # constant rate multiplier inside the barrier zone
 Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
+PIECE_CHUNK = 256         # kept pieces per node pass: about 8k nodes, whose arrays fit in cache
 
 
 def _step_constants(species, env, zmodel, last: int) -> np.ndarray:
@@ -159,15 +160,18 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
     as sequences, at a (problems, fields) array: a (last, problems, fields) array. One array
     geometry pass over (steps, columns), a column being a problem at a field, cuts [z_c, z_max]
     into a (6, steps, columns) layout of pieces; the kept pieces of every step and column,
-    those in the barrier zone first, go through one node pass."""
+    those in the barrier zone first, go through the node pass PIECE_CHUNK at a time, and one
+    bincount per rule sums each column's pieces."""
     one = isinstance(species, SpeciesParams)
     fields = np.array(field_vnm, dtype=float, ndmin=1)
     if one:
         species, env, zmodel, fields = (species,), (env,), (zmodel,), fields[None]
-    if (fields.ndim != 2 or len(fields) != len(species)
-            or not ((fields > 0.0) & (fields < math.inf)).all()):
+    finite_positive = (fields > 0.0) & (fields < math.inf)
+    if fields.ndim != 2 or len(fields) != len(species) or not finite_positive.all():
+        bad = fields[~finite_positive]
         raise DomainError(f"field must be finite and > 0 V/nm, a float or 1-D (one row per "
-                          f"problem for several), got {field_vnm}")
+                          f"problem for several), got shape {np.shape(field_vnm)}"
+                          + (f" holding {bad[0]}" if bad.size else ""))
     # (steps, columns) planes of the field in V/nm and a.u., the debt and each problem's
     # constant rows: equal shapes beat broadcasting in numpy
     rows = _step_constants(species, env, zmodel, last)
@@ -208,26 +212,32 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
         keep = (hi > lo) & ((lo < edges[4]) | (hi > edges[5]))
         near = keep & (lo >= edges[1]) & (hi <= edges[2])
         at = np.concatenate((near, keep > near)).ravel().nonzero()[0] % keep.size
-        owner = at % z_c.size
+        owner, zone = at % z_c.size, np.count_nonzero(near)
         lo = cuts.take(at)[:, None]
         width = cuts.take(at + z_c.size)[:, None] - lo
-        f_vnm, f_au, debt, n, *step, mass = plane.reshape(len(plane), -1)[:11, owner, None]
+        columns = plane.reshape(len(plane), -1)[:11]
         s_nodes, w_kronrod, w_gauss = _cosine_rule(RULE_ORDER)
-        z = width * s_nodes
-        z += lo
-        k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
-        k_ev *= mass
-        u_au = np.sqrt(k_ev, out=k_ev)
-        f = _rate_au(step, f_au, z, np.count_nonzero(near))
-        f *= width
-        f /= u_au
-    # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
-    # field gets the same P in every call; each field's zone pieces add up first, then its
-    # others, each in ascending z, which is ascending overall unless the zone begins above z_c.
-    # An empty window leaves P = 0; a stalled launch, whose integral is infinite, P = 1.
-    value, coarse = (np.bincount(owner, np.einsum("pk,k->p", nodes, weights),
-                                 z_c.size).reshape(z_c.shape)
-                     for nodes, weights in ((f, w_kronrod), (f[:, :RULE_ORDER], w_gauss)))
+        sums = np.empty((2, at.size))  # each kept piece's K31 and G15 sums
+        for start in range(0, at.size, PIECE_CHUNK):  # chunks keep the node arrays in cache
+            chunk = slice(start, start + PIECE_CHUNK)
+            f_vnm, f_au, debt, n, *step, mass = columns[:, owner[chunk, None]]
+            z = width[chunk] * s_nodes
+            z += lo[chunk]
+            k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
+            k_ev *= mass
+            u_au = np.sqrt(k_ev, out=k_ev)
+            f = _rate_au(step, f_au, z, min(max(zone - start, 0), len(z)))
+            f *= width[chunk]
+            f /= u_au
+            # einsum, not a BLAS product (its rounding can depend on a piece's row), so that a
+            # field gets the same P in every call and every chunk
+            np.einsum("pk,k->p", f, w_kronrod, out=sums[0, chunk])
+            np.einsum("pk,k->p", f[:, :RULE_ORDER], w_gauss, out=sums[1, chunk])
+    # each field's zone pieces add up first, then its others, each in ascending z, which is
+    # ascending overall unless the zone begins above z_c. An empty window leaves P = 0; a
+    # stalled launch, whose integral is infinite, P = 1.
+    value, coarse = (np.bincount(owner, piece_sums, z_c.size).reshape(z_c.shape)
+                     for piece_sums in sums)
     p_t = -np.expm1(np.negative(value, dtype=float))  # bincount sums no pieces as ints
     est_error = np.abs(np.expm1(-coarse) + p_t)
     resolved = np.isfinite(value) & (est_error <= P_TOL)

@@ -40,6 +40,20 @@ def test_f50_of_several_species_prints_their_single_solves(capsys, fmt):
     assert together[-len(names):] == alone
 
 
+def test_f50_json_refuses_a_repeated_species_name(tmp_path, capsys):
+    # json keys its rows by species name, so a second Si, shipped or from a file, has no key
+    twin = tmp_path / "si.json"
+    twin.write_text(json.dumps({"name": "Si", "mass_amu": 28.0, "ie_ladder_ev": [8.15, 16.35],
+                                "m_q": 3}))
+    for second in ("si", str(twin)):
+        assert main(["f50", "--species", "si", "--species", second, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("pfikit: error: species Si is given more than once; "
+                                     "--format json keys its output by species name\n")
+    assert main(["f50", "--species", "si", "--species", "si", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["Si,19.8155406"] * 2
+
+
 def test_f50_unknown_species(capsys):
     assert main(["f50", "--species", "unobtainium"]) == 2
     assert "unknown species" in capsys.readouterr().err

@@ -107,25 +107,11 @@ def test_f50_ignores_a_fall_back_below_half_before_the_range_ends(species_table,
     assert result.bracket_vnm == (25.0, 27.5)
 
 
-@pytest.mark.parametrize("name", ["si", "si2", "si3", "rh"])
-def test_f50_takes_at_most_eight_fraction_calls(species_table, monkeypatch, name):
-    # one batched bracket call, then Brent's steps inside its cell
-    calls = []
-
-    def counted(*args):
-        calls.append(args[-1])
-        return charge_fractions(*args)
-
-    monkeypatch.setattr(curves, "charge_fractions", counted)
-    find_f50(species_table[name], Environment(work_function_ev=4.9), KINGHAM_Z)
-    assert len(calls) <= 8
-    assert np.size(calls[0]) == curves.F50_PROBES
-
-
 @pytest.mark.parametrize("name,phi", [("si", 4.9), ("si2", 4.9), ("si3", 4.9), ("si4", 4.9),
                                       ("rh", 4.8)])
 def test_f50_takes_at_most_five_fraction_calls(species_table, monkeypatch, name, phi):
-    # the bracket call, then a few rounds of STENCIL fields around the interpolated root
+    # the bracket call on F50_PROBES fields, then a few rounds of STENCIL fields around the
+    # interpolated root
     calls = []
 
     def counted(*args):
@@ -135,6 +121,20 @@ def test_f50_takes_at_most_five_fraction_calls(species_table, monkeypatch, name,
     monkeypatch.setattr(curves, "charge_fractions", counted)
     find_f50(species_table[name], Environment(work_function_ev=phi), KINGHAM_Z)
     assert len(calls) <= 5
+    assert np.size(calls[0]) == curves.F50_PROBES
+
+
+def test_default_curve_is_one_fraction_call(species_table, si_env, monkeypatch):
+    # FIELD_BLOCK holds every shipped grid, so the kernel's set-up is paid once per curve
+    calls = []
+
+    def counted(*args):
+        calls.append(np.size(args[-1]))
+        return charge_fractions(*args)
+
+    monkeypatch.setattr(curves, "charge_fractions", counted)
+    generate_curve(species_table["si"], si_env, KINGHAM_Z)
+    assert calls == [401]
 
 
 def test_f50s_of_no_problems_are_none():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,24 +190,103 @@ def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_e
 
 
 def _leading_rows(sp, env, zmodel, fields, monkeypatch):
-    """Step n, field (V/nm) and nodes z of every row of the one node pass of charge_fractions
-    on fields, and the number of leading rows that it evaluates as barrier zone."""
+    """Step n, field (V/nm) and nodes z of every row of the node pass of charge_fractions on
+    fields, its chunks concatenated, and the number of leading rows that it evaluates as
+    barrier zone."""
     calls = []
 
     def rate_au(step, f_au, z_au, zone):
-        # step n from the rows' n + c0
-        calls.append((np.rint(step[1][:, 0] - zmodel.c0).astype(int), f_au[:, 0], z_au, zone))
+        assert len(z_au) <= tunneling.PIECE_CHUNK
+        # step n from the rows' n + c0, and which rows the chunk evaluates as barrier zone
+        calls.append((np.rint(step[1][:, 0] - zmodel.c0).astype(int), f_au[:, 0], z_au,
+                      np.arange(len(z_au)) < zone))
         return real_rate_au(step, f_au, z_au, zone)
 
     real_rate_au = tunneling._rate_au
     with monkeypatch.context() as patch:
         patch.setattr(tunneling, "_rate_au", rate_au)
         charge_fractions(sp, env, zmodel, fields)
-    (n, f_au, z, zone), = calls
+    n, f_au, z, near = (np.concatenate(part) for part in zip(*calls))
+    zone = np.count_nonzero(near)
+    assert near[:zone].all()  # each chunk's share of the zone rows, and they lead the pass
     # each row's field, found back from the kernel's own a.u. value of it
     at = np.searchsorted(fields / CONSTANTS.field_au_in_vnm, f_au)
     assert (fields[at] / CONSTANTS.field_au_in_vnm == f_au).all()
     return n[:, None], fields[at][:, None], z, zone
+
+
+def test_node_pass_chunks_are_the_kept_pieces_in_order(species_table, monkeypatch):
+    # no chunk holds more than PIECE_CHUNK pieces, and the chunks, concatenated, are the
+    # rows of one node pass over every kept piece
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    env = Environment(CLI_ENV.work_function_ev, 0.1)
+    chunked = _leading_rows(species_table["si3"], env, KINGHAM_Z, fields, monkeypatch)
+    assert len(chunked[2]) > 2 * tunneling.PIECE_CHUNK
+    monkeypatch.setattr(tunneling, "PIECE_CHUNK", len(chunked[2]))
+    whole = _leading_rows(species_table["si3"], env, KINGHAM_Z, fields, monkeypatch)
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
+def test_piece_chunks_change_no_bits(species_table, named_zmodels, monkeypatch):
+    # a chunk of 7 puts the last zone pieces and the first plateau pieces in one chunk
+    fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
+    mixed = []
+
+    def rate_au(step, f_au, z_au, zone):
+        mixed.append(0 < zone < len(z_au))
+        return real_rate_au(step, f_au, z_au, zone)
+
+    real_rate_au = tunneling._rate_au
+    for sp in species_table.values():
+        for zmodel in named_zmodels.values():
+            for lam in (0.0, 0.1):
+                env, key = Environment(CLI_ENV.work_function_ev, lam), (sp.name, zmodel, lam)
+                default = charge_fractions(sp, env, zmodel, fields)
+                blocks = [charge_fractions(sp, env, zmodel, fields[i:i + 64])
+                          for i in range(0, fields.size, 64)]
+                assert all(np.array_equal(a, np.concatenate(b))
+                           for a, b in zip(default, zip(*blocks))), key
+                for chunk in (1, 7):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(tunneling, "PIECE_CHUNK", chunk)
+                        patch.setattr(tunneling, "_rate_au", rate_au)
+                        chunked = charge_fractions(sp, env, zmodel, fields)
+                        singles = [charge_fractions(sp, env, zmodel, f)
+                                   for f in fields.tolist()] if sp.name == "Si" else None
+                    assert all(np.array_equal(a, b) for a, b in zip(chunked, default)), key
+                    if singles is not None:
+                        assert np.array_equal(np.transpose(singles), default), key
+    assert any(mixed)
+
+
+def test_kernel_memory_is_bounded_by_its_chunks(species_table, named_zmodels):
+    # the geometry planes grow with the fields, the node arrays only up to PIECE_CHUNK pieces
+    problems = [(sp, CLI_ENV, zmodel) for sp in species_table.values() if sp.max_charge >= 3
+                for zmodel in named_zmodels.values()]
+    fields = np.tile(FieldGrid().points(), (len(problems), 1))
+    assert fields.shape == (12, 401)
+    for call, limit_mb in ((lambda: charge_fractions(*zip(*problems), fields), 8.0),
+                           (lambda: generate_curve(species_table["si"], CLI_ENV, KINGHAM_Z),
+                            2.0)):
+        call()  # caches filled
+        tracemalloc.start()
+        try:
+            call()
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < limit_mb
+
+
+def test_field_error_names_the_first_bad_value_and_the_shape(species_table, si_env):
+    si, head = species_table["si"], ("field must be finite and > 0 V/nm, a float or 1-D (one "
+                                     "row per problem for several), got shape ")
+    for fields, tail in ((np.linspace(-1.0, 45.0, 401), "(401,) holding -1.0"),
+                         (np.array([20.0, math.nan, 0.0]), "(3,) holding nan"),
+                         (np.ones((2, 2)), "(2, 2)")):
+        with pytest.raises(DomainError) as exc_info:
+            charge_fractions(si, si_env, KINGHAM_Z, fields)
+        assert str(exc_info.value) == head + tail
 
 
 def test_barrier_zone_rows_are_the_nodes_with_a_residual_barrier(species_table, named_zmodels,
