@@ -107,9 +107,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
     multiple = len(args.species) > 1
     if multiple and args.out is None:
         raise ConfigError("several species need --out pointing at a directory")
+    files = [f"{sp.name.lower()}_curve.csv" for sp in args.species]
+    repeated = [name for name in files if files.count(name) > 1]
+    if repeated:  # a later curve would silently replace an earlier one
+        raise ConfigError(f"several species would be written to "
+                          f"{os.path.join(args.out, repeated[0])}; give each name once")
     if multiple or (args.out is not None and os.path.isdir(args.out)):
         os.makedirs(args.out, exist_ok=True)
-    for sp in args.species:
+    for sp, name in zip(args.species, files):
         note(f"curve {sp.name} on {args.grid.low_vnm}:{args.grid.high_vnm}:"
              f"{args.grid.step_vnm}")
         curve = curves.generate_curve(sp, args.env, args.zmodel, args.grid)
@@ -118,7 +123,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         else:
             target = args.out
             if os.path.isdir(target):
-                target = os.path.join(target, f"{sp.name.lower()}_curve.csv")
+                target = os.path.join(target, name)
             curves.write_curve_csv(curve, target)
             note(f"wrote {target}")
     return 0

@@ -398,6 +398,33 @@ def test_curves_multiple_species_need_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_curves_refuse_two_species_for_one_file(tmp_path, capsys, monkeypatch):
+    # the same species twice, or a species file named like a shipped one, would write one
+    # DIR/si_curve.csv twice; the refusal comes before any curve is computed
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps({"name": "SI", "mass_amu": 28.0, "ie_ladder_ev": [8.15, 16.35],
+                                "m_q": 3}))
+    out = tmp_path / "curves"
+    monkeypatch.setattr(pfikit.curves, "generate_curve", None)
+    for second in ("si", str(twin)):
+        assert main(["curves", "--species", "si", "--species", "si2", "--species", second,
+                     "--out", str(out), "--verbose"]) == 2
+        assert capsys.readouterr().err == (
+            f"pfikit: error: several species would be written to {out / 'si_curve.csv'}; "
+            "give each name once\n")
+    assert not out.exists()
+
+
+def test_unresolved_screened_si4_curve_keeps_its_exit_and_message(capsys):
+    # K21 and K31 both refuse Si4 step 2->3 at 19.5 V/nm here, and the error names K31's value
+    # and estimate
+    assert main(["curves", "--species", "si4", "--zmodel", "si3", "--phi", "4.5",
+                 "--lambda", "0.2"]) == 3
+    assert capsys.readouterr().err == (
+        "pfikit: error: Si4 step 2->3 at 19.5 V/nm: step integral 9.726518e-01 not resolved "
+        "(P error estimate 1.56e-06 > 1e-06)\n")
+
+
 def test_curves_refuses_a_grid_too_fine_to_build(capsys):
     # 5:45:1e-9 would be 4e10 points
     assert main(["curves", "--species", "si", "--grid", "5:45:1e-9"]) == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -130,7 +131,8 @@ def test_every_species_and_zmodel_evaluates_on_the_default_grid(
 
 def test_step_probability_is_refinement_invariant(species_table, named_zmodels,
                                                   monkeypatch):
-    # the shipped rule against one with twice the nodes, on every step
+    # the shipped ladder against one rung of K61, with twice the nodes of its top rung, on
+    # every step
     fields = [float(f) for f in range(5, 46)]
 
     def table():
@@ -141,58 +143,96 @@ def test_step_probability_is_refinement_invariant(species_table, named_zmodels,
                 for f in fields}
 
     shipped = table()
-    monkeypatch.setattr(tunneling, "RULE_ORDER", 2 * tunneling.RULE_ORDER)
+    monkeypatch.setattr(tunneling, "RULE_ORDERS", (2 * tunneling.RULE_ORDERS[-1],))
     refined = table()
     worst = max(shipped, key=lambda key: abs(shipped[key] - refined[key]))
     assert abs(shipped[worst] - refined[worst]) <= 1e-9, worst
 
 
-def test_kronrod_rule_is_exact_interlaced_and_positive():
+@pytest.mark.parametrize("n", tunneling.RULE_ORDERS)
+def test_kronrod_rule_is_exact_interlaced_and_positive(n):
     # Legendre polynomials, not monomials: x^k near degree 48 is too flat to show an error
-    n = tunneling.RULE_ORDER
     x, w_kronrod, w_gauss = tunneling._kronrod_rule(n)
     assert x.shape == w_kronrod.shape == (2 * n + 1,) and w_gauss.shape == (n,)
-    moments = np.polynomial.legendre.legvander(x, 3 * n + 3).T
+    # the Kronrod rule is exact to degree 3n + 1 for even n (K21: 31) and 3n + 2 for odd n
+    # (K31: 47), its embedded Gauss rule to 2n - 1, and neither further
+    degree = 3 * n + 1 + n % 2
+    moments = np.polynomial.legendre.legvander(x, degree + 1).T
     exact = np.zeros(len(moments))
     exact[0] = 2.0
-    # K31 is exact to degree 3n + 2 = 47, its embedded G15 to 2n - 1 = 29, and no further
     kronrod, gauss = moments @ w_kronrod - exact, moments[:, :n] @ w_gauss - exact
-    assert np.abs(kronrod[:3 * n + 3]).max() <= 1e-14
+    assert np.abs(kronrod[:degree + 1]).max() <= 1e-14
     assert np.abs(gauss[:2 * n]).max() <= 1e-14
-    assert abs(kronrod[3 * n + 3]) > 1e-6 and abs(gauss[2 * n]) > 1e-6
-    # the 15 Gauss nodes strictly interlace the 16 Kronrod-only nodes
+    assert abs(kronrod[degree + 1]) > 1e-6 and abs(gauss[2 * n]) > 1e-6
+    # the n Gauss nodes strictly interlace the n + 1 Kronrod-only nodes
     order = np.argsort(x)
     assert (np.diff(x[order]) > 0.0).all()
     assert (order < n).tolist() == [k % 2 == 1 for k in range(2 * n + 1)]
     assert (w_kronrod > 0.0).all() and (w_gauss > 0.0).all()
 
 
-def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_env,
-                                                             monkeypatch):
-    nodes = 2 * tunneling.RULE_ORDER + 1
-    s, w_kronrod, w_gauss = tunneling._cosine_rule(tunneling.RULE_ORDER)
-    assert s.shape == w_kronrod.shape == (nodes,) and ((s > 0.0) & (s < 1.0)).all()
-    # the substitution s = (1 - cos t)/2 keeps the weights' sums at the interval length
-    assert math.fsum(w_kronrod) == pytest.approx(1.0, abs=1e-14)
-    assert math.fsum(w_gauss) == pytest.approx(1.0, abs=1e-14)
-    # the one node pass evaluates the rate on a (kept pieces, nodes) array
-    shapes = []
+def _node_passes(call, monkeypatch):
+    """The nodes z (a.u.) and the number of leading zone rows of each ``_rate_au`` call made by
+    call()."""
+    passes = []
 
     def rate_au(step, f_au, z_au, zone):
-        shapes.append((np.shape(z_au), zone))
+        passes.append((z_au.copy(), zone))
         return real_rate_au(step, f_au, z_au, zone)
 
     real_rate_au = tunneling._rate_au
-    monkeypatch.setattr(tunneling, "_rate_au", rate_au)
-    pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0)
-    ((pieces, width), zone), = shapes
-    assert pieces > zone > 0 and width == nodes
+    with monkeypatch.context() as patch:
+        patch.setattr(tunneling, "_rate_au", rate_au)
+        call()
+    return passes
+
+
+def test_step_evaluates_the_kronrod_nodes_of_each_kept_piece(species_table, rh_env,
+                                                             monkeypatch):
+    for order in tunneling.RULE_ORDERS:
+        s, w_kronrod, w_gauss = tunneling._cosine_rule(order)
+        assert s.shape == w_kronrod.shape == (2 * order + 1,) and ((s > 0.0) & (s < 1.0)).all()
+        # the substitution s = (1 - cos t)/2 keeps the weights' sums at the interval length
+        assert math.fsum(w_kronrod) == pytest.approx(1.0, abs=1e-14)
+        assert math.fsum(w_gauss) == pytest.approx(1.0, abs=1e-14)
+    # a call that K21 resolves makes one node pass, on a (kept pieces, 21) array
+    (z, zone), = _node_passes(
+        lambda: pfi_step_probability(species_table["rh"], rh_env, KINGHAM_Z, 1, 25.0),
+        monkeypatch)
+    assert len(z) > zone > 0 and z.shape[1] == 2 * tunneling.RULE_ORDERS[0] + 1 == 21
+
+
+def test_a_pair_that_k21_refuses_gets_k31_on_its_pieces_only(species_table, named_zmodels,
+                                                              monkeypatch):
+    # Si3 under the si4 Z model at 19.6 V/nm: K21 refuses step 1->2 by a hair (its estimate
+    # reads 1.00e-06) and K31 resolves it
+    si3, zmodel = species_table["si3"], named_zmodels["si4"]
+
+    def steps(last=2):
+        return tunneling._pfi_steps(si3, CLI_ENV, zmodel, last, 19.6)
+
+    (first, _), (second, zone) = _node_passes(steps, monkeypatch)
+    ladder = steps()
+    with monkeypatch.context() as patch:
+        patch.setattr(tunneling, "RULE_ORDERS", (10,))
+        with pytest.raises(NumericalError, match=r"^Si3 step 1->2 at 19.6 V/nm: .* not resolved "
+                                                 r"\(P error estimate 1.00e-06 > 1e-06\)$"):
+            steps()
+        patch.setattr(tunneling, "RULE_ORDERS", (15,))
+        k31 = steps()
+        # K31 alone on step 1->2 makes one node pass over that step's pieces
+        (k31_step_1, k31_zone), = _node_passes(lambda: steps(1), monkeypatch)
+    # the escalated step keeps K31's bits; step 2->3 keeps K21's value, which differs
+    assert ladder[0] == k31[0] and ladder[1] != k31[1]
+    # the first pass takes every kept piece on 21 nodes, the second step 1->2's alone on 31
+    assert first.shape[1] == 21 and second.shape[1] == 31 and len(second) < len(first)
+    assert np.array_equal(second, k31_step_1) and zone == k31_zone
 
 
 def _leading_rows(sp, env, zmodel, fields, monkeypatch):
-    """Step n, field (V/nm) and nodes z of every row of the node pass of charge_fractions on
-    fields, its chunks concatenated, and the number of leading rows that it evaluates as
-    barrier zone."""
+    """Step n, field (V/nm) and nodes z of every row of each node pass of charge_fractions on
+    fields (one per rung of the rule ladder that it runs), its chunks concatenated, and the
+    number of leading rows that the pass evaluates as barrier zone: a list of those 4-tuples."""
     calls = []
 
     def rate_au(step, f_au, z_au, zone):
@@ -206,25 +246,33 @@ def _leading_rows(sp, env, zmodel, fields, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(tunneling, "_rate_au", rate_au)
         charge_fractions(sp, env, zmodel, fields)
-    n, f_au, z, near = (np.concatenate(part) for part in zip(*calls))
-    zone = np.count_nonzero(near)
-    assert near[:zone].all()  # each chunk's share of the zone rows, and they lead the pass
-    # each row's field, found back from the kernel's own a.u. value of it
-    at = np.searchsorted(fields / CONSTANTS.field_au_in_vnm, f_au)
-    assert (fields[at] / CONSTANTS.field_au_in_vnm == f_au).all()
-    return n[:, None], fields[at][:, None], z, zone
+    passes = []
+    # each rung's chunks have its node count, which no other rung shares
+    for _, rung in itertools.groupby(calls, key=lambda call: call[2].shape[1]):
+        n, f_au, z, near = (np.concatenate(part) for part in zip(*rung))
+        zone = np.count_nonzero(near)
+        assert near[:zone].all()  # each chunk's share of the zone rows, and they lead the pass
+        # each row's field, found back from the kernel's own a.u. value of it
+        at = np.searchsorted(fields / CONSTANTS.field_au_in_vnm, f_au)
+        assert (fields[at] / CONSTANTS.field_au_in_vnm == f_au).all()
+        passes.append((n[:, None], fields[at][:, None], z, zone))
+    assert [z.shape[1] for _, _, z, _ in passes] == [
+        2 * order + 1 for order in tunneling.RULE_ORDERS[:len(passes)]]
+    return passes
 
 
 def test_node_pass_chunks_are_the_kept_pieces_in_order(species_table, monkeypatch):
-    # no chunk holds more than PIECE_CHUNK pieces, and the chunks, concatenated, are the
-    # rows of one node pass over every kept piece
+    # no chunk holds more than PIECE_CHUNK pieces, and the chunks of each rung, concatenated,
+    # are the rows of one node pass over every piece of that rung
     fields = np.array(FieldGrid(5.0, 45.0, 0.1).points())
     env = Environment(CLI_ENV.work_function_ev, 0.1)
     chunked = _leading_rows(species_table["si3"], env, KINGHAM_Z, fields, monkeypatch)
-    assert len(chunked[2]) > 2 * tunneling.PIECE_CHUNK
-    monkeypatch.setattr(tunneling, "PIECE_CHUNK", len(chunked[2]))
+    assert len(chunked) == 2  # K21 refuses some pairs of this curve, which K31 then takes
+    assert len(chunked[0][2]) > 2 * tunneling.PIECE_CHUNK
+    monkeypatch.setattr(tunneling, "PIECE_CHUNK", len(chunked[0][2]))
     whole = _leading_rows(species_table["si3"], env, KINGHAM_Z, fields, monkeypatch)
-    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+    assert len(whole) == len(chunked)
+    assert all(np.array_equal(a, b) for rungs in zip(chunked, whole) for a, b in zip(*rungs))
 
 
 def test_piece_chunks_change_no_bits(species_table, named_zmodels, monkeypatch):
@@ -299,13 +347,13 @@ def test_barrier_zone_rows_are_the_nodes_with_a_residual_barrier(species_table, 
         for zmodel in named_zmodels.values():
             for phi in (4.5, 4.9, 5.3):
                 for lam in (0.0, 0.1):
-                    n, field, z, zone = _leading_rows(sp, Environment(phi, lam), zmodel, fields,
-                                                      monkeypatch)
-                    b = _barrier_residual(sp, zmodel, n, field, z)
-                    key = (sp.name, zmodel, phi, lam)
-                    assert (b[:zone] > 0.0).all(), key
-                    assert (b[zone:] <= 0.0).all(), key
-                    leading, trailing = leading + zone, trailing + len(b) - zone
+                    for n, field, z, zone in _leading_rows(sp, Environment(phi, lam), zmodel,
+                                                           fields, monkeypatch):
+                        b = _barrier_residual(sp, zmodel, n, field, z)
+                        key = (sp.name, zmodel, phi, lam, z.shape[1])
+                        assert (b[:zone] > 0.0).all(), key
+                        assert (b[zone:] <= 0.0).all(), key
+                        leading, trailing = leading + zone, trailing + len(b) - zone
     assert leading > 0 and trailing > 0
 
 
@@ -513,33 +561,32 @@ def test_fractions_are_built_from_the_step_probabilities(species_table, named_zm
 
 
 # sha256 prefixes of the little-endian float64 bytes of charge_fractions at phi 4.9 eV and
-# a screening length of 0 or 0.1 nm, recorded before the step kernel's set-up was cut down
-# (lambda 0) and before the barrier zone was cut at both ends (lambda 0.1): float calls at
-# the three ANCHOR_FIELDS, then one call on the default grid
+# a screening length of 0 or 0.1 nm, recorded when the K21-then-K31 rule ladder replaced the
+# one K31 rule (every fraction moved by at most 1.2e-9): float calls at the three
+# ANCHOR_FIELDS, then one call on the default grid
 ANCHOR_FIELDS = (12.0, 19.82, 33.3)
 FRACTION_BITS = {
-    ("si", "kingham", 0.0): "4b107d330fa493b4", ("si", "si3", 0.0): "233484652a975400",
-    ("si", "si4", 0.0): "56edd6ed9b9ba386", ("si2", "kingham", 0.0): "f673a012c6370637",
-    ("si2", "si3", 0.0): "dcbcd2674ee129f9", ("si2", "si4", 0.0): "b842df69eb0322c1",
-    ("si3", "kingham", 0.0): "8625228008fb7e6c", ("si3", "si3", 0.0): "afc65924d13ca52e",
-    ("si3", "si4", 0.0): "6e301fd79f3a4243", ("si4", "kingham", 0.0): "b58ad3bcdfdf8af0",
-    ("si4", "si3", 0.0): "e4f78e62511b58a7", ("si4", "si4", 0.0): "16b39b1c6fcac645",
-    ("rh", "kingham", 0.0): "1bb0662a01071325", ("rh", "si3", 0.0): "67dda2e25eb03577",
-    ("rh", "si4", 0.0): "b250b84f42adb3a2",
-    ("si", "kingham", 0.1): "6b88718a00d5ae60", ("si", "si3", 0.1): "0ffe08f9b614df7f",
-    ("si", "si4", 0.1): "0a96eb0226ab2eb1", ("si2", "kingham", 0.1): "4ea121ce14644362",
-    ("si2", "si3", 0.1): "bfce8fe605a0eff8", ("si2", "si4", 0.1): "000ec2a963b310a0",
-    ("si3", "kingham", 0.1): "05ca0f1f04fb3cdc", ("si3", "si3", 0.1): "33c4482b4d76d104",
-    ("si3", "si4", 0.1): "3ecdc0f395b7b29e", ("si4", "kingham", 0.1): "a82a9cfc408567e3",
-    ("si4", "si3", 0.1): "5802468ceadc761b", ("si4", "si4", 0.1): "8b694801917fe7e6",
-    ("rh", "kingham", 0.1): "1cdd56f2c28cd82a", ("rh", "si3", 0.1): "b4428d7c1ca336d8",
-    ("rh", "si4", 0.1): "9a69ceeaf4b71046",
+    ("si", "kingham", 0.0): "c42c524fd4e45364", ("si", "si3", 0.0): "52fbc48d1c005239",
+    ("si", "si4", 0.0): "4913b3f3cc6d31e9", ("si2", "kingham", 0.0): "0bd0aa27b8380324",
+    ("si2", "si3", 0.0): "ec9758bd8bdfff5e", ("si2", "si4", 0.0): "51383b4ef9dbc97e",
+    ("si3", "kingham", 0.0): "d076a7492c76da0a", ("si3", "si3", 0.0): "fa4755d7dae11104",
+    ("si3", "si4", 0.0): "a44dbc7946c1c9c3", ("si4", "kingham", 0.0): "cea50c9e4a8f4b6d",
+    ("si4", "si3", 0.0): "9fd89ff08968c461", ("si4", "si4", 0.0): "4d2243db9c0d3574",
+    ("rh", "kingham", 0.0): "ae040037226a25ca", ("rh", "si3", 0.0): "940452e7216e08b9",
+    ("rh", "si4", 0.0): "fa39e6314c50ef50",
+    ("si", "kingham", 0.1): "636a74ef10280b9e", ("si", "si3", 0.1): "5c0d12e6a9162c08",
+    ("si", "si4", 0.1): "a9aeab6820706a12", ("si2", "kingham", 0.1): "5a725f4cb3f329e1",
+    ("si2", "si3", 0.1): "a05c99bee01ce6fe", ("si2", "si4", 0.1): "a1e47019ee7643b8",
+    ("si3", "kingham", 0.1): "b8d507b625caf5e8", ("si3", "si3", 0.1): "e8d1f1624fe1b827",
+    ("si3", "si4", 0.1): "7a9658a94ea82165", ("si4", "kingham", 0.1): "3d501bfb913e76c2",
+    ("si4", "si3", 0.1): "03de3db2981cc23d", ("si4", "si4", 0.1): "d0ca5759603ed3cd",
+    ("rh", "kingham", 0.1): "f01753a16fcf9942", ("rh", "si3", 0.1): "015aa61c0ae52c2d",
+    ("rh", "si4", 0.1): "a293c60501b6260c",
 }
 
 
 def test_fractions_keep_their_bits(species_table, named_zmodels):
-    # neither a cheaper set-up nor evaluating the zone terms on the zone's pieces only may
-    # move a single bit of any fraction
+    # a change to how the kernel computes may not move a single bit of any fraction
     grid = FieldGrid(5.0, 45.0, 0.1).points()
     assert set(FRACTION_BITS) == {(s, z, lam) for s in species_table for z in named_zmodels
                                   for lam in (0.0, 0.1)}
@@ -645,7 +692,7 @@ def test_extreme_ladder_gives_fractions_without_warnings(si_env):
     # an infinite z_c empties the window of a step whose I_{n+1} is near the float limit
     for ladder, field, expected in (((7.0, 1e200), 20.0, (1.0, 0.0)),
                                     ((7.0, 16.0, 1e308), 20.0,
-                                     (0.1169381606010712, 0.8830618393989288, 0.0))):
+                                     (0.11693816060107154, 0.8830618393989285, 0.0))):
         sp = SpeciesParams("X", 28.0, ladder, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
