@@ -1,14 +1,13 @@
 """Numpy-only root finding, monotone interpolation and nonnegative least squares.
 
 pfikit's solvers, kept in pure Python and numpy so that importing the package
-loads no compiled optimisation library.  Where a result must not move, each
-follows the arithmetic of the established implementations that
-``tests/test_numerics.py`` compares it against: Brent's iteration step for step
-(the fits' root on their parameter), and the PCHIP derivatives and polynomial
-in their evaluation order.  The F50 roots come from ``roots_lockstep``, a
-bracket solver that evaluates a few points per bracket in each round, so that
-one kernel call serves a round of every problem; its roots lie within its
-tolerance of Brent's.
+loads no compiled optimisation library.  The PCHIP derivatives and polynomial
+follow, in their evaluation order, the established implementation that
+``tests/test_numerics.py`` compares them against.  Every root, the F50s and the
+fits' parameter alike, comes from ``roots_lockstep``, a bracket solver that
+evaluates several points per bracket in each round, so that one kernel call
+serves a round of every problem; its roots lie within its tolerance of scipy's
+Brent roots.
 """
 
 from __future__ import annotations
@@ -22,57 +21,11 @@ from .errors import BracketError, NumericalError
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
-MAXITER = 100  # steps of Brent's method, or rounds of ``roots_lockstep``, before a root fails
+MAXITER = 100  # rounds of ``roots_lockstep`` before a root fails
 RTOL = 4.0 * EPS  # relative part of a root's tolerance, scipy's brentq default
-STENCIL = 3  # points a bracket of ``roots_lockstep`` is evaluated at in each round
-NEAREST = 5  # evaluated points, at most, that ``roots_lockstep`` interpolates through
-
-
-def brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> tuple[float, float]:
-    """Brent's method (Brent 1973; the classic ``brentq`` steps) on [a, b] from f(a) and f(b),
-    which must differ in sign or include a 0: the root and f there. BracketError where they
-    share a sign, NumericalError where f is NaN or the iteration does not converge within
-    MAXITER steps."""
-    xpre, xcur, fpre, fcur = float(a), float(b), f_a, f_b
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre, fpre
-    if fcur == 0.0:
-        return xcur, fcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketError(f"f({a}) = {fpre} and f({b}) = {fcur} have the same sign")
-    for _ in range(MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise NumericalError(f"root finding: f({xcur}) is NaN")
-    raise NumericalError(f"root finding did not converge in {MAXITER} iterations "
-                         f"(last iterate {xcur}, bracket [{min(xcur, xblk)}, "
-                         f"{max(xcur, xblk)}])")
+DENSE = 9  # points a bracket of ``roots_lockstep`` is evaluated at in its first round
+STENCIL = 3  # points a bracket of ``roots_lockstep`` is evaluated at in each later round
+NEAREST = 9  # evaluated points, at most, that ``roots_lockstep`` interpolates through
 
 
 def _inverse_root(points) -> float:
@@ -88,10 +41,10 @@ def _inverse_root(points) -> float:
 
 def _estimate(known: dict, middle: float) -> tuple[float, float] | None:
     """Root of the inverse interpolation of the at most NEAREST evaluated points (x: f) nearest
-    ``middle``, and its distance from the estimate of one point fewer; the nearest three or
+    ``middle``, and its distance from the estimate of one point fewer; the nearest two or
     more on which f is finite and strictly monotone serve, and where none do, None."""
     near = sorted(known.items(), key=lambda point: abs(point[0] - middle))[:NEAREST]
-    for m in range(len(near), 2, -1):
+    for m in range(len(near), 1, -1):
         values = [g for _, g in sorted(near[:m])]
         steps = [v - u for u, v in zip(values, values[1:])]
         if all(map(math.isfinite, values)) and (min(steps) > 0.0 or max(steps) < 0.0):
@@ -101,20 +54,21 @@ def _estimate(known: dict, middle: float) -> tuple[float, float] | None:
 
 
 def _stencil(known: dict, a: float, b: float, even: bool, first: bool, tol: float) -> list:
-    """STENCIL points in [a, b] for the next round on the bracket [a, b] (see ``roots_lockstep``):
-    unless ``even``, the interpolated root and its neighbours at a spacing h of twice the
-    estimate's distance from the one of a point fewer, at least tol / 2 and, in the ``first``
-    round, half an even spread's (the caller's points are coarse, and there the estimate missed
-    by more than that distance in two thirds of the F50s measured); else, or where the estimate
-    is missing, outside the bracket or h no smaller than an even spread's, points that divide
-    [a, b] into STENCIL + 1 equal parts."""
-    part = (b - a) / (STENCIL + 1)
+    """Points in [a, b] for the next round on the bracket [a, b] (see ``roots_lockstep``), n of
+    them, DENSE in the ``first`` round and STENCIL after it: unless ``even``, the interpolated
+    root and its neighbours at a spacing h, in the first round a quarter of an even spread's
+    (1/40 of the bracket for DENSE = 9), so that the next round's estimate interpolates through
+    points close around the root, and later twice the estimate's distance from the one of a
+    point fewer, at least tol / 2; else, or where the estimate is missing, outside the bracket
+    or h no smaller than an even spread's, points that divide [a, b] into n + 1 equal parts."""
+    n = DENSE if first else STENCIL
+    part = (b - a) / (n + 1)
     guess = None if even else _estimate(known, 0.5 * (a + b))
     if guess is not None and a < guess[0] < b:
-        x, h = guess[0], max(2.0 * guess[1], 0.5 * tol, 0.5 * part if first else 0.0)
+        x, h = guess[0], 0.25 * part if first else max(2.0 * guess[1], 0.5 * tol)
         if h < part:
-            return [min(max(x + h * (j - (STENCIL - 1) / 2.0), a), b) for j in range(STENCIL)]
-    return [a + part * (j + 1) for j in range(STENCIL)]
+            return [min(max(x + h * (j - (n - 1) / 2.0), a), b) for j in range(n)]
+    return [a + part * (j + 1) for j in range(n)]
 
 
 def _narrow(bracket: list, row: list, values: list):
@@ -141,12 +95,15 @@ def roots_lockstep(f, cells, xtol: float) -> list:
     """Root of each cell (a, b, f(a), f(b)), a < b, f(a) and f(b) of opposite signs or one 0,
     which may add a dict of further x: f(x) to interpolate through, the cells in
     lockstep: each round calls f(live, xs) once, on the indices of the cells not yet solved
-    and a (live, STENCIL) array of points, one row a cell, and takes an array like xs of f
-    there. A round evaluates each bracket at its inverse-interpolated root and on both sides
-    of it (see ``_stencil``), or at points that divide it evenly where that estimate cannot
-    serve or the previous round interpolated and shrank the bracket less than
-    (STENCIL + 1)-fold, so every two rounds shrink it at least that much; the bracket becomes
-    the lowest sign change among them. A cell is solved at an f of exactly 0,
+    and a (live, DENSE) array of points in the first round, (live, STENCIL) in each later
+    one, one row a cell, and takes an array like xs of f there. A round evaluates each
+    bracket at its inverse-interpolated root and on both sides of it, in the first round
+    densely (see ``_stencil``), so that after it the estimate through the nearest NEAREST
+    points usually lies within the tolerance of the root and one more round confirms it;
+    or at points that divide it evenly where that estimate cannot serve or the previous
+    round interpolated and shrank the bracket less than (STENCIL + 1)-fold, so every two
+    rounds shrink it at least that much; the bracket becomes the lowest sign change among
+    them. A cell is solved at an f of exactly 0,
     or by a bracket no wider than xtol + RTOL |a| (|b| if smaller), whose end with the smaller
     |f| is its root. Returns per cell the root and f there, or the error that ended it: a
     BracketError where f(a) and f(b) share a sign, a NumericalError where f is NaN or the

@@ -7,11 +7,12 @@ simultaneous fits are out of scope.
 
 Where the CSR rises with field up to the target T, F50(x) = T exactly when
 CSR(T; x) = 0.5.  So ``_fit_1d`` evaluates the CSR at T for the nominal value and
-each bound and runs Brent's method between the neighbouring points that straddle
-0.5 (a lone nominal point that meets it is the fit), so each Brent step is one
-one-field kernel call.  One F50 solved at the root is the achieved F50, and its
-distance from T, the residual, must be below FIT_RESIDUAL_VNM.  An empty 1+/2+
-pair reads CSR 1, the right side of 0.5 at a fixed field.
+both bounds, three problems in one kernel call, and ``roots_lockstep`` solves
+CSR(T; x) = 0.5, on log(CSR / (1 - CSR)), between the neighbouring points that
+straddle it (a lone nominal point that meets it is the fit), one call per round on
+a problem per point of the round.  One F50 solved at the root is the achieved F50,
+and its distance from T, the residual, must be below FIT_RESIDUAL_VNM.  An empty
+1+/2+ pair reads CSR 1, the right side of 0.5 at a fixed field.
 
 Only a fit this route cannot make solves the F50 at the nominal value and at each
 bound, retreating from a bound without a proper crossover toward the nominal
@@ -24,11 +25,14 @@ kernel call, each as ``find_f50`` would alone.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
 
-from ._numerics import brentq
+import numpy as np
+
+from ._numerics import EPS, roots_lockstep
 from .curves import F50_SEARCH_VNM, evaluate_csr, find_f50, find_f50s
 from .errors import BracketError, DomainError, FitRangeError, NumericalError
 from .geometry import Environment
@@ -93,25 +97,33 @@ def _usable_bound(f50_of, x_good: float, x_bound: float) -> tuple[float, float] 
 def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: str,
             species_name: str, parameter: str, x_nominal: float,
             bounds: tuple[float, float], target: float) -> FitReport:
-    """Solve f50_of(x) == target for x inside ``bounds`` through csr_of(x), the CSR at
-    the target field, and report the fit.
+    """Solve f50_of(x) == target for x inside ``bounds`` through csr_of(xs), the CSR at
+    the target field of each value in xs, in one kernel call, and report the fit.
 
-    A non-finite target raises DomainError before any F50 is solved.  Brent's method
-    solves csr_of(x) == 0.5 between the neighbours among the nominal value and the
-    bounds that straddle it, and one F50 at the root must meet the target within
-    FIT_RESIDUAL_VNM.  Otherwise the F50s at the nominal value (which must evaluate)
-    and the usable bounds span the achievable interval: FitRangeError when the target
-    lies outside it, NumericalError when inside.
+    A non-finite target raises DomainError before any F50 is solved.  The nominal value
+    and both bounds are evaluated in one call (where it fails, each alone, and a value
+    whose call fails is dropped); ``roots_lockstep`` solves csr_of(x) == 0.5, on the CSR's
+    logit, between the neighbours among them that straddle it, one call per round on the
+    values of the round, and one F50 at the root must meet the target within
+    FIT_RESIDUAL_VNM.  Otherwise the F50s at the nominal value (which must evaluate) and
+    the usable bounds span the achievable interval: FitRangeError when the target lies
+    outside it, NumericalError when inside.
     """
     if not math.isfinite(target):
         raise DomainError(f"{label}: target F50 {target} V/nm must be finite")
+
+    def g_of(xs: list) -> list:  # the CSR's logit, whose sign is that of CSR - 0.5
+        return _logit(csr_of(xs))
+
     points = []
     if search_vnm[0] <= target <= search_vnm[1]:  # no F50 lies outside the search range
-        for x in (x_nominal, *bounds):
-            try:
-                points.append((x, csr_of(x) - 0.5))
-            except (BracketError, NumericalError):
-                pass
+        xs = [x_nominal, *bounds]
+        try:
+            points = list(zip(xs, g_of(xs)))
+        except (BracketError, NumericalError):  # evaluate each alone, dropping those that fail
+            for x in xs:
+                with contextlib.suppress(BracketError, NumericalError):
+                    points += zip([x], g_of([x]))
     points.sort()
     # two neighbours straddle 0.5; a lone point (the nominal one) must meet it exactly
     pair = next(((a, b) for a, b in zip(points, points[1:] or points)
@@ -120,7 +132,11 @@ def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: s
     if pair is not None:
         (xa, ga), (xb, gb) = pair
         try:
-            x = brentq(lambda x: csr_of(x) - 0.5, xa, xb, ga, gb, xtol=FIT_XTOL)[0]
+            (outcome,) = roots_lockstep(lambda live, xs: [g_of(row) for row in xs.tolist()],
+                                        [(xa, xb, ga, gb, dict(points))], xtol=FIT_XTOL)
+            if isinstance(outcome, Exception):
+                raise outcome
+            x = outcome[0]
             f50 = f50_of(x)
         except (BracketError, NumericalError):
             pass
@@ -139,6 +155,18 @@ def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: s
                          "V/nm is 0.5 and whose F50 is there; the F50 jumps over the target")
 
 
+def _logit(csr) -> list:
+    """log(c / (1 - c)) of each CSR c, clipped to [EPS, 1 - EPS] so that it stays finite:
+    its sign is that of c - 0.5, and it is more nearly linear in the parameter than c."""
+    c = np.clip(csr, EPS, 1.0 - EPS)
+    return (np.log(c) - np.log1p(-c)).tolist()
+
+
+def _csr_at(field_vnm: float, species, envs, zmodels) -> np.ndarray:
+    """CSR of each problem (species[i], envs[i], zmodels[i]) at one field, in one call."""
+    return evaluate_csr(species, envs, zmodels, np.full((len(species), 1), field_vnm))[:, 0]
+
+
 def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float,
                  c1: float = 1.0,
                  search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> FitReport:
@@ -147,7 +175,8 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     F50 falls as c0 grows (more screening promotes ionization), so the target
     must lie between the F50 values reachable at the two c0 endpoints.
     """
-    return _fit_1d(lambda c0: evaluate_csr(species, env, ZModel(c0, c1), target_f50_vnm),
+    return _fit_1d(lambda c0s: _csr_at(target_f50_vnm, [species] * len(c0s), [env] * len(c0s),
+                                       [ZModel(c0, c1) for c0 in c0s]),
                    lambda c0: find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm,
                    search_vnm, f"{species.name} z-offset fit", "z_offset", species.name,
                    "c0", 1.0, C0_BOUNDS, target_f50_vnm)
@@ -178,7 +207,8 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
             "strictly increasing")
 
     return _fit_1d(
-        lambda ie: evaluate_csr(species.with_ie(ie_index, ie), env, zmodel, target_f50_vnm),
+        lambda ies: _csr_at(target_f50_vnm, [species.with_ie(ie_index, ie) for ie in ies],
+                            [env] * len(ies), [zmodel] * len(ies)),
         lambda ie: find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm,
         search_vnm, f"{species.name} I{ie_index} fit", "ie", species.name, f"I{ie_index}",
         nominal, (lo, hi), target_f50_vnm)

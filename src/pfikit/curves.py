@@ -147,7 +147,8 @@ class FieldEstimate:
 
 def evaluate_csr(species: SpeciesParams, env: Environment, zmodel: ZModel,
                  field_vnm: float) -> float:
-    """CSR at a single field point."""
+    """CSR at a single field point, or of several problems given as sequences at a
+    (problems, fields) array of fields (see ``charge_fractions``)."""
     return csr_from_fractions(charge_fractions(species, env, zmodel, field_vnm))
 
 
@@ -175,8 +176,9 @@ def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
     F50_PROBES fields finds the lowest cell where CSR - 0.5 goes from < 0 to >= 0 before
     the first probe whose 1+/2+ pair is empty (none there: BracketError), the reported
     bracket, and ``_numerics.roots_lockstep`` solves log(f2 / f1) = 0 in that cell from the
-    call's values, a few fields per call, to 1e-9 V/nm plus 4 machine epsilons of the field.
-    This is the one-problem case of ``find_f50s``."""
+    call's values to 1e-9 V/nm plus 4 machine epsilons of the field: one call on 9 fields
+    1/40 of the cell apart around the interpolated root, then calls on 3 fields, usually
+    one. This is the one-problem case of ``find_f50s``."""
     return find_f50s((species,), (env,), (zmodel,), search_vnm)[0]
 
 

@@ -23,6 +23,7 @@ from pfikit import (
     sensitivity_scan,
 )
 from pfikit import curves
+from pfikit._numerics import DENSE, STENCIL
 from pfikit.calibrate import _fit_1d
 from pfikit.cli import main
 
@@ -59,7 +60,8 @@ def test_z_offset_fit_reports_achievable_window(species_table, si_env):
 
 
 def test_fit_meets_a_target_only_the_nominal_point_reaches():
-    # both bounds fail to evaluate, so the nominal point is the whole bracket; at 20 V/nm
+    # both bounds fail to evaluate (so the call on all three values fails, and each is
+    # evaluated alone), and the nominal point is the whole bracket; at 20 V/nm
     # its CSR is 0.5 and its F50 the target, which the fit therefore meets with residual
     # 0; at 20.5 V/nm its CSR is past 0.5, and the refusal names the F50 interval
     def nominal_only(value):
@@ -70,8 +72,9 @@ def test_fit_meets_a_target_only_the_nominal_point_reaches():
         return of
 
     def fit(csr, target):
-        return _fit_1d(nominal_only(csr), nominal_only(20.0), (5.0, 45.0), "Si z-offset fit",
-                       "z_offset", "Si", "c0", 1.0, (0.01, 2.0), target)
+        csr_of = nominal_only(csr)
+        return _fit_1d(lambda xs: [csr_of(x) for x in xs], nominal_only(20.0), (5.0, 45.0),
+                       "Si z-offset fit", "z_offset", "Si", "c0", 1.0, (0.01, 2.0), target)
 
     assert fit(0.5, 20.0) == FitReport("z_offset", "Si", "c0", 20.0, 20.0, 0.0, 1.0, 1.0,
                                        0.0, 0.0)
@@ -102,24 +105,39 @@ def _counting_calls(monkeypatch) -> list:
 
 def test_ie_fit_refuses_empty_pair_probes_in_one_call(species_table, si_env, monkeypatch):
     # an upper I2 bound whose 1+/2+ pair is empty below any crossing costs one bracket
-    # call, not a Brent solve; such F50 probes run only when a fit is refused, and the
+    # call, not a root solve; such F50 probes run only when a fit is refused, and the
     # fit itself solves the CSR at the target field
     calls = _counting_calls(monkeypatch)
     report = fit_ie(species_table["si3"], si_env, KINGHAM_Z, 17.7)
     assert round(report.fitted_value, 2) == 15.74
-    assert len(calls) <= 70
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("fit", ["c0", "I2"])
 def test_fits_solve_the_csr_at_the_target_field(species_table, si_env, monkeypatch, fit):
-    # one one-field call per Brent step and one F50 at the root, not an F50 per step
+    # one call on the nominal value and both bounds at the target field, one per solver
+    # round on the values of its stencil there, and one F50 at the root, not an F50 per round
     calls = _counting_calls(monkeypatch)
     if fit == "c0":
         report = fit_z_offset(species_table["si3"], si_env, 17.7)
     else:
         report = fit_ie(species_table["si3"], si_env, KINGHAM_Z, 17.7)
     assert abs(report.residual_vnm) < 0.05
-    assert len(calls) <= 25
+    assert len(calls) <= {"c0": 7, "I2": 8}[fit]
+    assert calls[0].shape == (3, 1) and calls[1].shape == (DENSE, 1)
+    assert [np.shape(fields)[1] for fields in calls[-3:]] == [curves.F50_PROBES, DENSE, STENCIL]
+
+
+def test_a_refused_fit_evaluates_the_csr_at_the_target_in_one_call(species_table, si_env,
+                                                                   monkeypatch):
+    # Si's F50 reaches 40 V/nm at no c0 in the bounds: the CSR at 40 V/nm lies past 0.5 at
+    # the nominal value and both bounds, all in one call, and only the F50s that name the
+    # achievable interval follow
+    calls = _counting_calls(monkeypatch)
+    with pytest.raises(FitRangeError, match=r"achievable interval \[16\.802, 28\.704\]"):
+        fit_z_offset(species_table["si"], si_env, 40.0)
+    assert np.shape(calls[0]) == (3, 1)
+    assert all(np.shape(fields)[1] > 1 for fields in calls[1:])
 
 
 @pytest.mark.parametrize("name,ie_index,target,fitted", [
@@ -230,11 +248,11 @@ def test_scan_validates_inputs(species_table, si_env, monkeypatch):
 def test_scans_solve_their_f50s_in_lockstep(species_table, si_env, monkeypatch):
     # the benchmark's two scans: one call brackets every value's F50, then one call per
     # round on the values not yet solved; solved one after another they took 37 and 27
-    # calls with Brent's method, and take 23 and 17 with the bracket solver
+    # calls with Brent's method, and take 15 and 12 with the bracket solver
     calls = _counting_calls(monkeypatch)
     for parameter, values in (("phi", (4.7, 4.8, 4.9, 5.0, 5.1)), ("m_q", (3, 5, 7, 9))):
         points = sensitivity_scan(species_table["si3"], si_env, KINGHAM_Z, parameter, values)
         assert [p.value for p in points] == list(values)
-        assert len(calls) <= 5, (parameter, len(calls))
+        assert len(calls) == 3, (parameter, len(calls))
         assert calls[0].shape == (len(values), curves.F50_PROBES)
         calls.clear()

@@ -30,6 +30,7 @@ from pfikit import (
     write_curve_csv,
 )
 from pfikit import curves
+from pfikit._numerics import DENSE, STENCIL
 
 F50_ANCHORS = {
     "si": 19.8155,
@@ -110,8 +111,9 @@ def test_f50_ignores_a_fall_back_below_half_before_the_range_ends(species_table,
 @pytest.mark.parametrize("name,phi", [("si", 4.9), ("si2", 4.9), ("si3", 4.9), ("si4", 4.9),
                                       ("rh", 4.8)])
 def test_f50_takes_at_most_five_fraction_calls(species_table, monkeypatch, name, phi):
-    # the bracket call on F50_PROBES fields, then a few rounds of STENCIL fields around the
-    # interpolated root
+    # the bracket call on F50_PROBES fields, a dense round of DENSE fields close around the
+    # interpolated root, and one round of STENCIL fields that straddles it within the
+    # tolerance: three calls (the name keeps the bound of the earlier solver)
     calls = []
 
     def counted(*args):
@@ -120,8 +122,8 @@ def test_f50_takes_at_most_five_fraction_calls(species_table, monkeypatch, name,
 
     monkeypatch.setattr(curves, "charge_fractions", counted)
     find_f50(species_table[name], Environment(work_function_ev=phi), KINGHAM_Z)
-    assert len(calls) <= 5
-    assert np.size(calls[0]) == curves.F50_PROBES
+    assert len(calls) == 3
+    assert [np.size(fields) for fields in calls] == [curves.F50_PROBES, DENSE, STENCIL]
 
 
 def test_default_curve_is_one_fraction_call(species_table, si_env, monkeypatch):
