@@ -94,26 +94,30 @@ def _usable_bound(f50_of, x_good: float, x_bound: float) -> tuple[float, float] 
     return best
 
 
-def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: str,
-            species_name: str, parameter: str, x_nominal: float,
-            bounds: tuple[float, float], target: float) -> FitReport:
-    """Solve f50_of(x) == target for x inside ``bounds`` through csr_of(xs), the CSR at
-    the target field of each value in xs, in one kernel call, and report the fit.
+def _fit_1d(problem_of, search_vnm: tuple[float, float], label: str, kind: str,
+            parameter: str, x_nominal: float, bounds: tuple[float, float],
+            target: float) -> FitReport:
+    """Solve F50 == target for x inside ``bounds``, where problem_of(x) is the (species,
+    environment, Z model) of the value x, and report the fit.
 
-    A non-finite target raises DomainError before any F50 is solved.  The nominal value
-    and both bounds are evaluated in one call (where it fails, each alone, and a value
-    whose call fails is dropped); ``roots_lockstep`` solves csr_of(x) == 0.5, on the CSR's
-    logit, between the neighbours among them that straddle it, one call per round on the
-    values of the round, and one F50 at the root must meet the target within
-    FIT_RESIDUAL_VNM.  Otherwise the F50s at the nominal value (which must evaluate) and
-    the usable bounds span the achievable interval: FitRangeError when the target lies
+    A non-finite target raises DomainError before any F50 is solved.  The CSRs at the
+    target of the nominal value and both bounds are evaluated in one call (where it fails,
+    each alone, and a value whose call fails is dropped); ``roots_lockstep`` solves
+    CSR == 0.5, on its logit, between the neighbours among them that straddle it, one call
+    per round on the values of the round, and one F50 at the root must meet the target
+    within FIT_RESIDUAL_VNM.  Otherwise the F50s at the nominal value (which must evaluate)
+    and the usable bounds span the achievable interval: FitRangeError when the target lies
     outside it, NumericalError when inside.
     """
     if not math.isfinite(target):
         raise DomainError(f"{label}: target F50 {target} V/nm must be finite")
 
-    def g_of(xs: list) -> list:  # the CSR's logit, whose sign is that of CSR - 0.5
-        return _logit(csr_of(xs))
+    def g_of(xs: list) -> list:  # the logit of each value's CSR at the target, in one call
+        problems = zip(*map(problem_of, xs))
+        return _logit(evaluate_csr(*problems, np.full((len(xs), 1), target))[:, 0])
+
+    def f50_of(x: float) -> float:
+        return find_f50(*problem_of(x), search_vnm).f50_vnm
 
     points = []
     if search_vnm[0] <= target <= search_vnm[1]:  # no F50 lies outside the search range
@@ -142,8 +146,8 @@ def _fit_1d(csr_of, f50_of, search_vnm: tuple[float, float], label: str, kind: s
             pass
     if abs(f50 - target) < FIT_RESIDUAL_VNM:
         shift = x - x_nominal
-        return FitReport(kind, species_name, parameter, target, f50, f50 - target,
-                         x, x_nominal, shift, shift / x_nominal)
+        return FitReport(kind, problem_of(x_nominal)[0].name, parameter, target, f50,
+                         f50 - target, x, x_nominal, shift, shift / x_nominal)
     ends = (_usable_bound(f50_of, x_nominal, bound) for bound in bounds)
     f_values = [f50_of(x_nominal)] + [end[1] for end in ends if end is not None]
     lo, hi = min(f_values), max(f_values)
@@ -162,11 +166,6 @@ def _logit(csr) -> list:
     return (np.log(c) - np.log1p(-c)).tolist()
 
 
-def _csr_at(field_vnm: float, species, envs, zmodels) -> np.ndarray:
-    """CSR of each problem (species[i], envs[i], zmodels[i]) at one field, in one call."""
-    return evaluate_csr(species, envs, zmodels, np.full((len(species), 1), field_vnm))[:, 0]
-
-
 def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float,
                  c1: float = 1.0,
                  search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> FitReport:
@@ -175,11 +174,9 @@ def fit_z_offset(species: SpeciesParams, env: Environment, target_f50_vnm: float
     F50 falls as c0 grows (more screening promotes ionization), so the target
     must lie between the F50 values reachable at the two c0 endpoints.
     """
-    return _fit_1d(lambda c0s: _csr_at(target_f50_vnm, [species] * len(c0s), [env] * len(c0s),
-                                       [ZModel(c0, c1) for c0 in c0s]),
-                   lambda c0: find_f50(species, env, ZModel(c0, c1), search_vnm).f50_vnm,
-                   search_vnm, f"{species.name} z-offset fit", "z_offset", species.name,
-                   "c0", 1.0, C0_BOUNDS, target_f50_vnm)
+    return _fit_1d(lambda c0: (species, env, ZModel(c0, c1)), search_vnm,
+                   f"{species.name} z-offset fit", "z_offset", "c0", 1.0, C0_BOUNDS,
+                   target_f50_vnm)
 
 
 def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
@@ -206,12 +203,9 @@ def fit_ie(species: SpeciesParams, env: Environment, zmodel: ZModel,
             f"{species.name}: I{ie_index} window empty after keeping the ladder "
             "strictly increasing")
 
-    return _fit_1d(
-        lambda ies: _csr_at(target_f50_vnm, [species.with_ie(ie_index, ie) for ie in ies],
-                            [env] * len(ies), [zmodel] * len(ies)),
-        lambda ie: find_f50(species.with_ie(ie_index, ie), env, zmodel, search_vnm).f50_vnm,
-        search_vnm, f"{species.name} I{ie_index} fit", "ie", species.name, f"I{ie_index}",
-        nominal, (lo, hi), target_f50_vnm)
+    return _fit_1d(lambda ie: (species.with_ie(ie_index, ie), env, zmodel), search_vnm,
+                   f"{species.name} I{ie_index} fit", "ie", f"I{ie_index}", nominal, (lo, hi),
+                   target_f50_vnm)
 
 
 def sensitivity_scan(species: SpeciesParams, env: Environment, zmodel: ZModel,

@@ -135,15 +135,8 @@ def cmd_f50(args: argparse.Namespace) -> int:
     if args.fmt == "json" and repeated:  # json keys its rows by species name
         raise ConfigError(f"species {repeated[0]} is given more than once; --format json "
                           "keys its output by species name")
-    # one find_f50s call per count of fractions, in the order of each count's first species
-    groups, results = {}, {}
-    for i, sp in enumerate(args.species):
-        groups.setdefault(min(sp.max_charge, 3), []).append(i)
-    for members in groups.values():
-        results.update(zip(members, curves.find_f50s(
-            [args.species[i] for i in members], [args.env] * len(members),
-            [args.zmodel] * len(members), _search(args))))
-    rows = [(sp.name, results[i]) for i, sp in enumerate(args.species)]
+    rows = list(zip(names, curves.find_f50s(args.species, [args.env] * len(names),
+                                            [args.zmodel] * len(names), _search(args))))
     if args.fmt == "json":
         payload = {name: {"f50_vnm": r.f50_vnm, "bracket_vnm": list(r.bracket_vnm)}
                    for name, r in rows}

@@ -70,8 +70,9 @@ def json_float(value) -> float:
 class SpeciesParams:
     """An atomic or cluster ion species.
 
-    ie_ladder_ev holds I_1..I_K in eV, finite and strictly increasing; m_q is the
-    principal quantum number of the tunneling electron.
+    name is printable, with no comma or path separator, since it names CSV rows and curve
+    files; ie_ladder_ev holds I_1..I_K in eV, finite, positive and strictly increasing; m_q
+    is the principal quantum number of the tunneling electron.
     """
 
     name: str
@@ -81,8 +82,9 @@ class SpeciesParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ie_ladder_ev", tuple(float(x) for x in self.ie_ladder_ev))
-        if not self.name:
-            raise ConfigError("species name must be non-empty")
+        if not self.name or not self.name.isprintable() or {",", "/", os.sep} & set(self.name):
+            raise ConfigError(f"species name {self.name!r} must be non-empty and printable, "
+                              "with no ',' or path separator")
         if not 0.0 < self.mass_amu < math.inf:
             raise ConfigError(f"{self.name}: mass must be positive and finite, "
                               f"got {self.mass_amu} amu")
@@ -90,8 +92,9 @@ class SpeciesParams:
             raise ConfigError(f"{self.name}: m_q must be >= 1")
         if len(self.ie_ladder_ev) < 2:
             raise ConfigError(f"{self.name}: ie_ladder needs at least I_1 and I_2")
-        if not all(map(math.isfinite, self.ie_ladder_ev)):
-            raise ConfigError(f"{self.name}: ie_ladder entries must be finite")
+        if not all(0.0 < ie < math.inf for ie in self.ie_ladder_ev):
+            raise ConfigError(f"{self.name}: ie_ladder entries must be finite and > 0 eV, "
+                              f"got {list(self.ie_ladder_ev)}")
         for lo, hi in zip(self.ie_ladder_ev, self.ie_ladder_ev[1:]):
             if not hi > lo:
                 raise ConfigError(f"{self.name}: ie_ladder must be strictly increasing")

@@ -52,11 +52,12 @@ def _step_constants(species, env, zmodel, last: int) -> np.ndarray:
     as a (12, last, problems) array: n, I_{n+1} in Hartree, n + c0 and c1, the rate's
     6 pi A^2 nu = I_{n+1} / (m_q e^(2/3)), sqrt(2 / I) and 16 I^2, 2 / (E_h m), Z(n, cap), and
     the crossing's I_{n+1} - phi in eV, lambda and 2n + 1. They are computed as Python floats,
-    which numpy rounds alike at a higher cost, and turned into one array at once."""
+    which numpy rounds alike at a higher cost, and turned into one array at once. A ladder
+    without I_{n+1} reads it as infinite: z_c is infinite, so the step's window is empty, P = 0."""
     rows = []
     for sp, e, z in zip(species, env, zmodel):
         mass = 2.0 / (CONSTANTS.hartree_in_ev * (sp.mass_amu * CONSTANTS.amu_in_me))
-        for n, ie in enumerate(sp.ie_ladder_ev[1:last + 1], 1):
+        for n, ie in enumerate((sp.ie_ladder_ev + (math.inf,) * last)[1:last + 1], 1):
             i_ha = ie / CONSTANTS.hartree_in_ev
             rows += (n, i_ha, n + z.c0, z.c1,
                      i_ha / (6.0 * math.pi * sp.m_q * E23) * 6.0 * math.pi,
@@ -285,17 +286,16 @@ def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZMode
 
 def charge_fractions(species, env, zmodel, field_vnm) -> tuple:
     """Sequential charge-state fractions f_1 .. f_min(K, 3), floats or arrays like the field;
-    the last state absorbs the tail. All steps, and problems given as to ``_pfi_steps`` that
-    share K, go through one ``_pfi_steps`` call."""
+    the last state absorbs the tail. All steps, and problems given as to ``_pfi_steps``, go
+    through one ``_pfi_steps`` call, with K the longest ladder's; a problem with a shorter
+    ladder reads 0 in the states it cannot reach."""
     one = isinstance(species, SpeciesParams)
-    if not one and not len(species) == len(env) == len(zmodel):
-        raise ConfigError(f"species, environment and Z model sequences of lengths "
-                          f"{len(species)}, {len(env)} and {len(zmodel)}: one of each a problem")
-    counts = {min(species.max_charge, 3)} if one else {min(sp.max_charge, 3) for sp in species}
-    if len(counts) != 1:
-        raise ConfigError(f"one call takes problems with one count of fractions, not {counts}")
+    if not one and not 0 < len(species) == len(env) == len(zmodel):
+        raise ConfigError(f"species, environment and Z model sequences of lengths {len(species)}"
+                          f", {len(env)} and {len(zmodel)}: one of each a problem, at least one")
+    last = min(max(sp.max_charge for sp in ((species,) if one else species)), 3) - 1
     fractions, survive = [], 1.0
-    for p_t in _pfi_steps(species, env, zmodel, counts.pop() - 1, field_vnm):
+    for p_t in _pfi_steps(species, env, zmodel, last, field_vnm):
         fractions.append(survive * (1.0 - p_t))
         survive *= p_t
     return (*fractions, survive)

@@ -53,6 +53,7 @@ COMMANDS = CURVES + [
     "scan --species si3 --parameter m_q --values 100000",
     "scan --species si3 --parameter phi --values 4.9,5.0,5.1,12",
     "f50 --species si --grid 5:10:0.1",
+    "f50 --species rh --species si --phi 4.2 --lambda 0.1",
     "f50 --species nosuch",
     "fit-z --species si --target 99",
     "fit-ie --species si --target 99",

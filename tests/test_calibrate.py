@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from pfikit import (
     KINGHAM_Z,
     BracketError,
+    CrossoverResult,
     DomainError,
     FitRangeError,
     FitReport,
@@ -22,7 +23,7 @@ from pfikit import (
     fit_z_offset,
     sensitivity_scan,
 )
-from pfikit import curves
+from pfikit import calibrate, curves
 from pfikit._numerics import DENSE, STENCIL
 from pfikit.calibrate import _fit_1d
 from pfikit.cli import main
@@ -59,22 +60,25 @@ def test_z_offset_fit_reports_achievable_window(species_table, si_env):
     assert not lo <= 99.0 <= hi
 
 
-def test_fit_meets_a_target_only_the_nominal_point_reaches():
+def test_fit_meets_a_target_only_the_nominal_point_reaches(species_table, si_env,
+                                                           monkeypatch):
     # both bounds fail to evaluate (so the call on all three values fails, and each is
     # evaluated alone), and the nominal point is the whole bracket; at 20 V/nm
     # its CSR is 0.5 and its F50 the target, which the fit therefore meets with residual
-    # 0; at 20.5 V/nm its CSR is past 0.5, and the refusal names the F50 interval
-    def nominal_only(value):
-        def of(x):
-            if x != 1.0:
-                raise BracketError("no crossing to bracket")
-            return value
-        return of
+    # 0; at 20.5 V/nm its CSR is past 0.5, and the refusal names the F50 interval. The
+    # parameter value x rides in each problem's Z-model slot to the stand-in CSR and F50
+    def nominal_only(value, x):
+        if x != 1.0:
+            raise BracketError("no crossing to bracket")
+        return value
 
     def fit(csr, target):
-        csr_of = nominal_only(csr)
-        return _fit_1d(lambda xs: [csr_of(x) for x in xs], nominal_only(20.0), (5.0, 45.0),
-                       "Si z-offset fit", "z_offset", "Si", "c0", 1.0, (0.01, 2.0), target)
+        monkeypatch.setattr(calibrate, "evaluate_csr", lambda species, envs, xs, fields: (
+            np.array([[nominal_only(csr, x)] for x in xs])))
+        monkeypatch.setattr(calibrate, "find_f50", lambda species, env, x, search: (
+            CrossoverResult(nominal_only(20.0, x), search, 0.5)))
+        return _fit_1d(lambda x: (species_table["si"], si_env, x), (5.0, 45.0),
+                       "Si z-offset fit", "z_offset", "c0", 1.0, (0.01, 2.0), target)
 
     assert fit(0.5, 20.0) == FitReport("z_offset", "Si", "c0", 20.0, 20.0, 0.0, 1.0, 1.0,
                                        0.0, 0.0)

@@ -17,6 +17,7 @@ import pfikit
 from pfikit import builtin_species, read_curve_csv
 from pfikit.cli import main
 from pfikit.species import asset_path
+from pfikit.tunneling import charge_fractions
 
 
 def test_f50_json(capsys):
@@ -27,12 +28,17 @@ def test_f50_json(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
-def test_f50_of_several_species_prints_their_single_solves(capsys, fmt):
-    # Si, Si2 and Si3 share one lockstep call per round and Rh has its own; the rows keep
-    # the command-line order and the bytes of each species solved alone
+def test_f50_of_several_species_prints_their_single_solves(capsys, monkeypatch, fmt):
+    # Si, Si2, Si3 and Rh, with two charge states, share one lockstep call per round: three
+    # calls, where one call sequence per count of states made six; the rows keep the
+    # command-line order and the bytes of each species solved alone
     names = ["si3", "rh", "si", "si2"]
+    calls = []
+    monkeypatch.setattr(pfikit.curves, "charge_fractions",
+                        lambda *problem: calls.append(problem) or charge_fractions(*problem))
     assert main(["f50", *(a for n in names for a in ("--species", n)), "--format", fmt]) == 0
     together = capsys.readouterr().out.splitlines()
+    assert len(calls) == 3
     alone = []
     for name in names:
         assert main(["f50", "--species", name, "--format", fmt]) == 0
@@ -391,6 +397,29 @@ def test_screened_rh_curve_evaluates_and_its_csr_never_falls(tmp_path, capsys):
     curve = read_curve_csv(out)
     assert len(curve.csr) == 401
     assert list(curve.csr) == sorted(curve.csr)
+
+
+@pytest.mark.parametrize("entry", [
+    {"ie_ladder_ev": [-2.0, 0.0]},   # divides by zero in the kernel
+    {"ie_ladder_ev": [-2.0, -1.0]},  # a square root of a negative I
+    {"name": "Si,x"},                # a 3-cell f50 csv row under a 2-cell header
+    {"name": "Si\nx"},               # a curve file that field --curve cannot read
+    {"name": "../esc"},              # a curve file outside --out DIR
+], ids=["zero-ie", "negative-ie", "comma-name", "line-break-name", "path-name"])
+def test_species_that_would_break_a_command_or_its_files_exit_2(entry, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"name": "X", "mass_amu": 28.0, "ie_ladder_ev": [8.15, 16.35],
+                                "m_q": 3, **entry}))
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["f50", "--format", "csv", "--out", str(out / "f50.csv")],
+                 ["curves", "--out", str(out / "n.csv")],
+                 ["curves", "--species", "si", "--out", str(out)],
+                 ["scan", "--parameter", "phi", "--values", "4.9", "--out", str(out / "s.csv")]):
+        assert main([argv[0], "--species", str(path), *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("pfikit: error: "), argv
+    assert sorted(tmp_path.rglob("*")) == [out, path]
 
 
 def test_curves_multiple_species_need_out(capsys):

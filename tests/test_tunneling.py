@@ -636,8 +636,9 @@ def test_batch_gate_names_the_first_failing_field(species_table, rh_env, monkeyp
 
 def test_a_batch_of_problems_gives_each_its_own_bits(species_table, named_zmodels):
     # a seeded mix: every species under four Z models at two screening lengths, each at a
-    # drawn work function and m_q, and Si3 with a refitted I2; problems with as many
-    # fractions share a call, and each row is what the problem gets alone, bit for bit
+    # drawn work function and m_q, and Si3 with a refitted I2; one call takes them all, two-
+    # and three-state ladders alike, and each row is what the problem gets alone, bit for bit,
+    # with f3 = 0 exactly for a ladder without I3
     rng = np.random.default_rng(20221019)
     problems = [(dataclasses.replace(sp, m_q=int(rng.integers(1, 10))),
                  Environment(float(rng.uniform(4.5, 5.3)), lam), zmodel)
@@ -645,19 +646,17 @@ def test_a_batch_of_problems_gives_each_its_own_bits(species_table, named_zmodel
                 for zmodel in (*named_zmodels.values(), ZModel(0.5, 2.0))
                 for lam in (0.0, 0.1)]
     problems.append((species_table["si3"].with_ie(2, 15.74), CLI_ENV, KINGHAM_Z))
-    groups = {}
-    for problem in problems:
-        groups.setdefault(min(problem[0].max_charge, 3), []).append(problem)
-    assert sorted(map(len, groups.values())) == [8, 33]
-    for group in groups.values():
-        fields = rng.uniform(6.0, 40.0, (len(group), 9))
-        batch = charge_fractions(*zip(*group), fields)
-        assert all(column.shape == fields.shape for column in batch)
-        for k, (problem, row) in enumerate(zip(group, fields)):
-            single = charge_fractions(*problem, row)
-            assert all(np.array_equal(b[k], f) for b, f in zip(batch, single)), problem
-    with pytest.raises(ConfigError, match="one count of fractions"):
-        charge_fractions(*zip(groups[2][0], groups[3][0]), np.full((2, 1), 20.0))
+    fields = rng.uniform(6.0, 40.0, (len(problems), 9))
+    batch = charge_fractions(*zip(*problems), fields)
+    assert len(batch) == 3 and all(column.shape == fields.shape for column in batch)
+    two_state = 0
+    for k, (problem, row) in enumerate(zip(problems, fields)):
+        single = charge_fractions(*problem, row)
+        assert all(np.array_equal(b[k], f) for b, f in zip(batch, single)), problem
+        if len(single) == 2:
+            two_state += 1
+            assert not batch[2][k].any(), problem
+    assert (len(problems), two_state) == (41, 8)
 
 
 def test_fewer_environments_than_species_is_a_config_error(species_table, si_env):
@@ -671,6 +670,12 @@ def test_more_environments_than_species_is_a_config_error(species_table, si_env)
     with pytest.raises(ConfigError, match=r"sequences of lengths 1, 2 and 2: one of each"):
         charge_fractions((species_table["si"],), (si_env, si_env), (KINGHAM_Z, KINGHAM_Z),
                          np.full((1, 3), 20.0))
+
+
+def test_a_call_without_problems_is_a_config_error():
+    # the longest ladder sets the count of fractions, so a call needs a problem
+    with pytest.raises(ConfigError, match=r"lengths 0, 0 and 0: one of each a problem, at "):
+        charge_fractions((), (), (), np.empty((0, 1)))
 
 
 def test_a_batch_gate_names_its_first_failing_problem(species_table, si_env, monkeypatch):

@@ -27,6 +27,15 @@ def test_nonfinite_rejected():
             SpeciesParams("Si", mass, ladder, 3)
 
 
+def test_nonpositive_ionization_energy_rejected():
+    # the kernel divides by I and takes its square root
+    for ladder in ((-2.0, 0.0), (-2.0, -1.0), (0.0, 16.35)):
+        with pytest.raises(ConfigError, match="> 0 eV"):
+            SpeciesParams("Si", 28.085, ladder, 3)
+    with pytest.raises(ConfigError, match="> 0 eV"):
+        SpeciesParams("Si", 28.085, LADDER, 3).with_ie(1, -8.15)
+
+
 def test_nonpositive_mass_rejected():
     for mass in (0.0, -28.085):
         with pytest.raises(ConfigError, match="mass"):
