@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from pfikit import (Environment, KINGHAM_Z, critical_distance, find_f50,
-                    pfi_step_probability, resolve_species)
+from pfikit import (Environment, KINGHAM_Z, charge_fractions, critical_distance, find_f50,
+                    resolve_species)
 from pfikit.cli import run
 from pfikit.geometry import energy_debt_ev, kinetic_energy_unchecked
 
@@ -30,7 +30,8 @@ def main() -> None:
     geometry = critical_distance(rh, env, 1, args.field)
     debt_ev = energy_debt_ev(args.field, ())[0]
     k_ev = kinetic_energy_unchecked(args.field, 1, geometry.l_c_nm, debt_ev)
-    p_t = pfi_step_probability(rh, env, KINGHAM_Z, 1, args.field)
+    f1, _ = charge_fractions(rh, env, KINGHAM_Z, args.field)  # Rh has two charge states
+    p_t = 1.0 - f1  # P(1->2): the share that leaves 1+
     crossover = find_f50(rh, env, KINGHAM_Z)
 
     print(f"field            {args.field:8.3f} V/nm")

@@ -28,15 +28,21 @@ STENCIL = 3  # points a bracket of ``roots_lockstep`` is evaluated at in each la
 NEAREST = 9  # evaluated points, at most, that ``roots_lockstep`` interpolates through
 
 
-def _inverse_root(points) -> float:
-    """x at g = 0 of the polynomial x(g) through the (x, g) ``points`` (Lagrange form)."""
-    root = 0.0
+def _inverse_roots(points) -> tuple[float, float]:
+    """x at g = 0 of the polynomials x(g) through the (x, g) ``points`` and through all of them
+    but the last (Lagrange form), in one pass: each term of the fewer points is a prefix of the
+    product of the same term of all, so both sums get the bits of separate passes."""
+    root = fewer = 0.0
+    *head, (_, g_last) = points
     for i, (x_i, g_i) in enumerate(points):
-        for j, (_, g_j) in enumerate(points):
+        for j, (_, g_j) in enumerate(head):
             if j != i:
                 x_i *= g_j / (g_j - g_i)
+        if i < len(head):
+            fewer += x_i
+            x_i *= g_last / (g_last - g_i)
         root += x_i
-    return root
+    return root, fewer
 
 
 def _estimate(known: dict, middle: float) -> tuple[float, float] | None:
@@ -44,12 +50,14 @@ def _estimate(known: dict, middle: float) -> tuple[float, float] | None:
     ``middle``, and its distance from the estimate of one point fewer; the nearest two or
     more on which f is finite and strictly monotone serve, and where none do, None."""
     near = sorted(known.items(), key=lambda point: abs(point[0] - middle))[:NEAREST]
-    for m in range(len(near), 1, -1):
+    # no set of nearest points that holds one where f is not finite serves
+    finite = next((m for m, (_, g) in enumerate(near) if not math.isfinite(g)), len(near))
+    for m in range(finite, 1, -1):
         values = [g for _, g in sorted(near[:m])]
         steps = [v - u for u, v in zip(values, values[1:])]
-        if all(map(math.isfinite, values)) and (min(steps) > 0.0 or max(steps) < 0.0):
-            root = _inverse_root(near[:m])
-            return root, abs(root - _inverse_root(near[:m - 1]))
+        if min(steps) > 0.0 or max(steps) < 0.0:
+            root, fewer = _inverse_roots(near[:m])
+            return root, abs(root - fewer)
     return None
 
 
@@ -119,17 +127,18 @@ def roots_lockstep(f, cells, xtol: float) -> list:
             known.update({float(a): f_a, float(b): f_b})
             brackets[i] = [float(a), f_a, float(b), f_b, known, False]
     for rounds in range(MAXITER + 1):
-        for i, (a, f_a, b, f_b, _, _) in list(brackets.items()):
-            if b - a <= xtol + RTOL * min(abs(a), abs(b)):
+        live, rows = [], []  # the cells not yet solved and their points for this round
+        for i, (a, f_a, b, f_b, known, even) in list(brackets.items()):
+            tol = xtol + RTOL * min(abs(a), abs(b))
+            if b - a <= tol:
                 results[i] = (b, f_b) if abs(f_b) < abs(f_a) else (a, f_a)
                 del brackets[i]
+            else:
+                live.append(i)
+                rows.append(_stencil(known, a, b, even, rounds == 0, tol))
         if not brackets or rounds == MAXITER:
             break
-        live = list(brackets)
-        xs = np.array([_stencil(known, a, b, even, rounds == 0,
-                                xtol + RTOL * min(abs(a), abs(b)))
-                       for a, _, b, _, known, even in brackets.values()])
-        for i, row, values in zip(live, xs.tolist(), np.asarray(f(live, xs), float).tolist()):
+        for i, row, values in zip(live, rows, np.asarray(f(live, np.array(rows)), float).tolist()):
             results[i] = _narrow(brackets[i], row, values)
             if results[i] is not None:
                 del brackets[i]

@@ -8,6 +8,7 @@ headline observable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -170,6 +171,15 @@ def _log_ratio(f1, f2):
         return np.where(f1 + f2 == 0.0, np.inf, np.log(f2 / f1))
 
 
+@functools.lru_cache(maxsize=16)
+def _f50_probes(lo: float, hi: float) -> tuple[np.ndarray, list]:
+    """The F50_PROBES fields, ends included, that bracket an F50 in [lo, hi]: a read-only
+    array and a list of floats, built once per search range."""
+    probes = np.linspace(lo, hi, F50_PROBES)
+    probes.flags.writeable = False
+    return probes, probes.tolist()
+
+
 def find_f50(species: SpeciesParams, env: Environment, zmodel: ZModel,
              search_vnm: tuple[float, float] = F50_SEARCH_VNM) -> CrossoverResult:
     """Lowest field in ``search_vnm`` where the CSR crosses 0.5 upward: one call on
@@ -193,26 +203,28 @@ def find_f50s(species, envs, zmodels, search_vnm: tuple[float, float] = F50_SEAR
     lo, hi = search_vnm
     if not 0.0 < lo < hi <= 60.0:
         raise DomainError(f"search range {search_vnm} must be ascending within (0, 60]")
-    probes = np.linspace(lo, hi, F50_PROBES)
+    probes, points = _f50_probes(lo, hi)
     problems = list(zip(species, envs, zmodels))
-    f1, f2, *_ = charge_fractions(species, envs, zmodels, np.tile(probes, (len(species), 1)))
+    f1, f2, *_ = charge_fractions(species, envs, zmodels, np.array([probes] * len(species)))
+    csrs, g = csr_from_fractions((f1, f2)), _log_ratio(f1, f2)
+    # per problem, as lists: the probes where its 1+/2+ pair is empty, and the cells where its
+    # CSR goes from < 0.5 to >= 0.5
+    empty = (f1 + f2 < EMPTY_PAIR_FLOOR).tolist()
+    rising = ((csrs[:, :-1] < 0.5) & (csrs[:, 1:] >= 0.5)).tolist()
     cells = []
-    for sp, f_1, f_2, csr, g in zip(species, f1, f2, csr_from_fractions((f1, f2)),
-                                    _log_ratio(f1, f2)):
-        empty = np.flatnonzero(f_1 + f_2 < EMPTY_PAIR_FLOOR)
-        n = empty[0] if empty.size else F50_PROBES  # probes before the first empty pair
+    for sp, empty_at, rises, csr, g_row in zip(species, empty, rising, csrs, g.tolist()):
+        n = empty_at.index(True) if True in empty_at else F50_PROBES  # before an empty pair
         if n < F50_PROBES and not (csr[:n] >= 0.5).any():
             reached = f"reaches at most {csr[:n].max():.4g}" if n else "has no value"
-            raise BracketError(f"{sp.name}: CSR {reached} below {probes[n]:g} V/nm, where the "
+            raise BracketError(f"{sp.name}: CSR {reached} below {points[n]:g} V/nm, where the "
                                "1+/2+ pair empties; no 0.5 crossing to bracket", achievable=(
                                    (float(csr[:n].min()), float(csr[:n].max())) if n else None))
-        k = next(iter(np.flatnonzero((csr[:n - 1] < 0.5) & (csr[1:n] >= 0.5))), None)
-        if k is None:
+        if True not in rises[:n - 1]:
             raise BracketError(f"{sp.name}: CSR is {csr[0]:.4g} at {lo} V/nm and {csr[-1]:.4g} "
                                f"at {hi} V/nm; no 0.5 crossing to bracket",
                                achievable=(float(csr[0]), float(csr[-1])))
-        cells.append((*probes[k:k + 2].tolist(), *g[k:k + 2].tolist(),
-                      dict(zip(probes[:n].tolist(), g[:n].tolist()))))
+        k = rises.index(True)
+        cells.append((*points[k:k + 2], *g_row[k:k + 2], dict(zip(points[:n], g_row[:n]))))
 
     def log_ratio(live, fields):
         f_1, f_2, *_ = charge_fractions(*zip(*(problems[i] for i in live)), fields)

@@ -98,7 +98,12 @@ def energy_debt_ev(field_vnm, crossings_nm):
 def kinetic_energy_unchecked(field_vnm, n, l_nm, debt_ev):
     """k_n(L) in eV, possibly negative (classically forbidden), for checked floats or arrays
     that broadcast together; ``debt_ev`` is step n's ``energy_debt_ev``."""
-    return n * field_vnm * l_nm + n * n * CONSTANTS.c_image_evnm / l_nm - debt_ev
+    return _kinetic_ev(field_vnm, n, l_nm, debt_ev, n * n * CONSTANTS.c_image_evnm)
+
+
+def _kinetic_ev(field_vnm, n, l_nm, debt_ev, n2_c):
+    """kinetic_energy_unchecked's body, given its field-independent factor n^2 C."""
+    return n * field_vnm * l_nm + n2_c / l_nm - debt_ev
 
 
 def forbidden_gap_nm(field_vnm, n, debt_ev):
@@ -108,6 +113,11 @@ def forbidden_gap_nm(field_vnm, n, debt_ev):
 
     k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
     """
-    disc = debt_ev * debt_ev - 4.0 * n ** 3 * field_vnm * CONSTANTS.c_image_evnm
+    return _gap_nm(field_vnm, n, debt_ev, 4.0 * n ** 3, n * n * CONSTANTS.c_image_evnm)
+
+
+def _gap_nm(field_vnm, n, debt_ev, four_n3, n2_c):
+    """forbidden_gap_nm's body, given its field-independent factors 4 n^3 and n^2 C."""
+    disc = debt_ev * debt_ev - four_n3 * field_vnm * CONSTANTS.c_image_evnm
     q = 0.5 * (debt_ev + np.sqrt(np.maximum(disc, 0.0)))
-    return np.where(disc > 0.0, (n * n * CONSTANTS.c_image_evnm / q, q / (n * field_vnm)), 0.0)
+    return np.where(disc > 0.0, (n2_c / q, q / (n * field_vnm)), 0.0)

@@ -8,8 +8,9 @@ window at both ends of the zone, so a piece lies wholly inside or outside it,
 and the zone's terms are evaluated on the zone's pieces only. The Z-model
 argument is capped at 100 a.u. (the polynomial's fit range), which makes the
 plateau beyond the cap exactly independent of z0. One kernel call serves one or
-several problems (species, environment, Z model): each problem's constants are
-rows beside its fields, so a problem gets the same bits alone or in company.
+several problems (species, environment, Z model): each problem's constants, built
+once per problem, are rows beside its fields, so a problem gets the same bits alone
+or in company.
 
 Each piece is integrated by a ladder of Gauss-Kronrod rules, as in QUADPACK's qng:
 K21 on every piece, then K31 on the pieces of each (step, column) whose K21 and
@@ -29,8 +30,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import (Environment, _crossing_nm, energy_debt_ev, forbidden_gap_nm,
-                       kinetic_energy_unchecked)
+from .geometry import Environment, _crossing_nm, _gap_nm, _kinetic_ev, energy_debt_ev
 from .species import SpeciesParams
 from .zmodel import ZModel
 
@@ -47,62 +47,69 @@ Z_ARG_CAP_AU = 100.0      # Z(n, z0) is evaluated at min(z0, cap)
 PIECE_CHUNK = 256         # kept pieces per node pass: about 8k nodes, whose arrays fit in cache
 
 
-def _step_constants(species, env, zmodel, last: int) -> np.ndarray:
-    """The constant rows of problems (species[i], env[i], zmodel[i]) for the steps 1 .. last,
-    as a (12, last, problems) array: n, I_{n+1} in Hartree, n + c0 and c1, the rate's
-    6 pi A^2 nu = I_{n+1} / (m_q e^(2/3)), sqrt(2 / I) and 16 I^2, 2 / (E_h m), Z(n, cap), and
-    the crossing's I_{n+1} - phi in eV, lambda and 2n + 1. They are computed as Python floats,
-    which numpy rounds alike at a higher cost, and turned into one array at once. A ladder
-    without I_{n+1} reads it as infinite: z_c is infinite, so the step's window is empty, P = 0."""
-    rows = []
-    for sp, e, z in zip(species, env, zmodel):
-        mass = 2.0 / (CONSTANTS.hartree_in_ev * (sp.mass_amu * CONSTANTS.amu_in_me))
-        for n, ie in enumerate((sp.ie_ladder_ev + (math.inf,) * last)[1:last + 1], 1):
-            i_ha = ie / CONSTANTS.hartree_in_ev
-            rows += (n, i_ha, n + z.c0, z.c1,
-                     i_ha / (6.0 * math.pi * sp.m_q * E23) * 6.0 * math.pi,
-                     math.sqrt(2.0 / i_ha), 16.0 * i_ha * i_ha, mass,
-                     n + z.c0 + z.c1 / Z_ARG_CAP_AU, ie - e.work_function_ev,
-                     e.screening_length_nm, 2 * n + 1)
-    return np.array(rows, dtype=float).reshape(len(species), last, -1).T
+@functools.lru_cache(maxsize=256)
+def _step_constants(sp: SpeciesParams, env: Environment, zmodel: ZModel, last: int
+                    ) -> np.ndarray:
+    """The constant rows of the problem (sp, env, zmodel) for the steps 1 .. last, a read-only
+    (18, last) array built once per problem: n and the n^2 C of k_n; I_{n+1} in Hartree, n + c0,
+    c1, the rate's 6 pi A^2 nu = I_{n+1} / (m_q e^(2/3)), sqrt(2 / I), 16 I^2, I^1.5, 2^2.5 I^1.5
+    and -2^2.5 I^1.5; 2 / (E_h m); Z(n, cap), the zone's 4 c1 and the gap's 4 n^3; and the
+    crossing's I_{n+1} - phi in eV, lambda and 2n + 1. They are the factors that the kernel
+    would otherwise compute on each call's planes and piece columns, in the same order, so the
+    bits stay. Python floats round them as numpy does, but for I^1.5: numpy's power on arrays
+    may round otherwise than Python's. A ladder without I_{n+1} reads it as infinite: z_c is
+    infinite, so the step's window is empty, P = 0."""
+    mass = 2.0 / (CONSTANTS.hartree_in_ev * (sp.mass_amu * CONSTANTS.amu_in_me))
+    ladder = (sp.ie_ladder_ev + (math.inf,) * last)[1:last + 1]
+    i_ha = np.array(ladder) / CONSTANTS.hartree_in_ev
+    with np.errstate(over="ignore"):  # an I near the float limit empties its window anyway
+        i_15 = i_ha ** 1.5
+    steps = enumerate(zip(ladder, i_ha.tolist(), i_15.tolist()), 1)
+    rows = np.array([(n, n * n * CONSTANTS.c_image_evnm, i, n + zmodel.c0, zmodel.c1,
+                      i / (6.0 * math.pi * sp.m_q * E23) * 6.0 * math.pi, math.sqrt(2.0 / i),
+                      16.0 * i * i, i32, TWO52 * i32, -TWO52 * i32, mass,
+                      n + zmodel.c0 + zmodel.c1 / Z_ARG_CAP_AU, 4.0 * zmodel.c1, 4.0 * n ** 3,
+                      ie - env.work_function_ev, env.screening_length_nm, 2 * n + 1)
+                     for n, (ie, i, i32) in steps]).T
+    rows.flags.writeable = False
+    return rows
 
 
 def _rate_au(step, f_au, z_au, zone: int):
     """R at distances z_au >= z_c and fields f_au (a.u.) of the steps whose
-    ``_step_constants`` I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2 / I) and 16 I^2 are the rows
-    of ``step``; all broadcast together, and their first ``zone`` rows lie in the barrier zone
-    b = I - Z F / I - F z > 0, the other rows beyond it."""
-    i_ha, z_fixed, c1, pre, root_2_i, i16 = step
+    ``_step_constants`` I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2 / I), 16 I^2, I^1.5, 2^2.5 I^1.5
+    and -2^2.5 I^1.5 are the rows of ``step``; all broadcast together, and their first ``zone``
+    rows lie in the barrier zone b = I - Z F / I - F z > 0, the other rows beyond it."""
+    i_ha, z_fixed, c1, pre, root_2_i, i16, i32, i32_up, i32_down = step
     # node-sized results overwrite spent arrays (here and in the node pass that calls this):
     # a fresh array costs about as much as the arithmetic that fills it
     z_eff = np.minimum(z_au, Z_ARG_CAP_AU)  # the capped z, then Z(n, z) = n + c0 + c1 / z
     z_eff = np.add(np.divide(c1, z_eff, out=z_eff), z_fixed, out=z_eff)
     zf_b = z_eff[:zone] * f_au[:zone]  # Z F, which only the barrier zone's terms use
-    i32 = i_ha ** 1.5
     f3 = 3.0 * f_au
     zs2i = np.multiply(z_eff, root_2_i, out=z_eff)
     arg = zs2i / 3.0
-    arg += -TWO52 * i32 / f3
+    arg += i32_down / f3
     # the barrier zone adds its terms, the weight and the WKB denominator; b > 0 there up to
     # the rounding of the zone's ends, where it is floored at 0
     i_b = i_ha[:zone]
     b = np.maximum(i_b - zf_b / i_b - f_au[:zone] * z_au[:zone], 0.0)
     b32 = b * np.sqrt(b)
     denom = TWO52 * (i32[:zone] - b32)
-    if (denom <= 0.0).any():
+    if np.count_nonzero(denom <= 0.0):
         raise NumericalError("barrier denominator <= 0; clamp invariant violated")
     arg[:zone] += TWO52 * b32 / f3[:zone] + zs2i[:zone] * np.log(i16[:zone] / zf_b)
     rate = np.exp(arg, out=arg)
     rate *= pre * f_au
     np.divide(NEAR_ZONE_WEIGHT * rate[:zone], denom, out=rate[:zone])
-    rate[zone:] /= TWO52 * i32[zone:]
+    rate[zone:] /= i32_up[zone:]
     return rate
 
 
-def _clamp_distance_au(i_ha, f_au, z_fixed, c1, z_cap):
+def _clamp_distance_au(i_ha, f_au, z_fixed, four_c1, z_cap):
     """Ends z_lo, z_hi (a.u., arrays alike) of the barrier zone, where b(z) = I - Z(n, z) F / I
-    - F z > 0: both NaN where b < 0 at every z (numpy flags the invalid square root), and
-    z_lo >= z_hi where the zone would lie above the cap.
+    - F z > 0, given 4 c1: both NaN where b < 0 at every z (numpy flags the invalid square
+    root), and z_lo >= z_hi where the zone would lie above the cap.
 
     Below the Z-argument cap z b(z) = -F z^2 + (I - z_fixed F / I) z - c1 F / I (z_fixed =
     n + c0), and the zone lies between its roots; above it Z is z_cap and b falls linearly to 0
@@ -110,7 +117,7 @@ def _clamp_distance_au(i_ha, f_au, z_fixed, c1, z_cap):
     """
     z_linear = i_ha / f_au - z_cap / i_ha
     slope = i_ha - z_fixed * f_au / i_ha
-    disc = slope * slope - 4.0 * c1 * f_au * f_au / i_ha
+    disc = slope * slope - four_c1 * f_au * f_au / i_ha
     root, two_f = np.sqrt(disc), 2.0 * f_au
     z_quadratic = (slope + root) / two_f
     z_hi = np.where(z_linear >= Z_ARG_CAP_AU, z_linear, np.minimum(z_quadratic, Z_ARG_CAP_AU))
@@ -175,9 +182,11 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
     refuses, in the same order, go through one more node pass under K31; the gate of the last
     rung decides, and a pair it refuses raises NumericalError."""
     one = isinstance(species, SpeciesParams)
-    fields = np.array(field_vnm, dtype=float, ndmin=1)
-    if one:
-        species, env, zmodel, fields = (species,), (env,), (zmodel,), fields[None]
+    fields = np.array(field_vnm, dtype=float)
+    scalar = not fields.ndim
+    if one:  # one row of fields, of one field for a float
+        species, env, zmodel = (species,), (env,), (zmodel,)
+        fields = fields.reshape((1,) + (fields.shape or (1,)))
     finite_positive = (fields > 0.0) & (fields < math.inf)
     if fields.ndim != 2 or len(fields) != len(species) or not finite_positive.all():
         bad = fields[~finite_positive]
@@ -186,13 +195,13 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
                           + (f" holding {bad[0]}" if bad.size else ""))
     # (steps, columns) planes of the field in V/nm and a.u., the debt and each problem's
     # constant rows: equal shapes beat broadcasting in numpy
-    rows = _step_constants(species, env, zmodel, last)
-    plane = np.empty((3 + len(rows), last) + fields.shape)
+    rows = np.array([_step_constants(*problem, last) for problem in zip(species, env, zmodel)])
+    plane = np.empty((3 + rows.shape[1], last) + fields.shape)
     plane[0], plane[1] = fields, fields / CONSTANTS.field_au_in_vnm
-    plane[3:] = rows[..., None]
+    plane[3:] = rows.transpose(1, 2, 0)[..., None]
     plane = plane.reshape(len(plane), last, fields.size)
-    f_vnm, f_au, debt, n, i_ha, z_fixed, c1 = plane[:7]
-    z_cap, a_ev, lam, odd = plane[11:]
+    f_vnm, f_au, debt, n, n2_c, i_ha, z_fixed = plane[:7]
+    z_cap, four_c1, four_n3, a_ev, lam, odd = plane[15:]
     bohr = CONSTANTS.bohr_in_nm
     # extreme inputs may overflow from here on: an infinite z_c empties the window, an infinite
     # zone end is clipped to z_max, a non-finite integral fails the check below, and a field
@@ -206,12 +215,13 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
         # end points) and z_max
         edges = np.empty((7,) + z_c.shape)
         edges[0] = z_c
-        edges[1], edges[2] = _clamp_distance_au(i_ha, f_au, z_fixed, c1, z_cap)
+        edges[1], edges[2] = _clamp_distance_au(i_ha, f_au, z_fixed, four_c1, z_cap)
         edges[3], edges[4:6], edges[6] = Z_ARG_CAP_AU, 0.0, Z_MAX_AU
         # k_1(L) = (sqrt(F L) - sqrt(C / L))^2: no gap (ends stay 0), but a launch at or below the
         # hump stalls, and P = 1; z_c >= z_max, like a cut outside [z_c, z_max], keeps no piece
         if last > 1:
-            np.divide(forbidden_gap_nm(f_vnm[1:], n[1:], debt[1:]), bohr, out=edges[4:6, 1:])
+            np.divide(_gap_nm(f_vnm[1:], n[1:], debt[1:], four_n3[1:], n2_c[1:]), bohr,
+                      out=edges[4:6, 1:])
         l_i = l_i[0] / bohr
         hump = (z_c[0] <= l_i) & (l_i < Z_MAX_AU)
         edges[0, 0][hump] = Z_MAX_AU  # a stalled launch integrates nothing
@@ -227,21 +237,19 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
         owner, zone = at % z_c.size, np.count_nonzero(near)
         lo = cuts.take(at)[:, None]
         width = cuts.take(at + z_c.size)[:, None] - lo
-        columns = plane.reshape(len(plane), -1)[:11]
+        columns = plane.reshape(len(plane), -1)[:15]
         # each field's zone pieces add up first, then its others, each in ascending z, which is
         # ascending overall unless the zone begins above z_c. An empty window leaves P = 0; a
         # stalled launch, whose integral is infinite, P = 1.
-        value, coarse = np.zeros((2,) + z_c.shape)
-        redo = np.ones(z_c.shape, dtype=bool)  # the (step, column) pairs a rung integrates
         for order in RULE_ORDERS:
             s_nodes, w_kronrod, w_gauss = _cosine_rule(order)
             sums = np.empty((2, owner.size))  # each kept piece's Kronrod and Gauss sums
             for start in range(0, owner.size, PIECE_CHUNK):  # chunks keep node arrays in cache
                 chunk = slice(start, start + PIECE_CHUNK)
-                f_vnm, f_au, debt, n, *step, mass = columns[:, owner[chunk, None]]
+                f_vnm, f_au, debt, n, n2_c, *step, mass = columns[:, owner[chunk, None]]
                 z = width[chunk] * s_nodes
                 z += lo[chunk]
-                k_ev = kinetic_energy_unchecked(f_vnm, n, z * bohr, debt)
+                k_ev = _kinetic_ev(f_vnm, n, z * bohr, debt, n2_c)
                 k_ev *= mass
                 u_au = np.sqrt(k_ev, out=k_ev)
                 f = _rate_au(step, f_au, z, min(max(zone - start, 0), len(z)))
@@ -251,19 +259,24 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
                 # a field gets the same P in every call and every chunk
                 np.einsum("pk,k->p", f, w_kronrod, out=sums[0, chunk])
                 np.einsum("pk,k->p", f[:, :order], w_gauss, out=sums[1, chunk])
-            for by_pair, piece_sums in zip((value, coarse), sums):
-                np.copyto(by_pair, np.bincount(owner, piece_sums, z_c.size).reshape(z_c.shape),
-                          where=redo)
+            by_pair = [np.bincount(owner, piece_sums, z_c.size).reshape(z_c.shape)
+                       for piece_sums in sums]
+            if order != RULE_ORDERS[0]:  # a later rung redoes the pairs the one before refuses
+                for by_rung, redone in zip((value, coarse), by_pair):
+                    np.copyto(by_rung, redone, where=redo)
+            else:  # with no piece kept, bincount gives int zeros, whose P would be -0.0
+                value, coarse = by_pair if owner.size else np.zeros((2,) + z_c.shape)
             p_t = -np.expm1(-value)
             est_error = np.abs(np.expm1(-coarse) + p_t)
             redo = ~(np.isfinite(value) & (est_error <= P_TOL))
-            if order == RULE_ORDERS[-1] or not redo.any():
+            refused = np.count_nonzero(redo)  # any() costs more on small arrays
+            if order == RULE_ORDERS[-1] or not refused:
                 break
             # the next rung takes the pieces of the pairs this one refuses, in the same order
             again = redo.reshape(-1)[owner]
             zone = np.count_nonzero(again[:zone])
             owner, lo, width = owner[again], lo[again], width[again]
-    if redo.any():  # name the first failing problem, then its step, then its field
+    if refused:  # name the first failing problem, then its step, then its field
         k, s, i = np.argwhere(redo.reshape((last,) + fields.shape).transpose(1, 0, 2))[0]
         c = k * fields.shape[1] + i
         raise NumericalError(f"{species[k].name} step {s + 1}->{s + 2} at "
@@ -272,7 +285,7 @@ def _pfi_steps(species, env, zmodel, last: int, field_vnm):
     p_t[0][hump] = 1.0
     if not one:
         return p_t.reshape((last,) + fields.shape)
-    return p_t if np.ndim(field_vnm) else p_t[:, 0].tolist()
+    return p_t[:, 0].tolist() if scalar else p_t
 
 
 def pfi_step_probability(species: SpeciesParams, env: Environment, zmodel: ZModel, n: int,

@@ -14,10 +14,11 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq as scipy_brentq, nnls as scipy_nnls
 
-from pfikit import (KINGHAM_Z, BracketError, Environment, NumericalError, ZModel, evaluate_csr,
-                    find_f50, generate_curve)
-from pfikit._numerics import DENSE, RTOL, STENCIL, _pchip_end_slope, nnls, pchip, roots_lockstep
-from pfikit import curves
+from pfikit import (KINGHAM_Z, BracketError, Environment, NumericalError, ZModel,
+                    charge_fractions, evaluate_csr, find_f50, generate_curve)
+from pfikit._numerics import (DENSE, NEAREST, RTOL, STENCIL, _pchip_end_slope, nnls, pchip,
+                              roots_lockstep)
+from pfikit import _numerics, curves
 from pfikit.curves import _monotone_runs, find_f50s
 
 ENVS = {"si": "si_env", "si2": "si_env", "si3": "si_env", "rh": "rh_env"}
@@ -145,6 +146,81 @@ def test_lockstep_f50s_equal_their_single_solves(species_table, named_zmodels):
         alone = find_f50(*problem)
         assert (result.f50_vnm, result.bracket_vnm, result.achieved_csr) == (
             alone.f50_vnm, alone.bracket_vnm, alone.achieved_csr), problem
+
+
+def _two_pass_inverse_root(points) -> float:
+    """x at g = 0 of the polynomial x(g) through the (x, g) ``points`` (Lagrange form), one
+    pass per point set: the reference for ``_inverse_roots``, which takes two sets in one."""
+    root = 0.0
+    for i, (x_i, g_i) in enumerate(points):
+        for j, (_, g_j) in enumerate(points):
+            if j != i:
+                x_i *= g_j / (g_j - g_i)
+        root += x_i
+    return root
+
+
+def _two_pass_estimate(known: dict, middle: float):
+    """``_estimate`` from two passes of the reference: every set of the nearest m points
+    checked, m from NEAREST down, and the estimate of one point fewer solved again."""
+    near = sorted(known.items(), key=lambda point: abs(point[0] - middle))[:NEAREST]
+    for m in range(len(near), 1, -1):
+        values = [g for _, g in sorted(near[:m])]
+        steps = [v - u for u, v in zip(values, values[1:])]
+        if all(map(math.isfinite, values)) and (min(steps) > 0.0 or max(steps) < 0.0):
+            root = _two_pass_inverse_root(near[:m])
+            return root, abs(root - _two_pass_inverse_root(near[:m - 1]))
+    return None
+
+
+def test_one_pass_estimates_keep_the_bits_of_two_passes():
+    # seeded point sets of five kinds: monotone, monotone with -inf below a threshold (a log
+    # ratio where f2 = 0), monotone with NaNs, random, and flat in parts; x on a 1/8 grid with
+    # the middle on a 1/16 grid, so that points often tie in distance from it. Both estimates,
+    # and the distance between them, equal the reference bit for bit
+    rng = np.random.default_rng(20221020)
+    served = ties = 0
+    for k in range(4000):
+        x = np.unique(rng.integers(-40, 40, int(rng.integers(1, 25)))) / 8.0
+        root = rng.uniform(-4.0, 4.0)
+        kind = k % 5
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (np.tanh(x - root) * rng.choice((-1.0, 1.0)) if kind == 0
+                 else np.log(np.maximum(x - root + 2.0, 0.0)) if kind == 1
+                 else np.where(rng.uniform(size=x.size) < 0.2, np.nan, x - root) if kind == 2
+                 else rng.normal(size=x.size) if kind == 3
+                 else np.round(x - root, 0))
+        known = dict(zip(x.tolist(), g.tolist()))
+        middle = int(rng.integers(-80, 80)) / 16.0
+        distances = [abs(v - middle) for v in known]
+        ties += len(set(distances)) < len(distances)
+        expected = _two_pass_estimate(known, middle)
+        assert _numerics._estimate(known, middle) == expected, (known, middle)
+        served += expected is not None
+        points = list(zip(x.tolist(), rng.normal(size=x.size).tolist()))
+        if len(points) > 1:
+            assert _numerics._inverse_roots(points) == (
+                _two_pass_inverse_root(points), _two_pass_inverse_root(points[:-1]))
+    assert served > 2000 and ties > 1000
+
+
+def test_one_pass_estimates_keep_the_bits_of_two_passes_on_bracket_ends(species_table):
+    # a bracket's ends tie in distance from its middle, where every round's estimate centres;
+    # the known points of an F50 solve (the probes and a dense round) give the same estimate
+    # through one pass as through two
+    probes = np.linspace(5.0, 45.0, curves.F50_PROBES)
+    f1, f2, *_ = charge_fractions(species_table["si"], Environment(4.9), KINGHAM_Z, probes)
+    known = dict(zip(probes.tolist(), curves._log_ratio(f1, f2).tolist()))
+    a, b = 17.5, 20.0
+    assert abs(a - 0.5 * (a + b)) == abs(b - 0.5 * (a + b))
+    estimate = _numerics._estimate(known, 0.5 * (a + b))
+    assert estimate is not None and estimate == _two_pass_estimate(known, 0.5 * (a + b))
+    dense = np.linspace(estimate[0] - 0.25, estimate[0] + 0.25, DENSE)
+    f1, f2, *_ = charge_fractions(species_table["si"], Environment(4.9), KINGHAM_Z, dense)
+    known.update(zip(dense.tolist(), curves._log_ratio(f1, f2).tolist()))
+    for a, b in ((dense[3], dense[5]), (dense[4], dense[5]), (a, b)):
+        assert _numerics._estimate(known, 0.5 * (a + b)) == _two_pass_estimate(
+            known, 0.5 * (a + b))
 
 
 def _assert_pchip_matches(x, y, values):

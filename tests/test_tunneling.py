@@ -48,8 +48,9 @@ def _rate(sp, env, zmodel, n, field, z0):
     shape, f_vnm, z = z.shape, f_vnm.reshape(-1, 1), z.reshape(-1, 1)
     near = _barrier_residual(sp, zmodel, n, f_vnm, z)[:, 0] > 0.0
     order = np.argsort(~near, kind="stable")
-    # the rate's rows of the step constants: I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2/I), 16 I^2
-    rows = tunneling._step_constants((sp,), (env,), (zmodel,), n)[1:7, n - 1, 0]
+    # the rate's rows of the step constants: I (Ha), n + c0, c1, 6 pi A^2 nu, sqrt(2/I), 16 I^2,
+    # I^1.5 and its multiples +-2^2.5 I^1.5
+    rows = tunneling._step_constants(sp, env, zmodel, n)[2:11, n - 1]
     step = rows[:, None, None] * np.ones((z.size, 1))
     rates = np.empty(z.size)
     rates[order] = tunneling._rate_au(step, f_vnm[order] / CONSTANTS.field_au_in_vnm,
@@ -62,8 +63,7 @@ def test_prefactor_matches_direct_formula(species_table):
     # rate's prefactor row of the step constants
     for name in ("si", "si3", "rh"):
         sp = species_table[name]
-        prefactors = tunneling._step_constants((sp,), (CLI_ENV,), (KINGHAM_Z,),
-                                               sp.max_charge - 1)[4, :, 0]
+        prefactors = tunneling._step_constants(sp, CLI_ENV, KINGHAM_Z, sp.max_charge - 1)[5]
         for n in range(1, sp.max_charge):
             i_ha = sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
             expected = i_ha / (sp.m_q * math.e ** (2.0 / 3.0))
@@ -448,7 +448,7 @@ def _zone_ends(sp, zmodel, n, fields):
     f_au, i_ha = fields / CONSTANTS.field_au_in_vnm, sp.ie_ladder_ev[n] / CONSTANTS.hartree_in_ev
     with np.errstate(invalid="ignore"):
         return tunneling._clamp_distance_au(
-            i_ha, f_au, n + zmodel.c0, zmodel.c1,
+            i_ha, f_au, n + zmodel.c0, 4.0 * zmodel.c1,
             n + zmodel.c0 + zmodel.c1 / tunneling.Z_ARG_CAP_AU)
 
 
@@ -598,6 +598,38 @@ def test_fractions_keep_their_bits(species_table, named_zmodels):
             fractions = charge_fractions(sp, env, zmodel, field)
             digest.update(np.array(fractions, dtype="<f8").tobytes())
         assert digest.hexdigest()[:16] == expected, (name, zname, lam)
+
+
+def test_step_constants_are_built_once_per_problem(species_table, si_env):
+    # equal problems share one read-only array; another ladder, environment, Z model or count
+    # of steps gets its own
+    si3 = species_table["si3"]
+    rows = tunneling._step_constants(si3, si_env, KINGHAM_Z, 2)
+    assert rows.shape == (18, 2) and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
+    twin = tunneling._step_constants(dataclasses.replace(si3), Environment(4.9),
+                                     ZModel(KINGHAM_Z.c0, KINGHAM_Z.c1), 2)
+    assert twin is rows
+    for other in (tunneling._step_constants(si3.with_ie(2, 15.74), si_env, KINGHAM_Z, 2),
+                  tunneling._step_constants(si3, Environment(5.0), KINGHAM_Z, 2),
+                  tunneling._step_constants(si3, si_env, ZModel(0.5, 2.0), 2),
+                  tunneling._step_constants(si3, si_env, KINGHAM_Z, 1)):
+        assert other is not rows and not other.flags.writeable
+        assert not np.array_equal(other, rows)
+    assert tunneling._step_constants(si3, si_env, KINGHAM_Z, 1).tolist() == rows[:, :1].tolist()
+
+
+def test_a_field_with_no_kept_piece_keeps_positive_zeros(species_table, si_env, monkeypatch):
+    # Si at 1 V/nm keeps no piece of either step, so no node pass runs; P is +0.0, not the
+    # -0.0 of an int bincount over no pieces, and no fraction prints as -0
+    si = species_table["si"]
+    steps = []
+    assert not _node_passes(
+        lambda: steps.extend(tunneling._pfi_steps(si, si_env, KINGHAM_Z, 2, 1.0)), monkeypatch)
+    fractions = charge_fractions(si, si_env, KINGHAM_Z, 1.0)
+    assert steps == [0.0, 0.0] and fractions == (1.0, 0.0, 0.0)
+    assert all(math.copysign(1.0, value) == 1.0 for value in (*steps, *fractions))
 
 
 def test_float_field_keeps_float_results(species_table, si_env):
