@@ -106,18 +106,14 @@ def _kinetic_ev(field_vnm, n, l_nm, debt_ev, n2_c):
     return n * field_vnm * l_nm + n2_c / l_nm - debt_ev
 
 
-def forbidden_gap_nm(field_vnm, n, debt_ev):
+def _gap_nm(field_vnm, n, debt_ev, four_n3, n2_c):
     """The L interval (nm) where k_n(L) < 0, or (0, 0) if k_n never goes negative, as its
     two ends stacked on a new first axis; field, n and ``debt_ev`` (step n's
-    ``energy_debt_ev``) are floats or arrays that broadcast together.
+    ``energy_debt_ev``) are floats or arrays that broadcast together, and four_n3 and n2_c
+    are the field-independent factors 4 n^3 and n^2 C, as the kernel's constant rows hold them.
 
     k_n < 0 exactly between the roots of the upward parabola L k_n(L) = n F L^2 - K L + n^2 C.
     """
-    return _gap_nm(field_vnm, n, debt_ev, 4.0 * n ** 3, n * n * CONSTANTS.c_image_evnm)
-
-
-def _gap_nm(field_vnm, n, debt_ev, four_n3, n2_c):
-    """forbidden_gap_nm's body, given its field-independent factors 4 n^3 and n^2 C."""
     disc = debt_ev * debt_ev - four_n3 * field_vnm * CONSTANTS.c_image_evnm
     q = 0.5 * (debt_ev + np.sqrt(np.maximum(disc, 0.0)))
     return np.where(disc > 0.0, (n2_c / q, q / (n * field_vnm)), 0.0)

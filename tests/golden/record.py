@@ -33,9 +33,11 @@ COMMANDS = CURVES + [
     *(f"scan --species si3 --parameter {p} --values {v} --format {fmt}"
       for p, v in (("m_q", "3,5,7,9"), ("phi", "4.7,4.8,4.9,5.0,5.1"))
       for fmt in ("csv", "json")),
+    "scan --species si3 --parameter phi --values 3.92,4.41,4.9,5.39,5.88",  # phi +-20 %
     "fit-z --species si3 --target 17.7",
     "fit-ie --species si3 --target 17.7",
     "fit-z --species si4 --target 17.0",
+    "fit-ie --species si4 --target 17.0",  # 17.0 V/nm is a stand-in target
     "fit-ie --species si --target 30.1",
     "fit-ie --species rh --target 34.0",
     "fit-ie --species si4 --ie-index 3 --target 13.2",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfikit import CONSTANTS, critical_distance
-from pfikit.geometry import energy_debt_ev, forbidden_gap_nm, kinetic_energy_unchecked
+from pfikit.geometry import _gap_nm, energy_debt_ev, kinetic_energy_unchecked
 
 
 def telescoped_energy(field, history, l_nm):
@@ -61,11 +61,16 @@ def test_two_route_agreement(species_table, si_env):
     assert rows.shape == (3, 2) and rows[:, 0].tolist() == debts.tolist()
 
 
+def _gap(field, n, debt):
+    """The forbidden gap's two ends (nm), with 4 n^3 and n^2 C as the kernel's rows hold them."""
+    return _gap_nm(field, n, debt, 4.0 * n ** 3, n * n * CONSTANTS.c_image_evnm)
+
+
 def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
     si3 = species_table["si3"]
     field = 10.0
     debt = energy_debt_ev(field, (critical_distance(si3, si_env, 1, field).l_c_nm,))[1]
-    (lo,), (hi,) = forbidden_gap_nm(np.array([field]), 2, debt)
+    (lo,), (hi,) = _gap(np.array([field]), 2, debt)
     l_nm = np.linspace(0.5 * lo, 2.0 * hi, 301)
     k = kinetic_energy_unchecked(field, 2, l_nm, debt)
     inside = (l_nm > lo) & (l_nm < hi)
@@ -74,5 +79,5 @@ def test_forbidden_gap_brackets_the_negative_energies(species_table, si_env):
         assert abs(kinetic_energy_unchecked(field, 2, root, debt)) < 1e-9
     # the first step touches zero only at the hump: at most a rounding-wide gap
     fields = np.array([5.0, 10.0, 21.3, 35.0])
-    lo, hi = forbidden_gap_nm(fields, 1, energy_debt_ev(fields, ())[0])
+    lo, hi = _gap(fields, 1, energy_debt_ev(fields, ())[0])
     assert (hi - lo < 1e-6).all()

@@ -22,7 +22,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from pfikit import (CONSTANTS, Environment, NumericalError, ZModel,
                     critical_distance, tunneling)
-from pfikit.geometry import forbidden_gap_nm
+from pfikit.geometry import _gap_nm
 
 Z_MAX_AU, CAP_AU = 200.0, 100.0
 SHIPPED_BOUND = 1e-10  # |P(kernel) - P(quad)| on the shipped set; not to be widened
@@ -60,7 +60,8 @@ def _oracle_steps(sp, env, zmodel, last, field):
         if n == 1 and z_c <= l_i < Z_MAX_AU:
             steps.append(1.0)  # a launch at or below the hump stalls
         else:
-            gap_lo, gap_hi = (float(end) / bohr for end in forbidden_gap_nm(field, n, debt))
+            gap_lo, gap_hi = (float(end) / bohr
+                              for end in _gap_nm(field, n, debt, 4.0 * n ** 3, n * n * c_image))
             spans = ([(z_c, min(gap_lo, Z_MAX_AU)), (max(gap_hi, z_c), Z_MAX_AU)]
                      if gap_hi > gap_lo else [(z_c, Z_MAX_AU)])
             # break points: the cap, where b is linear beyond it, and b's roots below it
