@@ -11,6 +11,7 @@ counting-statistics uncertainty.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import re
@@ -84,11 +85,18 @@ def isotopologue_distribution(isotopes: IsotopeTable, element: str,
                               cluster_size: int) -> tuple[tuple[int, float], ...]:
     """k-fold isotope convolution aggregated by total mass number.
 
-    Returns ascending (total mass number, probability) pairs summing to 1.
+    Returns ascending (total mass number, probability) pairs summing to 1: one shared tuple
+    per isotope list and cluster size, built on the first call.
     """
-    if cluster_size < 1:
-        raise DomainError(f"cluster size {cluster_size} must be >= 1")
-    table = isotopes.element(element)
+    if not 1 <= cluster_size <= MAX_CLUSTER_SIZE:
+        raise DomainError(f"cluster size {cluster_size} must lie in [1, {MAX_CLUSTER_SIZE}]")
+    return _convolved_pattern(isotopes.element(element), cluster_size)
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # typed: a float size fails as uncached
+def _convolved_pattern(table: tuple[Isotope, ...], cluster_size: int
+                       ) -> tuple[tuple[int, float], ...]:
+    """The pattern of ``isotopologue_distribution``, built once per (isotope list, size)."""
     base_number = table[0].mass_number
     span = table[-1].mass_number - base_number
     single = np.zeros(span + 1)
@@ -165,7 +173,8 @@ class Peak:
 
 @dataclass(frozen=True)
 class RangedPeakSet:
-    """Peaks sorted by m/z; every assignment must sit within RANGING_TOLERANCE_DA."""
+    """Peaks in file order, which the overlap matrix rows and the per-peak output follow
+    (nothing sorts them); every assignment must sit within RANGING_TOLERANCE_DA."""
 
     peaks: tuple[Peak, ...]
 

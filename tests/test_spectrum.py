@@ -106,6 +106,58 @@ def test_distribution_input_validation(isotopes):
         isotopologue_distribution(isotopes, "Xx", 1)
 
 
+def test_cluster_size_is_bounded_before_any_convolution(isotopes, monkeypatch):
+    dist = isotopologue_distribution(isotopes, "Si", spectrum.MAX_CLUSTER_SIZE)
+    assert dist[0][0] == 28 * spectrum.MAX_CLUSTER_SIZE
+    assert math.fsum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
+
+    def refuse(*args):
+        raise AssertionError("convolved a refused cluster size")
+
+    monkeypatch.setattr(spectrum, "_convolved_pattern", refuse)
+    for size in (0, spectrum.MAX_CLUSTER_SIZE + 1, 10 ** 12):
+        with pytest.raises(DomainError, match=fr"cluster size {size} must lie in \[1, 100\]"):
+            isotopologue_distribution(isotopes, "Si", size)
+
+
+def _reference_distribution(table, cluster_size):
+    # the k-fold convolution loop, written out independently of the cache
+    base_number = table[0].mass_number
+    single = np.zeros(table[-1].mass_number - base_number + 1)
+    for iso in table:
+        single[iso.mass_number - base_number] = iso.abundance
+    dist = single
+    for _ in range(cluster_size - 1):
+        dist = np.convolve(dist, single)
+    return tuple((base_number * cluster_size + i, float(p))
+                 for i, p in enumerate(dist) if p > 0.0)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_cached_patterns_match_the_convolution_bit_for_bit(isotopes, size):
+    for element, table in isotopes.elements.items():
+        # float == is bitwise here: every probability is positive and finite
+        assert isotopologue_distribution(isotopes, element, size) == \
+            _reference_distribution(table, size)
+
+
+def test_patterns_are_cached_per_isotope_list_and_size():
+    first = isotopologue_distribution(load_isotopes(), "Si", 2)
+    assert isotopologue_distribution(load_isotopes(), "Si", 2) is first
+    other = IsotopeTable({"Si": (Isotope(28, 0.5), Isotope(29, 0.25), Isotope(30, 0.25))})
+    changed = isotopologue_distribution(other, "Si", 2)
+    assert changed != first
+    assert changed == _reference_distribution(other.element("Si"), 2)
+    assert spectrum._convolved_pattern.cache_info().maxsize == 256
+
+
+def test_a_cached_size_does_not_admit_a_float_size(isotopes):
+    # a float size fails in the convolution loop, also after the int size is cached
+    isotopologue_distribution(isotopes, "Si", 2)
+    with pytest.raises(TypeError):
+        isotopologue_distribution(isotopes, "Si", 2.0)
+
+
 def test_isotope_table_validation():
     with pytest.raises(ConfigError, match="sum"):
         IsotopeTable({"Q": (Isotope(10, 0.6), Isotope(11, 0.3))})
