@@ -83,6 +83,8 @@ class OverlapCase:
     claimant: tuple[str, int]
 
     def __post_init__(self):
+        if not math.isfinite(self.shared_mz_da):
+            raise DomainError(f"shared m/z {self.shared_mz_da} Da must be finite")
         if self.partner_charge < 1 or self.anchor[1] < 1 or self.claimant[1] < 1:
             raise DomainError("charges must be >= 1")
         if self.partner_charge == self.anchor[1]:

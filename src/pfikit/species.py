@@ -88,8 +88,8 @@ class SpeciesParams:
         if not 0.0 < self.mass_amu < math.inf:
             raise ConfigError(f"{self.name}: mass must be positive and finite, "
                               f"got {self.mass_amu} amu")
-        if self.m_q < 1:
-            raise ConfigError(f"{self.name}: m_q must be >= 1")
+        if type(self.m_q) is not int or self.m_q < 1:  # a bool is not an m_q
+            raise ConfigError(f"{self.name}: m_q must be an integer >= 1, got {self.m_q!r}")
         if len(self.ie_ladder_ev) < 2:
             raise ConfigError(f"{self.name}: ie_ladder needs at least I_1 and I_2")
         if not all(0.0 < ie < math.inf for ie in self.ie_ladder_ev):

@@ -49,9 +49,11 @@ class IsotopeTable:
             if not isotopes:
                 raise ConfigError(f"element {name}: empty isotope list")
             total = sum(iso.abundance for iso in isotopes)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # a NaN or infinite abundance makes the sum fail
                 raise ConfigError(f"element {name}: abundances sum to {total!r}, not 1")
             numbers = [iso.mass_number for iso in isotopes]
+            if any(type(a) is not int for a in numbers):  # 10.0 == 10 would share cached patterns
+                raise ConfigError(f"element {name}: mass numbers {numbers} must be integers")
             if not all(1 <= a <= MAX_MASS_NUMBER for a in numbers):
                 raise ConfigError(f"element {name}: mass numbers {numbers} must lie in "
                                   f"[1, {MAX_MASS_NUMBER}]")
@@ -131,6 +133,7 @@ class Assignment:
         return f"{self.species}:{self.charge}:{self.mass_number}"
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)  # equal texts share one Assignment; < 0.4 MB
     def parse(cls, text: str) -> "Assignment":
         m = ASSIGNMENT_RE.match(text.strip())
         if m is None:
@@ -391,8 +394,7 @@ def read_peaks_csv(path: str | os.PathLike) -> RangedPeakSet:
             mz, counts, assignments = line
             try:
                 mz_da, n = float(mz), float(counts)
-                parsed = tuple(Assignment.parse(token)
-                               for token in assignments.split(";") if token.strip())
+                parsed = tuple(map(Assignment.parse, filter(str.strip, assignments.split(";"))))
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
             peaks.append(Peak(mz_da, n, parsed))

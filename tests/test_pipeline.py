@@ -121,6 +121,9 @@ def test_overlap_case_validation():
         OverlapCase(75.0, ("As", 2), 2, ("As2", 2))
     case = OverlapCase(75.0, ("As", 2), 1, ("As2", 2))
     assert case.partner_charge != case.anchor[1]
+    for mz in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            OverlapCase(mz, ("As", 2), 1, ("As2", 2))
 
 
 def test_audit_is_deterministic():

@@ -167,6 +167,31 @@ def test_isotope_table_validation():
         with pytest.raises(ConfigError, match=fr"mass numbers \[{number}\] must lie in"):
             IsotopeTable({"Q": (Isotope(number, 1.0),)})
     assert IsotopeTable({"Q": (Isotope(1, 0.5), Isotope(300, 0.5))}).element("Q")
+    # NaN passed both the sum and the sign check; an infinite sum was already refused
+    for abundances in ((math.nan,), (1.0, math.nan), (math.inf, -math.inf), (math.inf, 0.0)):
+        isotopes = tuple(Isotope(10 + i, a) for i, a in enumerate(abundances))
+        with pytest.raises(ConfigError, match="sum to"):
+            IsotopeTable({"Q": isotopes})
+    for numbers in ((10.0,), (10, 11.0), (True,), ("10",)):
+        isotopes = tuple(Isotope(a, 1.0 / len(numbers)) for a in numbers)
+        with pytest.raises(ConfigError, match="must be integers"):
+            IsotopeTable({"Q": isotopes})
+
+
+@pytest.mark.parametrize("int_first", (True, False))
+def test_float_mass_numbers_cannot_share_a_cached_pattern(int_first):
+    # Isotope(10.0, a) == Isotope(10, a), so a table of float mass numbers, once built, got
+    # the int table's cached pattern or numpy's TypeError, depending on which came first
+    ints = (Isotope(10, 0.5), Isotope(11, 0.5))
+    floats = (Isotope(10.0, 0.5), Isotope(11.0, 0.5))
+    for isotopes in ((ints, floats) if int_first else (floats, ints)):
+        if isotopes is floats:
+            with pytest.raises(ConfigError, match="must be integers"):
+                IsotopeTable({"Q": isotopes})
+        else:
+            pattern = isotopologue_distribution(IsotopeTable({"Q": isotopes}), "Q", 2)
+            assert pattern == ((20, 0.25), (21, 0.5), (22, 0.25))
+            assert all(type(number) is int for number, _ in pattern)
 
 
 def test_parse_composition():

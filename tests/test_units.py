@@ -36,6 +36,15 @@ def test_nonpositive_ionization_energy_rejected():
         SpeciesParams("Si", 28.085, LADDER, 3).with_ie(1, -8.15)
 
 
+def test_m_q_must_be_an_integer_of_at_least_one():
+    # a NaN m_q used to reach the step kernel and exit 3 as an unresolved integral
+    for m_q in (math.nan, math.inf, -math.inf, 2.5, 3.0, True, 0, -1):
+        with pytest.raises(ConfigError, match="m_q must be an integer >= 1") as info:
+            SpeciesParams("Si", 28.085, LADDER, m_q)
+        assert info.value.exit_code == 2
+    assert SpeciesParams("Si", 28.085, LADDER, 1).m_q == 1
+
+
 def test_nonpositive_mass_rejected():
     for mass in (0.0, -28.085):
         with pytest.raises(ConfigError, match="mass"):
