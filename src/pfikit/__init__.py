@@ -9,15 +9,14 @@ from .calibrate import FitReport, ScanPoint, fit_ie, fit_z_offset, sensitivity_s
 from .constants import CONSTANTS, PhysConstants
 from .curves import (CrossoverResult, FieldEstimate, FieldGrid, KinghamCurve,
                      csr_from_fractions, csr_to_field, evaluate_csr, find_f50,
-                     generate_curve, read_curve_csv, write_curve_csv)
+                     fractions_at, generate_curve, read_curve_csv, write_curve_csv)
 from .errors import (AmbiguityError, BracketError, ConfigError,
                      DegenerateMatrixError, DomainError, FitRangeError, NumericalError,
                      PfiKitError)
 from .geometry import CrossingGeometry, Environment, critical_distance
 from .pipeline import (FLAG_KINDS, ConsistencyFlag, OverlapCase, OverlapResolution,
                        ResolutionReport, audit_consistency, composition_by_element,
-                       fraction_at, kellogg_field, load_pipeline_config,
-                       resolve_overlap, run_pipeline)
+                       kellogg_field, load_pipeline_config, resolve_overlap, run_pipeline)
 from .species import SpeciesParams, builtin_species, load_species_file, resolve_species
 from .spectrum import (Assignment, CsrEstimate, DeconvolutionResult, Isotope,
                        IsotopeTable, OverlapMatrix, Peak, RangedPeakSet,

@@ -84,10 +84,12 @@ def _resolve_model(args: argparse.Namespace) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write a command's output, as given (a curve's CRLF rows included), to stdout or the
+    file ``out``; the one place the CLI writes output."""
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -118,13 +120,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
         note(f"curve {sp.name} on {args.grid.low_vnm}:{args.grid.high_vnm}:"
              f"{args.grid.step_vnm}")
         curve = curves.generate_curve(sp, args.env, args.zmodel, args.grid)
-        if args.out is None:
-            curves.dump_curve_csv(curve, sys.stdout)
-        else:
-            target = args.out
-            if os.path.isdir(target):
-                target = os.path.join(target, name)
-            curves.write_curve_csv(curve, target)
+        target = args.out
+        if target is not None and os.path.isdir(target):
+            target = os.path.join(target, name)
+        _emit(curves.curve_csv(curve), target)
+        if target is not None:
             note(f"wrote {target}")
     return 0
 
@@ -182,10 +182,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_deconv(args: argparse.Namespace) -> int:
+def _deconvolve(args: argparse.Namespace
+                ) -> tuple[spectrum.RangedPeakSet, spectrum.DeconvolutionResult]:
+    """The ``--peaks`` file and its deconvolution with the ``--isotopes`` table."""
     peak_set = spectrum.read_peaks_csv(args.peaks)
     matrix = spectrum.build_overlap_matrix(peak_set, spectrum.load_isotopes(args.isotopes))
-    result = spectrum.deconvolve(peak_set, matrix)
+    return peak_set, spectrum.deconvolve(peak_set, matrix)
+
+
+def cmd_deconv(args: argparse.Namespace) -> int:
+    peak_set, result = _deconvolve(args)
 
     def labelled(values: dict) -> dict:
         return {spectrum.state_label(*state): v for state, v in values.items()}
@@ -195,23 +201,19 @@ def cmd_deconv(args: argparse.Namespace) -> int:
         "solver_totals": labelled(result.solver_totals),
         "residual_norm": result.residual_norm,
         "unassigned_counts": sum(result.unassigned),
-        "per_peak": [{"mz_Da": mz, "contributions": labelled(row)}
-                     for mz, row in zip(matrix.peak_mz_da, result.per_peak)],
+        "per_peak": [{"mz_Da": peak.mz_da, "contributions": labelled(row)}
+                     for peak, row in zip(peak_set.peaks, result.per_peak)],
     }
     _emit(_json_dumps(payload), args.out)
     return 0
 
 
 def cmd_csr(args: argparse.Namespace) -> int:
-    peak_set = spectrum.read_peaks_csv(args.peaks)
     pair = (args.charge_low, args.charge_high)
     if args.raw:
-        estimate = spectrum.raw_csr(peak_set, args.name, pair)
+        estimate = spectrum.raw_csr(spectrum.read_peaks_csv(args.peaks), args.name, pair)
     else:
-        matrix = spectrum.build_overlap_matrix(peak_set,
-                                               spectrum.load_isotopes(args.isotopes))
-        estimate = spectrum.compute_csr(spectrum.deconvolve(peak_set, matrix),
-                                        args.name, pair)
+        estimate = spectrum.compute_csr(_deconvolve(args)[1], args.name, pair)
     _emit(_json_dumps(asdict(estimate)), args.out)
     return 0
 

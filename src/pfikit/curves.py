@@ -12,7 +12,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def csr_from_fractions(fractions):
 class KinghamCurve:
     """Charge-state fractions and CSR of one species on an ascending grid.
 
-    ``field_grid_vnm`` and ``csr`` have shape (N,) and ``fractions`` (N, 3), charge
+    ``field_grid_vnm`` and ``csr`` have shape (N,) and ``fractions`` (N, 3), N >= 1, charge
     ordered from 1+; a two-state species has f3 = 0.  The curve keeps read-only float
     copies of what it is given, so the checks below hold for its whole life.
     """
@@ -108,11 +107,12 @@ class KinghamCurve:
         if g.ndim != 1 or fr.shape != (g.size, 3) or csr.shape != g.shape:
             raise DomainError(f"grid, fractions and csr have shapes {g.shape}, {fr.shape} "
                               f"and {csr.shape}, not (N,), (N, 3) and (N,)")
+        if not g.size:
+            raise DomainError("a curve needs at least one field point (N >= 1)")
         if not (np.isfinite(g).all() and (g[1:] > g[:-1]).all()):
             raise DomainError("field grid must be finite and strictly ascending")
-        # min and max carry a NaN, which fails each comparison; initial= passes an empty curve
-        if not (fr.min(initial=0.0) >= 0.0 and fr.max(initial=1.0) <= 1.0
-                and csr.min(initial=0.0) >= 0.0 and csr.max(initial=1.0) <= 1.0):
+        # min and max carry a NaN, which fails each comparison
+        if not (fr.min() >= 0.0 and fr.max() <= 1.0 and csr.min() >= 0.0 and csr.max() <= 1.0):
             raise DomainError("fractions and csr values must lie in [0, 1]")
         # the left-to-right row sums of fr.sum(axis=1), at a third of its cost
         if (off := np.abs(fr[:, 0] + fr[:, 1] + fr[:, 2] - 1.0) > 1e-12).any():
@@ -304,19 +304,29 @@ def csr_to_field(curve: KinghamCurve, csr: float,
     return FieldEstimate(center, interval, csr, two_sigma)
 
 
-def dump_curve_csv(curve: KinghamCurve, fh: TextIO) -> None:
-    """Write the curve as CSV to an open text stream: a species comment line, then the
-    header and one %.9g row per field, CRLF-terminated; a two-state species' f3 is 0."""
+def fractions_at(curve: KinghamCurve, field_vnm: float) -> tuple[float, float, float]:
+    """The curve's charge-state fractions at a field inside its grid, charge ordered from
+    1+: linear interpolation of each column."""
+    grid = curve.field_grid_vnm
+    if not grid[0] <= field_vnm <= grid[-1]:
+        raise DomainError(f"{curve.species_name}: field {field_vnm:g} V/nm outside "
+                          f"the curve grid [{grid[0]:g}, {grid[-1]:g}]")
+    return tuple(float(np.interp(field_vnm, grid, column)) for column in curve.fractions.T)
+
+
+def curve_csv(curve: KinghamCurve) -> str:
+    """The curve as CSV text: a species comment line, then the header and one %.9g row per
+    field, CRLF-terminated; a two-state species' f3 is 0."""
     table = np.column_stack((curve.field_grid_vnm, curve.fractions, curve.csr))
     row = ",".join(["%.9g"] * len(CSV_HEADER)) + "\r\n"
-    fh.write(f"# species: {curve.species_name}\n{','.join(CSV_HEADER)}\r\n"
-             + row * len(table) % tuple(table.ravel().tolist()))
+    return (f"# species: {curve.species_name}\n{','.join(CSV_HEADER)}\r\n"
+            + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_curve_csv(curve: KinghamCurve, path: str | os.PathLike) -> None:
-    """Write the curve as a CSV file (see :func:`dump_curve_csv`)."""
+    """Write :func:`curve_csv` of the curve to a file."""
     with open(path, "w", newline="") as fh:
-        dump_curve_csv(curve, fh)
+        fh.write(curve_csv(curve))
 
 
 def _bad_row(path, lines: list[str], first_line: int, exc: ValueError) -> ConfigError:

@@ -16,10 +16,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .curves import (FieldEstimate, KinghamCurve, csr_from_fractions, csr_to_field,
-                     read_curve_csv)
+from .curves import FieldEstimate, csr_from_fractions, csr_to_field, fractions_at, read_curve_csv
 from .errors import ConfigError, DomainError
 from .species import json_float, json_int, read_json
 from .spectrum import (RANGING_TOLERANCE_DA, CsrEstimate, Peak, RangedPeakSet,
@@ -49,23 +46,6 @@ def kellogg_field(voltage_v: float, f0_vnm: float, v0_v: float) -> float:
         raise DomainError(f"field {field} V/nm at voltage {voltage_v} V must be positive "
                           "and finite")
     return field
-
-
-def fraction_at(curve: KinghamCurve, field_vnm: float, charge: int) -> float:
-    """Charge-state fraction at a field, linear interpolation on the grid.
-
-    Fraction columns are charge-ordered starting at 1+; charges beyond the
-    three stored columns have fraction 0.
-    """
-    grid = curve.field_grid_vnm
-    if not grid[0] <= field_vnm <= grid[-1]:
-        raise DomainError(f"{curve.species_name}: field {field_vnm:g} V/nm outside "
-                          f"the curve grid [{grid[0]:g}, {grid[-1]:g}]")
-    if charge < 1:
-        raise DomainError(f"charge {charge} must be >= 1")
-    if charge > curve.fractions.shape[1]:
-        return 0.0
-    return float(np.interp(field_vnm, grid, curve.fractions[:, charge - 1]))
 
 
 @dataclass(frozen=True)
@@ -174,20 +154,20 @@ def audit_consistency(peak_set: RangedPeakSet,
                       fractions: dict[str, dict[int, float]],
                       resolutions: tuple[OverlapResolution, ...] = (),
                       nominal_fraction: dict[str, float] | None = None,
-                      compositions: dict[str, tuple[str, int]] | None = None
+                      composition: dict[str, float] | None = None
                       ) -> tuple[ConsistencyFlag, ...]:
-    """Advisory checks of the resolved spectrum against model and nominals.
+    """Advisory checks of the resolved spectrum against model and nominals; ``composition``
+    is the resolved spectrum's :func:`composition_by_element`, compared with the nominal.
 
     Total function: returns flags kind by kind in FLAG_KINDS order, which is the
     order of the checks below, subjects in input order; never raises.
     """
     flags: list[ConsistencyFlag] = []
 
-    if nominal_fraction:
-        measured = composition_by_element(resolved, compositions)
+    if nominal_fraction and composition:
         for element in sorted(nominal_fraction):
             nominal = nominal_fraction[element]
-            got = measured.get(element, 0.0)
+            got = composition.get(element, 0.0)
             if got > nominal:
                 flags.append(ConsistencyFlag(
                     "composition_exceeds_nominal", element,
@@ -405,8 +385,7 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
         raise ConfigError(f"reference species {ref_species!r} has no curve")
     estimate = csr_to_field(curves[ref_species], ref_csr.value, ref_csr.two_sigma)
 
-    fractions = {species: {charge: fraction_at(curve, estimate.field_vnm, charge)
-                           for charge in range(1, curve.fractions.shape[1] + 1)}
+    fractions = {species: dict(enumerate(fractions_at(curve, estimate.field_vnm), 1))
                  for species, curve in curves.items()}
 
     counts_before = primary_counts(peak_set)
@@ -448,13 +427,12 @@ def run_pipeline(config: dict, base_dir: str | os.PathLike = ".") -> ResolutionR
 
     nominal = (_config_value(config, "nominal_fraction", _object_of(json_float), "the top level")
                if config.get("nominal_fraction") else None)
+    composition_before = composition_by_element(counts_before, compositions)
+    composition_after = composition_by_element(counts, compositions)
     flags = audit_consistency(peak_set, counts, fractions, tuple(resolutions), nominal,
-                              compositions)
-    return ResolutionReport(
-        ref_species, ref_csr, estimate, fractions, counts_before, counts,
-        composition_by_element(counts_before, compositions),
-        composition_by_element(counts, compositions),
-        tuple(resolutions), flags)
+                              composition_after)
+    return ResolutionReport(ref_species, ref_csr, estimate, fractions, counts_before, counts,
+                            composition_before, composition_after, tuple(resolutions), flags)
 
 
 def load_pipeline_config(path: str | os.PathLike):

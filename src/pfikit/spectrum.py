@@ -196,9 +196,9 @@ class RangedPeakSet:
 
 @dataclass(eq=False)
 class OverlapMatrix:
-    """Peak-by-(species, charge) expected isotopologue probabilities."""
+    """Peak-by-(species, charge) expected isotopologue probabilities: ``values`` has a row
+    per peak of the peak set it was built from, in its order."""
 
-    peak_mz_da: tuple[float, ...]
     columns: tuple[tuple[str, int], ...]
     values: np.ndarray
 
@@ -245,7 +245,7 @@ def build_overlap_matrix(peak_set: RangedPeakSet, isotopes: IsotopeTable) -> Ove
             raise ConfigError(
                 f"column {state_label(*column)} coverage {total} exceeds 1; "
                 "duplicated assignments?")
-    return OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks), columns, values)
+    return OverlapMatrix(columns, values)
 
 
 @dataclass(eq=False)
@@ -275,7 +275,7 @@ def _colinear_columns(matrix: OverlapMatrix) -> tuple[str, ...]:
 
 def deconvolve(peak_set: RangedPeakSet, matrix: OverlapMatrix) -> DeconvolutionResult:
     """Nonnegative least-squares species totals and exact per-peak redistribution."""
-    if len(peak_set.peaks) != len(matrix.peak_mz_da):
+    if len(peak_set.peaks) != len(matrix.values):
         raise ConfigError("peak set and overlap matrix have different peak counts")
     a = matrix.values
     counts = np.array([p.counts for p in peak_set.peaks], dtype=float)

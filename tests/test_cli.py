@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -209,6 +210,21 @@ def test_extreme_ladder_f50_without_warnings(tmp_path, capsys, ladder, code, f50
     assert "Warning" not in err
     if f50 is not None:
         assert abs(json.loads(out)["X"]["f50_vnm"] - f50) <= 1e-9
+
+
+def test_resolve_refuses_a_field_outside_an_analyte_curve(fixtures_dir, tmp_path, capsys):
+    # the In reference puts the field near 21.3 V/nm; an As2 curve cut at 20 V/nm cannot
+    # give that field's fractions
+    for name in ("as_pipeline.json", "as_peaks.csv", "in_curve.csv", "as_curve.csv",
+                 "as3_curve.csv", "as4_curve.csv"):
+        shutil.copy(os.path.join(fixtures_dir, name), tmp_path / name)
+    with open(os.path.join(fixtures_dir, "as2_curve.csv"), newline="") as fh:
+        lines = fh.readlines()
+    (tmp_path / "as2_curve.csv").write_text("".join(lines[:153]), newline="")
+    assert main(["resolve", "--config", str(tmp_path / "as_pipeline.json")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"pfikit: error: As2: field 21\.\d+ V/nm outside the curve grid "
+                        r"\[5, 20\]\n", err), err
 
 
 def test_resolve_needs_a_json_object(tmp_path, capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import os
 
@@ -25,6 +24,7 @@ from pfikit import (
     csr_to_field,
     evaluate_csr,
     find_f50,
+    fractions_at,
     generate_curve,
     read_curve_csv,
     write_curve_csv,
@@ -322,9 +322,7 @@ def test_curve_csv_bytes(tmp_path):
                       "22.5,0,0,1,1\r\n"),
     )
     for curve, text in expected:
-        stream = io.StringIO(newline="")
-        curves.dump_curve_csv(curve, stream)
-        assert stream.getvalue() == text
+        assert curves.curve_csv(curve) == text
         path = tmp_path / f"{curve.species_name}.csv"
         write_curve_csv(curve, path)
         assert path.read_bytes() == text.encode()
@@ -389,6 +387,26 @@ def test_curve_validation_rejects_bad_rows():
                        ((10.0, 11.0), (row, (math.nan, 0.0, 0.0)))):
         with pytest.raises(DomainError):
             KinghamCurve("x", grid, rows, (0.0,) * len(grid))
+
+
+def test_a_curve_without_rows_is_refused():
+    with pytest.raises(DomainError, match=r"at least one field point \(N >= 1\)"):
+        KinghamCurve("x", (), np.zeros((0, 3)), ())
+
+
+def test_fractions_at_interpolates_columns(fixtures_dir):
+    curve = read_curve_csv(os.path.join(fixtures_dir, "as_curve.csv"))
+    f1, f2, _ = fractions_at(curve, 21.3)
+    assert f1 + f2 == pytest.approx(1.0, abs=1e-9)
+    assert f2 / (f1 + f2) == pytest.approx(0.0143, abs=2e-4)
+    # the np.interp of each column, bit for bit, at a grid point and between two
+    grid = curve.field_grid_vnm
+    for field in (21.3, grid[7], grid[-1]):
+        assert fractions_at(curve, field) == tuple(
+            float(np.interp(field, grid, curve.fractions[:, k])) for k in range(3))
+    for field in (999.0, grid[0] - 1e-9, math.nan):
+        with pytest.raises(DomainError, match="outside the curve grid"):
+            fractions_at(curve, field)
 
 
 def test_field_grid_points_hit_both_ends():

@@ -19,7 +19,6 @@ from pfikit import (
     RangedPeakSet,
     audit_consistency,
     csr_to_field,
-    fraction_at,
     kellogg_field,
     load_pipeline_config,
     raw_csr,
@@ -66,20 +65,6 @@ def test_field_estimate_from_reference_species(fixtures_dir):
     lo, hi = estimate.interval_vnm
     assert lo < estimate.field_vnm < hi
     assert hi - lo < 0.5
-
-
-def test_fraction_at_interpolates_columns(fixtures_dir):
-    curve = read_curve_csv(os.path.join(fixtures_dir, "as_curve.csv"))
-    f1 = fraction_at(curve, 21.3, 1)
-    f2 = fraction_at(curve, 21.3, 2)
-    assert f1 + f2 == pytest.approx(1.0, abs=1e-9)
-    assert f2 / (f1 + f2) == pytest.approx(0.0143, abs=2e-4)
-    # charges beyond the stored columns carry nothing
-    assert fraction_at(curve, 21.3, 5) == 0.0
-    with pytest.raises(DomainError):
-        fraction_at(curve, 999.0, 1)
-    with pytest.raises(DomainError):
-        fraction_at(curve, 21.3, 0)
 
 
 def test_resolve_overlap_budget():
@@ -146,6 +131,19 @@ def test_audit_orders_flags_by_kind():
     assert flags[0].subject == "Si:2+"
     order = {kind: i for i, kind in enumerate(FLAG_KINDS)}
     assert [order[k] for k in kinds] == sorted(order[k] for k in kinds)
+
+
+def test_audit_compares_the_given_composition_with_the_nominal(as_report):
+    # the pipeline hands the audit the composition it reports; the audit computes none
+    flags = [f for f in as_report.flags if f.kind == "composition_exceeds_nominal"]
+    assert [f.numbers[0] for f in flags] == [("measured", as_report.composition_after["As"])]
+    peaks = RangedPeakSet((Peak(28.0, 0.0, (Assignment("Si", 1, 28),)),))
+    resolved, fractions, nominal = {("Si", 1): 0.0}, {"Si": {1: 1.0, 2: 0.0}}, {"Si": 0.5}
+    # every resolved count is 0, so there is no composition to compare: no flag, no error
+    assert audit_consistency(peaks, resolved, fractions, (), nominal) == ()
+    flags = audit_consistency(peaks, resolved, fractions, (), nominal, {"Si": 0.75})
+    assert [(f.kind, f.numbers) for f in flags] == [
+        ("composition_exceeds_nominal", (("measured", 0.75), ("nominal", 0.5)))]
 
 
 def test_audit_reads_an_empty_model_pair_as_csr_1():

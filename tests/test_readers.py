@@ -30,12 +30,15 @@ CORPUS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 def _reference_curve(species_name, grid, fractions, csr):
-    """``KinghamCurve``'s copies and checks as they were before the cheaper checks, as their
-    reference: the name and the three arrays it keeps, or the DomainError it raises."""
+    """``KinghamCurve``'s copies and checks as they were before the cheaper checks, with the
+    N >= 1 rule added since, as their reference: the name and the three arrays it keeps, or
+    the DomainError it raises."""
     g, fr, csr = (np.array(value, dtype=float) for value in (grid, fractions, csr))
     if g.ndim != 1 or fr.shape != (g.size, 3) or csr.shape != g.shape:
         raise DomainError(f"grid, fractions and csr have shapes {g.shape}, {fr.shape} "
                           f"and {csr.shape}, not (N,), (N, 3) and (N,)")
+    if g.size == 0:
+        raise DomainError("a curve needs at least one field point (N >= 1)")
     if not (np.isfinite(g).all() and (np.diff(g) > 0.0).all()):
         raise DomainError("field grid must be finite and strictly ascending")
     if not (((fr >= 0.0) & (fr <= 1.0)).all() and ((csr >= 0.0) & (csr <= 1.0)).all()):

@@ -2,7 +2,7 @@
 package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
 loads no scipy module); only ``species.read_text``/``read_json`` read input files;
-every public name has a user outside the tests; every name the benchmark's tracer
+only ``cli._emit`` writes the CLI's output; every public name has a user outside the tests; every name the benchmark's tracer
 patches exists; no library path calls the step the tracer cannot read; and each
 upper-case constant is assigned in one module."""
 
@@ -101,25 +101,36 @@ def test_guard_sees_vectorize():
 READERS = ("read_text", "read_json")
 
 
+def _outside(tree: ast.AST, functions) -> list[ast.AST]:
+    """The nodes of ``tree`` that no function named in ``functions`` holds."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in functions
+              for node in ast.walk(fn)}
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
+def _opens(node: ast.AST) -> str | None:
+    """For an ``open`` call, "write" when its literal mode holds w, a or x, else "read";
+    None for any other node."""
+    if not (isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "open"):
+        return None
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return "write" if any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax")
+                          for m in modes) else "read"
+
+
 def _input_reads(source: str) -> list[str]:
     """Lines outside ``read_text``/``read_json`` that read a file themselves: an ``open``
     call without a literal write mode, ``json.load``/``json.loads``, or ``.read_text()``.
     Writers open files with a mode that holds w, a or x."""
-    tree = ast.parse(source)
-    inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name in READERS
-              for node in ast.walk(fn)}
     lines = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in inside:
+    for node in _outside(ast.parse(source), READERS):
+        if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "open" or (
-                isinstance(func, ast.Attribute) and func.attr == "open"):
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax")
-                       for m in modes):
-                lines.add(node.lineno)
+        if _opens(node) == "read":
+            lines.add(node.lineno)
         elif isinstance(func, ast.Attribute) and (
                 func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json"
                 or func.attr == "read_text"):
@@ -141,6 +152,37 @@ def test_guard_sees_an_input_read():
               "def write(path):\n    with open(path, 'w', newline='') as fh:\n        pass\n"
               "    open(path, mode='a')\n    read_text(path)\n")
     assert _input_reads(source) == ["line 7", "line 8", "line 9", "line 10"]
+
+
+def _output_writes(source: str) -> list[str]:
+    """Lines outside ``_emit`` that write output themselves: an ``open`` call with a literal
+    write mode, any use of ``stdout`` (``sys.stdout``, an imported name), or a ``print``
+    without ``file=``, which writes to stdout.  Reports on ``sys.stderr`` are not output."""
+    lines = set()
+    for node in _outside(ast.parse(source), ("_emit",)):
+        if (_opens(node) == "write"
+                or isinstance(node, ast.Attribute) and node.attr == "stdout"
+                or isinstance(node, ast.Name) and node.id == "stdout"
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                and not any(k.arg == "file" for k in node.keywords)):
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_cli_writes_output_only_in_emit():
+    # one writer sends every command's output, curve CSV included, to stdout or --out
+    assert _output_writes((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_guard_sees_an_output_write():
+    source = ("import sys\nfrom sys import stdout\n"
+              "def _emit(text, out):\n    if out is None:\n        sys.stdout.write(text)\n"
+              "    else:\n        with open(out, 'w', newline='') as fh:\n"
+              "            fh.write(text)\n"
+              "def cmd(args):\n    print('x', file=sys.stderr)\n    sys.stderr.write('y')\n"
+              "    print('z')\n    sys.stdout.write('w')\n    open(args.out, mode='a')\n"
+              "    open(args.peaks)\n    stdout.flush()\n")
+    assert _output_writes(source) == ["line 12", "line 13", "line 14", "line 16"]
 
 
 def test_cli_import_loads_no_scipy():

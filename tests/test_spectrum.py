@@ -251,7 +251,7 @@ SI_TRUTH = {("Si", 1): 1.0e6, ("Si2", 1): 5.0e4, ("Si2", 2): 6.0e4,
 
 def test_matrix_separates_half_integer_lines():
     peak_set, matrix = _si_system(SI_TRUTH)
-    by_mz = dict(zip(matrix.peak_mz_da, matrix.values))
+    by_mz = dict(zip((p.mz_da for p in peak_set.peaks), matrix.values))
     for mz in (28.5, 29.5):
         row = by_mz[mz]
         nonzero = [c for c, v in zip(matrix.columns, row) if v > 0.0]
@@ -261,6 +261,13 @@ def test_matrix_separates_half_integer_lines():
         nonzero = [c for c, v in zip(matrix.columns, row) if v > 0.0]
         assert nonzero == [("Si4", 2)]
     assert matrix.values.sum(axis=0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_deconvolution_needs_the_matrix_of_its_peak_set():
+    # the matrix keeps a row per peak and no m/z of its own, so its row count is the check
+    peak_set, matrix = _si_system(SI_TRUTH)
+    with pytest.raises(ConfigError, match="different peak counts"):
+        deconvolve(RangedPeakSet(peak_set.peaks[1:]), matrix)
 
 
 def test_matrix_rejects_impossible_mass_numbers(isotopes):
@@ -397,8 +404,7 @@ def _random_spectra(rng, n):
         counts = np.round(10.0 ** rng.uniform(0.0, 5.0, m)) * (rng.random(m) < 0.9)
         peak_set = RangedPeakSet(tuple(Peak(i + 1.0, float(x)) for i, x in enumerate(counts)))
         columns = tuple((f"X{j}", 1 + j % 2) for j in range(c))
-        yield peak_set, spectrum.OverlapMatrix(tuple(p.mz_da for p in peak_set.peaks),
-                                               columns, a)
+        yield peak_set, spectrum.OverlapMatrix(columns, a)
 
 
 def test_deconvolution_matches_the_loops_it_replaces():

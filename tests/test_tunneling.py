@@ -620,6 +620,24 @@ def test_step_constants_are_built_once_per_problem(species_table, si_env):
     assert tunneling._step_constants(si3, si_env, KINGHAM_Z, 1).tolist() == rows[:, :1].tolist()
 
 
+def test_equal_keys_give_bit_equal_step_constants(species_table):
+    # ZModel(1, 4.5) == ZModel(1.0, 4.5) and Environment(4.9, 0) == Environment(4.9, 0.0) hash
+    # alike, so the cache hands the second of a pair the rows of the first: they must be the
+    # bits that the second builds itself, whichever of the two comes first
+    si3 = species_table["si3"]
+    fields = np.linspace(12.0, 30.0, 7)
+    for pair in (((CLI_ENV, ZModel(1, 4.5)), (CLI_ENV, ZModel(1.0, 4.5))),
+                 ((Environment(4.9, 0), KINGHAM_Z), (Environment(4.9, 0.0), KINGHAM_Z))):
+        seen = []
+        for order in (pair, pair[::-1]):
+            tunneling._step_constants.cache_clear()  # each order starts from a cold cache
+            for env, zmodel in order:
+                rows = tunneling._step_constants(si3, env, zmodel, 2)
+                fractions = np.array(charge_fractions(si3, env, zmodel, fields))
+                seen.append((rows.tobytes(), fractions.tobytes()))
+        assert len(seen) == 4 and len(set(seen)) == 1
+
+
 def test_a_field_with_no_kept_piece_keeps_positive_zeros(species_table, si_env, monkeypatch):
     # Si at 1 V/nm keeps no piece of either step, so no node pass runs; P is +0.0, not the
     # -0.0 of an int bincount over no pieces, and no fraction prints as -0
