@@ -20,18 +20,22 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import calibrate, curves, pipeline, spectrum
 from .errors import ConfigError, PfiKitError
-from .geometry import Environment
 from .species import asset_path, resolve_species
 from .zmodel import ZModel, load_zmodel
+
+if TYPE_CHECKING:  # each handler imports the numpy-backed modules it runs, on its first call
+    from . import curves, spectrum
 
 NAMED_ZMODELS = {"kingham": "z_kingham.json", "si3": "z_si3_fit.json",
                  "si4": "z_si4_fit.json"}
 
 
 def _parse_grid(text: str) -> curves.FieldGrid:
+    from . import curves
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"bad grid {text!r}; expected lo:hi:step")
@@ -46,7 +50,7 @@ def _resolve_zmodel(ref: str) -> ZModel:
     named = NAMED_ZMODELS.get(ref.lower())
     if named is not None:
         return load_zmodel(asset_path(named))
-    if os.path.exists(ref):
+    if os.path.isfile(ref):
         return load_zmodel(ref)
     raise ConfigError(f"unknown Z model {ref!r}: not a file and not one of "
                       f"{sorted(NAMED_ZMODELS)}")
@@ -71,6 +75,8 @@ def _model_flags(parser: argparse.ArgumentParser, zmodel: bool) -> None:
 def _resolve_model(args: argparse.Namespace) -> None:
     """Replace the model flags' text by what it names; ``args.species_count`` is
     "one" or "some"."""
+    from .geometry import Environment
+
     species = [sp for ref in args.species for sp in resolve_species(ref)]
     if not species:
         raise ConfigError("no species given (use --species)")
@@ -102,6 +108,8 @@ def _search(args: argparse.Namespace) -> tuple[float, float]:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    from . import curves
+
     def note(message: str) -> None:
         if args.verbose:
             print(message, file=sys.stderr)
@@ -130,6 +138,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_f50(args: argparse.Namespace) -> int:
+    from . import curves
+
     names = [sp.name for sp in args.species]
     repeated = [name for name in names if names.count(name) > 1]
     if args.fmt == "json" and repeated:  # json keys its rows by species name
@@ -151,6 +161,8 @@ def cmd_f50(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_z(args: argparse.Namespace) -> int:
+    from . import calibrate
+
     report = calibrate.fit_z_offset(args.species[0], args.env, args.target,
                                     c1=args.c1, search_vnm=_search(args))
     _emit(_json_dumps(asdict(report)), args.out)
@@ -158,6 +170,8 @@ def cmd_fit_z(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_ie(args: argparse.Namespace) -> int:
+    from . import calibrate
+
     report = calibrate.fit_ie(args.species[0], args.env, args.zmodel, args.target,
                               ie_index=args.ie_index, search_vnm=_search(args))
     _emit(_json_dumps(asdict(report)), args.out)
@@ -165,6 +179,8 @@ def cmd_fit_ie(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from . import calibrate
+
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -185,12 +201,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def _deconvolve(args: argparse.Namespace
                 ) -> tuple[spectrum.RangedPeakSet, spectrum.DeconvolutionResult]:
     """The ``--peaks`` file and its deconvolution with the ``--isotopes`` table."""
+    from . import spectrum
+
     peak_set = spectrum.read_peaks_csv(args.peaks)
     matrix = spectrum.build_overlap_matrix(peak_set, spectrum.load_isotopes(args.isotopes))
     return peak_set, spectrum.deconvolve(peak_set, matrix)
 
 
 def cmd_deconv(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     peak_set, result = _deconvolve(args)
 
     def labelled(values: dict) -> dict:
@@ -209,6 +229,8 @@ def cmd_deconv(args: argparse.Namespace) -> int:
 
 
 def cmd_csr(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     pair = (args.charge_low, args.charge_high)
     if args.raw:
         estimate = spectrum.raw_csr(spectrum.read_peaks_csv(args.peaks), args.name, pair)
@@ -219,6 +241,8 @@ def cmd_csr(args: argparse.Namespace) -> int:
 
 
 def cmd_field(args: argparse.Namespace) -> int:
+    from . import curves
+
     curve = curves.read_curve_csv(args.curve)
     estimate = curves.csr_to_field(curve, args.csr, args.two_sigma)
     _emit(_json_dumps(asdict(estimate)), args.out)
@@ -226,6 +250,8 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     base_dir = args.base_dir if args.base_dir is not None else os.path.dirname(
         os.path.abspath(args.config))
     report = pipeline.run_pipeline(pipeline.load_pipeline_config(args.config),
@@ -238,6 +264,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_kellogg(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     value = pipeline.kellogg_field(args.voltage, args.f0, args.v0)
     if args.fmt == "json":
         _emit(_json_dumps({"field_vnm": value}), args.out)

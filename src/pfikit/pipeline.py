@@ -65,8 +65,9 @@ class OverlapCase:
     def __post_init__(self):
         if not math.isfinite(self.shared_mz_da):
             raise DomainError(f"shared m/z {self.shared_mz_da} Da must be finite")
-        if self.partner_charge < 1 or self.anchor[1] < 1 or self.claimant[1] < 1:
-            raise DomainError("charges must be >= 1")
+        charges = (self.anchor[1], self.partner_charge, self.claimant[1])
+        if not all(type(q) is int and q >= 1 for q in charges):  # a bool is not a charge
+            raise DomainError(f"charges must be integers >= 1, got {charges!r}")
         if self.partner_charge == self.anchor[1]:
             raise DomainError("partner charge must differ from the anchor charge")
 

@@ -148,9 +148,9 @@ def builtin_species() -> dict[str, SpeciesParams]:
 
 
 def resolve_species(ref: str) -> list[SpeciesParams]:
-    """Resolve a CLI species reference: a JSON path, or a shipped species name."""
+    """Resolve a CLI species reference: a JSON file, or a shipped species name."""
     path = Path(ref)
-    if path.exists():
+    if path.is_file():
         return load_species_file(path)
     sp = builtin_species().get(ref.lower())
     if sp is None:

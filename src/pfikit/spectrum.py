@@ -123,11 +123,11 @@ class Assignment:
     charge: int
     mass_number: int
 
-    def __post_init__(self):
-        if self.charge < 1:
-            raise DomainError(f"charge {self.charge} must be >= 1")
-        if self.mass_number < 1:
-            raise DomainError(f"mass number {self.mass_number} must be >= 1")
+    def __post_init__(self):  # the peaks reader builds one per Assignment.parse cache miss
+        if type(self.charge) is not int or self.charge < 1:  # a bool is not a charge
+            raise DomainError(f"charge {self.charge!r} must be an integer >= 1")
+        if type(self.mass_number) is not int or self.mass_number < 1:
+            raise DomainError(f"mass number {self.mass_number!r} must be an integer >= 1")
 
     def __str__(self) -> str:
         return f"{self.species}:{self.charge}:{self.mass_number}"

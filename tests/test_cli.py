@@ -66,6 +66,14 @@ def test_f50_unknown_species(capsys):
     assert "unknown species" in capsys.readouterr().err
 
 
+def test_a_shipped_name_is_not_read_from_a_directory(tmp_path, monkeypatch, capsys):
+    # a folder named like a shipped species is not a species file
+    (tmp_path / "si").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["f50", "--species", "si"]) == 0
+    assert capsys.readouterr().out == "Si: F50 = 19.8155406 V/nm\n"
+
+
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["fit-z", "--species", "si3"])

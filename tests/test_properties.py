@@ -15,10 +15,14 @@ from pfikit import (
     CONSTANTS,
     KINGHAM_Z,
     Assignment,
+    ConfigError,
     Environment,
+    Isotope,
+    IsotopeTable,
     OverlapCase,
     Peak,
     RangedPeakSet,
+    SpeciesParams,
     build_overlap_matrix,
     builtin_species,
     charge_fractions,
@@ -81,6 +85,30 @@ def test_resolve_overlap_invariants(shared, anchor, f_partner, f_anchor):
     assert res.remainder_counts >= 0.0
     assert res.deficit_counts >= 0.0
     assert (res.deficit_counts == 0.0) == (res.predicted_counts <= res.shared_counts)
+
+
+# each integer field of a public record, built with ``value`` in that field
+INTEGER_FIELDS = {
+    "Assignment.charge": lambda value: Assignment("Si", value, 28),
+    "Assignment.mass_number": lambda value: Assignment("Si", 1, value),
+    "OverlapCase.anchor": lambda value: OverlapCase(75.0, ("As", value), 1, ("As2", 2)),
+    "OverlapCase.partner_charge": lambda value: OverlapCase(75.0, ("As", 2), value,
+                                                            ("As2", 2)),
+    "OverlapCase.claimant": lambda value: OverlapCase(75.0, ("As", 2), 1, ("As2", value)),
+    "SpeciesParams.m_q": lambda value: SpeciesParams("Si", 28.085, (8.15, 16.35), value),
+    "Isotope.mass_number": lambda value: IsotopeTable({"Q": (Isotope(value, 1.0),)}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@given(value=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 2.5, 1.0, True]),
+                       st.floats(), st.booleans()))
+def test_integer_fields_refuse_floats_and_bools(field, value):
+    # a float or a bool that passed here would surface later as a TypeError, a
+    # NumericalError (exit 3) or a wrong count
+    with pytest.raises(ConfigError) as info:
+        INTEGER_FIELDS[field](value)
+    assert info.value.exit_code == 2
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=3))

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in that module; the
 package runs on numpy alone (no module imports scipy in any form: its root
 finder, interpolant and NNLS are ``pfikit._numerics``, and importing the CLI
-loads no scipy module); only ``species.read_text``/``read_json`` read input files;
-only ``cli._emit`` writes the CLI's output; every public name has a user outside the tests; every name the benchmark's tracer
-patches exists; no library path calls the step the tracer cannot read; and each
-upper-case constant is assigned in one module."""
+loads no scipy module); importing the package or the CLI loads no numpy, and a
+command loads only the modules it runs; the package keeps its public names; only
+``species.read_text``/``read_json`` read input files; only ``cli._emit`` writes the
+CLI's output; every public name has a user outside the tests; every name the
+benchmark's tracer patches exists; no library path calls the step the tracer
+cannot read; and each upper-case constant is assigned in one module."""
 
 from __future__ import annotations
 
@@ -192,6 +194,95 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _modules_loaded_by(code: str) -> list[str]:
+    """The pfikit and numpy modules a fresh interpreter holds after running ``code``
+    (numpy's own submodules folded into ``numpy``)."""
+    code = ("import sys\n" + code + "\nprint(sorted({m if m.startswith('pfikit') else 'numpy' for m in sys.modules "
+             "if m.split('.')[0] in ('pfikit', 'numpy')}))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True, cwd=ROOT).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_package_and_cli_import_load_no_numpy():
+    # each module loads on first use, so start-up pays only for what a command runs; a
+    # module-level import of curves, spectrum or numpy in cli.py would bring the cost back
+    assert _modules_loaded_by("import pfikit, pfikit.cli") == [
+        "pfikit", "pfikit.cli", "pfikit.errors", "pfikit.species", "pfikit.zmodel"]
+    assert _modules_loaded_by("import pfikit\nassert pfikit.__all__\n"
+                              "assert pfikit.errors is sys.modules['pfikit.errors']") == [
+        "pfikit", "pfikit.errors"]
+    deconv = _modules_loaded_by("from pfikit.cli import main\nassert main("
+                                "['deconv', '--peaks', 'fixtures/si2_overlap_peaks.csv']) == 0")
+    assert "pfikit.spectrum" in deconv
+    assert not {"pfikit.curves", "pfikit.tunneling"} & set(deconv)
+    f50 = _modules_loaded_by("from pfikit.cli import main\n"
+                             "assert main(['f50', '--species', 'si']) == 0")
+    assert "pfikit.curves" in f50
+    assert not {"pfikit.spectrum", "pfikit.pipeline", "pfikit.calibrate"} & set(f50)
+
+
+# the package's public names; a lazy loader must keep every one
+EXPORTS = [
+    "AmbiguityError", "Assignment", "BracketError", "CONSTANTS", "ConfigError",
+    "ConsistencyFlag", "CrossingGeometry", "CrossoverResult", "CsrEstimate",
+    "DeconvolutionResult", "DegenerateMatrixError", "DomainError", "Environment",
+    "FLAG_KINDS", "FieldEstimate", "FieldGrid", "FitRangeError", "FitReport", "Isotope",
+    "IsotopeTable", "KINGHAM_Z", "KinghamCurve", "NumericalError", "OverlapCase",
+    "OverlapMatrix", "OverlapResolution", "Peak", "PfiKitError", "PhysConstants",
+    "RangedPeakSet", "ResolutionReport", "ScanPoint", "SpeciesParams", "ZModel",
+    "audit_consistency", "build_overlap_matrix", "builtin_species", "calibrate",
+    "charge_fractions", "composition_by_element", "compute_csr", "constants",
+    "critical_distance", "csr_from_fractions", "csr_to_field", "curves", "deconvolve",
+    "errors", "evaluate_csr", "find_f50", "fit_ie", "fit_z_offset", "fractions_at",
+    "generate_curve", "geometry", "isotopologue_distribution", "kellogg_field",
+    "load_isotopes", "load_pipeline_config", "load_species_file", "load_zmodel",
+    "parse_composition", "pfi_step_probability", "pipeline", "primary_counts", "raw_csr",
+    "read_curve_csv", "read_peaks_csv", "resolve_overlap", "resolve_species",
+    "run_pipeline", "sensitivity_scan", "species", "spectrum", "tunneling",
+    "write_curve_csv", "write_peaks_csv", "zmodel",
+]
+
+
+def _defined_names(source: str) -> set[str]:
+    """The names a module's top level defines: ``def``, ``class`` and assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_export_is_what_its_module_defines():
+    assert pfikit.__all__ == EXPORTS
+    defined = {p.stem: _defined_names(p.read_text()) for p in MODULES}
+    for name in pfikit.__all__:
+        if name in defined:
+            assert getattr(pfikit, name) is importlib.import_module(f"pfikit.{name}")
+            continue
+        homes = [module for module, names in defined.items() if name in names]
+        assert len(homes) == 1, (name, homes)
+        assert getattr(pfikit, name) is getattr(importlib.import_module(f"pfikit.{homes[0]}"),
+                                                name)
+
+
+def test_star_import_and_dir_reach_every_export():
+    namespace = {}
+    exec("from pfikit import *", namespace)
+    assert {name: namespace[name] for name in pfikit.__all__} == {
+        name: getattr(pfikit, name) for name in pfikit.__all__}
+    assert set(pfikit.__all__) | {"_numerics", "__version__"} <= set(dir(pfikit))
+    assert not {"importlib", "_EXPORTS", "__getattr__"} & set(dir(pfikit))
+    assert pfikit._numerics is sys.modules["pfikit._numerics"]
+    with pytest.raises(AttributeError, match="no attribute 'fit_anything'"):
+        pfikit.fit_anything
+    assert not hasattr(pfikit, "cli_main")
 
 
 def test_guard_sees_an_unused_import():
